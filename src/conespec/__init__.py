@@ -8,6 +8,7 @@ coneop       model cone operators, boundary spectra, discretizations
 traces       heat and resolvent traces with truncation control
 asymptotics  log-polynomial expansion fitting and zeta continuation
 index        McKean-Singer traces, eta integrals, index assembly
+oracles      independent checks shared by `conespec verify` and the tests
 cli          experiment runner
 """
 

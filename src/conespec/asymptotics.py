@@ -264,16 +264,6 @@ def fit_expansion(series, terms, window=None, *, min_samples_per_term=4,
     return LogPolyExpansion(fitted, window, resid, cond, meta, exponent_flags)
 
 
-def leading_exponent_estimate(series, window):
-    """Log-log slope of |values| over the window (raw slope, no corrections)."""
-    x = np.asarray(series.params, dtype=float)
-    y = np.abs(np.asarray(series.values))
-    mask = (x >= window[0]) & (x <= window[1]) & (y > 0)
-    if mask.sum() < 4:
-        raise ConfigurationError("window too small for a slope estimate")
-    return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
-
-
 def fitted_leading_exponent(series, window, *, correction_powers=(0.5, 1.0, 1.5)):
     """Leading exponent from local log-log slopes, extrapolated to zero.
 

@@ -7,7 +7,8 @@ heat        heat trace, expansion fit, term report
 resolvent   resolvent norm decay and power traces
 zeta        continuation, values, pole report
 index       constant term, eta integral, assembly, invariance sweeps
-verify      property suite (index-set laws, seminorms, integral oracles)
+verify      property suite (index-set laws, seminorms, integral oracles),
+            run through the oracles the tests share (``oracles``)
 
 Every run writes CSV files (header row plus a provenance comment carrying
 the config digest and seed) and a MANIFEST listing outputs with digests.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import asymptotics, coneop, traces
 from . import index as indextools
-from . import indexsets, symbols
+from . import oracles, symbols
 from .errors import ConespecError, ConfigurationError
 from .opfile import config_digest, parse_operator, read_kv
 
@@ -68,16 +69,25 @@ class Runner:
         (self.out / "MANIFEST").write_text("\n".join(lines) + "\n")
 
 
+def _parse(key, text, convert=float):
+    """Convert one config value; a malformed value is a configuration error."""
+    try:
+        return convert(text)
+    except (ValueError, OverflowError):
+        raise ConfigurationError("malformed config value", key=key,
+                                 got=text) from None
+
+
 def _f(kv, key, default=None):
     if key not in kv:
         if default is None:
             raise ConfigurationError("missing config key", key=key)
         return default
-    return float(kv[key])
+    return _parse(key, kv[key])
 
 
 def _i(kv, key, default=None):
-    return int(_f(kv, key, default))
+    return _parse(key, _f(kv, key, default), int)
 
 
 def _operator(kv, config_path):
@@ -113,7 +123,7 @@ def run_spectrum(kv, runner, args):
     disc = coneop.discretize(op, _f(kv, "s_min", -12.0), _i(kv, "npoints", 1500))
     sd = coneop.grid_spectral_data(disc, lam_max)
     runner.write_csv("spectral.csv", sd.to_csv_rows())
-    if op.frozen() and abs(op.mu - 2.0) < 1e-12 and kv.get("oracle_compare", "1") != "0":
+    if op.is_frozen and abs(op.mu - 2.0) < 1e-12 and kv.get("oracle_compare", "1") != "0":
         sdo = coneop.oracle_spectral_data(op.frozen(), lam_max)
         rows = [("mode", "k", "grid", "oracle", "rel_err")]
         worst = 0.0
@@ -208,7 +218,7 @@ def run_zeta(kv, runner, args):
     runner.write_csv("poles.csv", zc.poles_to_csv_rows())
     rows = [("z_re", "z_im", "value_re", "value_im")]
     for z_text in kv.get("z_eval", "-3,-2.5,-1.5").split(","):
-        z = complex(z_text)
+        z = _parse("z_eval", z_text, complex)
         v = zc.value(z)
         rows.append((f"{z.real:.6g}", f"{z.imag:.6g}",
                      f"{v.real:.12e}", f"{v.imag:.12e}"))
@@ -218,6 +228,8 @@ def run_zeta(kv, runner, args):
 
 def run_index(kv, runner, args):
     rng = np.random.default_rng(args.seed)
+    eps_list = [_parse("eps_list", s)
+                for s in kv.get("eps_list", "0,0.1,0.3").split(",")]
     kind = kv.get("b_kind", "gaussian")
     rows_n, cols_n = _i(kv, "b_rows", 40), _i(kv, "b_cols", 60)
     if kind == "gaussian":
@@ -245,7 +257,6 @@ def run_index(kv, runner, args):
                                      for t, r in zip(res.taus, res.ratios)]
         rows.append(("slope", f"{res.slope:.4f}"))
         runner.write_csv("red_to_const.csv", rows)
-        eps_list = [float(s) for s in kv.get("eps_list", "0,0.1,0.3").split(",")]
         rep = indextools.invariance_red_to_sobolev(disc, eps_list)
         rows = [("eps", "dim_kernel", "dim_cokernel", "crossing")]
         for r in rep.rows:
@@ -269,12 +280,12 @@ def run_verify(kv, runner, args):
     checks = []
 
     # index set laws against brute-force enumeration
-    cases = int(kv.get("cases", profile["verify_cases"]))
+    cases = _i(kv, "cases", profile["verify_cases"])
     bad = 0
     for _ in range(cases):
-        E = _random_set(rng)
-        F = _random_set(rng)
-        if not _brute_check(E, F):
+        E = oracles.random_index_set(rng)
+        F = oracles.random_index_set(rng)
+        if not oracles.index_algebra_agrees(E, F, E, F):
             bad += 1
     checks.append(("indexset_laws", "pass" if bad == 0 else "fail",
                    f"{cases - bad}/{cases}"))
@@ -294,10 +305,11 @@ def run_verify(kv, runner, args):
                    f"slope={slope:.3f}"))
 
     # pushforward and ODE oracles on randomized separable cases
-    push_ok = _verify_pushforward(rng, profile["push_cases"])
+    xg = np.geomspace(1e-4, 0.09, 40)
+    push_ok, _, _ = oracles.pushforward_suite(rng, profile["push_cases"], xg)
     checks.append(("pushforward_cases", "pass" if push_ok else "fail",
                    f"{profile['push_cases']} cases"))
-    ode_ok = _verify_ode()
+    ode_ok, _, _ = oracles.ode_explicit_check(xg)
     checks.append(("ode_solution", "pass" if ode_ok else "fail", "-"))
 
     # component integral identity
@@ -315,118 +327,6 @@ def run_verify(kv, runner, args):
         runner.status = "failed"
         return EXIT_INVALID
     return EXIT_OK
-
-
-def _random_set(rng):
-    n = int(rng.integers(0, 5))
-    pairs = []
-    for _ in range(n):
-        z = complex(rng.integers(-2, 7) * 0.5, rng.integers(-1, 2) * 0.5)
-        pairs.append((z, int(rng.integers(0, 3))))
-    return indexsets.IndexSet(pairs, 6.0)
-
-
-def _brute_extunion(E, F):
-    s = set(E.entries) | set(F.entries)
-    for z, k in E.entries:
-        for w, l in F.entries:
-            if z == w:
-                s.add((z, k + l + 1))
-    out = set()
-    for z, k in s:
-        for j in range(k + 1):
-            out.add((z, j))
-    return out
-
-
-def _brute_check(E, F):
-    got = set(indexsets.extended_union(E, F).entries)
-    if got != _brute_extunion(E, F):
-        return False
-    fam_e = indexsets.IndexFamily4(E, F, E, F)
-    fam_f = indexsets.IndexFamily4(F, E, F, E)
-    comp = indexsets.compose_family(fam_e, fam_f)
-
-    def brute_sum(A, B):
-        if not A.entries or not B.entries:
-            return set()
-        out = set()
-        for z, k in A.entries:
-            for w, l in B.entries:
-                if (z + w).real <= 6.0 + 1e-9:
-                    for j in range(k + l + 1):
-                        out.add((z + w, j))
-        return out
-
-    def brute_eu(sa, sb):
-        s = sa | sb
-        for z, k in sa:
-            for w, l in sb:
-                if z == w:
-                    s.add((z, k + l + 1))
-        out = set()
-        for z, k in s:
-            for j in range(k + 1):
-                out.add((z, j))
-        return out
-
-    want_lb = brute_eu(set(E.entries), brute_sum(E, F))
-    return set(comp.lb.entries) == want_lb
-
-
-def _verify_pushforward(rng, cases):
-    from .symbols import smoothstep
-
-    def phi(v):
-        return 1.0 - float(smoothstep((float(v) - 0.35) / 0.35))
-
-    xg = np.geomspace(1e-4, 0.09, 40)
-    ok = True
-    for i in range(cases):
-        if i < max(3, cases // 4):
-            a = b = float(rng.integers(1, 8)) / 4.0
-        else:
-            a = float(rng.integers(1, 8)) / 4.0
-            b = float(rng.integers(1, 8)) / 4.0
-        u = lambda xx, yy: phi(xx) * phi(yy) * xx ** a * yy ** b
-        E1 = indexsets.IndexSet([(a, 0)], 2.5, cinf_step=True)
-        E2 = indexsets.IndexSet([(b, 0)], 2.5, cinf_step=True)
-        exp, verdict = asymptotics.pushforward_fund2(u, E1, E2, xg)
-        ok = ok and verdict.passed
-        if a == b:
-            ok = ok and abs(exp.coeff(a, 1) + 1.0) < 1e-6
-    return ok
-
-
-def _verify_ode():
-    from .symbols import smoothstep
-
-    def omega(v):
-        return 1.0 - float(smoothstep((float(v) - 0.8) / 0.8))
-
-    xg = np.geomspace(1e-4, 0.09, 40)
-    a = 0.4
-    E = indexsets.IndexSet([(a, 0)], 3.0, cinf_step=True)
-    exp, verdict = asymptotics.ode_fund1(lambda x: omega(x) * x ** a, a, E, xg)
-    explicit = _ode_explicit_log_coeff(a, omega)
-    return verdict.passed and abs(exp.coeff(a, 1) - explicit) < 1e-8
-
-
-def _ode_explicit_log_coeff(a, omega):
-    # direct integration of the decaying solution at two points pins the
-    # log coefficient: f(x) = x^a (c log x + C) exactly for small x
-    from scipy.integrate import quad
-
-    def f(x):
-        # g(y) = omega(y) y^a, so y^(-a) g(y) reduces to omega(y)
-        val, _ = quad(lambda s: omega(math.exp(s)),
-                      math.log(x), math.log(2.0), epsabs=1e-13, epsrel=1e-13,
-                      limit=400)
-        return -(x ** a) * val
-
-    x1, x2 = 1e-5, 1e-6
-    c = (f(x1) / x1 ** a - f(x2) / x2 ** a) / (math.log(x1) - math.log(x2))
-    return c
 
 
 # ---------------------------------------------------------------------------

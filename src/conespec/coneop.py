@@ -283,10 +283,6 @@ class Discretization:
     def mode_list(self):
         return self.op.mode_list()
 
-    @property
-    def symmetric(self):
-        return True  # enforced at build time
-
     def matrix(self, m):
         """Tridiagonal data (diagonal, subdiagonal) of the conjugated operator."""
         if m not in self._cache:

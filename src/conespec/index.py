@@ -362,6 +362,10 @@ def invariance_red_to_sobolev(disc, eps_list, *, threshold=1e-8, strip=None):
     moves a boundary-spectrum pole across one of the reference lines
     Im sigma = +-mu/2.  Singular values within a factor 10 of the
     threshold give an UNDECIDED (None) dimension rather than a count.
+
+    On the grid the dimensions are therefore eps-invariant by construction
+    and only ``crossing`` depends on eps; the polynomial part is symmetric,
+    so the cokernel dimension equals the kernel dimension.
     """
     from .coneop import boundary_spectrum
     op = disc.op
@@ -369,27 +373,22 @@ def invariance_red_to_sobolev(disc, eps_list, *, threshold=1e-8, strip=None):
     strip = strip if strip is not None else mu + max(abs(e) for e in eps_list) + 2.0
     bspec = boundary_spectrum(op, strip)
     ims = [p.sigma.imag for p in bspec.poles]
+    total, undecided = 0, False
+    for m in disc.mode_list():
+        d, e = disc.matrix(m)
+        K = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        sv = np.linalg.svd(K, compute_uv=False)
+        top = sv[0]
+        small = sv < threshold * top
+        amb = (~small) & (sv < 10 * threshold * top)
+        if np.any(amb):
+            undecided = True
+        total += int(np.sum(small))
+    dim = None if undecided else total
     rows = []
     for eps in eps_list:
-        dims = []
-        for mat_transposed in (False, True):
-            total, undecided = 0, False
-            for m in disc.mode_list():
-                d, e = disc.matrix(m)
-                K = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-                if mat_transposed:
-                    K = K.T
-                sv = np.linalg.svd(K, compute_uv=False)
-                top = sv[0]
-                small = sv < threshold * top
-                amb = (~small) & (sv < 10 * threshold * top)
-                if np.any(amb):
-                    undecided = True
-                total += int(np.sum(small))
-            dims.append(None if undecided else total)
         crossing = any(
             (-mu / 2.0 < v <= -mu / 2.0 + eps) or (mu / 2.0 - eps <= v < mu / 2.0)
             for v in ims) if eps > 0 else False
-        rows.append(SobolevReductionRow(float(eps), dims[0], dims[1],
-                                        bool(crossing)))
+        rows.append(SobolevReductionRow(float(eps), dim, dim, bool(crossing)))
     return SobolevReductionReport(rows, threshold)

@@ -157,15 +157,6 @@ class IndexSet:
             cinf_step=self.cinf_step,
         )
 
-    def restricted(self, new_cutoff):
-        if new_cutoff > self.re_cutoff + _CUTOFF_TOL:
-            raise IndexSetError(
-                "cannot raise the cutoff of a truncated set",
-                have=self.re_cutoff,
-                want=new_cutoff,
-            )
-        return IndexSet(self.entries, new_cutoff, cinf_step=self.cinf_step)
-
     # -- serialization -----------------------------------------------------
 
     def to_text(self):

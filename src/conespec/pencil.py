@@ -169,26 +169,6 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False,
     return out_vals
 
 
-def resolvent_diag(d, e, w, lam):
-    """Diagonal of (K - lam W)^(-1) for one (possibly complex) lam.
-
-    Uses the forward and backward pivot recursions; the i-th diagonal
-    entry is 1 / (f_i + g_i - t_i) with t = d - lam w.
-    """
-    t = d - lam * w
-    n = len(d)
-    e2 = np.square(e).astype(complex)
-    f = np.empty(n, dtype=complex)
-    g = np.empty(n, dtype=complex)
-    f[0] = t[0]
-    for i in range(1, n):
-        f[i] = t[i] - e2[i - 1] / f[i - 1]
-    g[n - 1] = t[n - 1]
-    for i in range(n - 2, -1, -1):
-        g[i] = t[i] - e2[i] / g[i + 1]
-    return 1.0 / (f + g - t)
-
-
 def trace_weighted_resolvent(d, e, w, lams, bdiag=None):
     """Tr[B (K - lam W)^(-1) W] for a batch of complex shifts lam.
 

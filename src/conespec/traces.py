@@ -71,14 +71,6 @@ class WeightOperator:
         self.phi = phi
         self.label = label or f"x^(-{beta})*phi, mu'={mu_prime}"
 
-    @property
-    def is_identity(self):
-        return self.beta == 0.0 and self.mu_prime == 0.0 and self._phi_is_one()
-
-    def _phi_is_one(self):
-        x = np.linspace(1e-4, 1.0, 17)
-        return bool(np.max(np.abs(np.asarray(self.phi(x)) - 1.0)) < 1e-14)
-
     def mode_factor(self, m):
         return (1.0 + m * m) ** (self.mu_prime / 2.0)
 

@@ -10,22 +10,19 @@ import math
 import time
 
 import numpy as np
-import pytest
-from scipy.integrate import quad
 
 from conespec.asymptotics import (fit_expansion, fitted_leading_exponent,
-                                  ode_fund1, predict_terms, pushforward_fund2,
-                                  trace_component_Ak)
+                                  predict_terms, trace_component_Ak)
 from conespec.coneop import (boundary_spectrum, discretize,
                              discretize_halfline, eigenvalues, laplace_type,
                              perturbed_laplace, resolvent_norm)
 from conespec.index import (Factorization, argument_principle_count, eta_term,
                             index_assemble, invariance_red_to_const,
                             lorentzian_perturbation, mckean_singer)
-from conespec.indexsets import IndexFamily4, IndexSet, compose_family, \
-    extended_union
+from conespec.oracles import (index_algebra_agrees, ode_explicit_check,
+                              pushforward_suite, random_index_set)
 from conespec.symbols import LEFT_HALF_PLANE, ChiCutoff, resolvent_symbol, \
-    seminorm_check, smoothstep
+    seminorm_check
 from conespec.traces import (resolvent_power_trace,
                              resolvent_power_trace_spectral,
                              weighted_heat_trace)
@@ -159,62 +156,15 @@ def test_accept_07_zeta_continuation(laplace_sd, heat_fit, zeta_cont):
 
 
 def test_accept_08_pushforward_suite():
-    def phi(v):
-        return 1.0 - float(smoothstep((float(v) - 0.35) / 0.35))
-
-    rng = np.random.default_rng(42)
     xg = np.geomspace(1e-4, 0.09, 50)
-    n_cases, n_coincident = 20, 5
-    all_ok = True
-    worst_log = 0.0
-    for i in range(n_cases):
-        if i < n_coincident:
-            a = b = float(rng.integers(1, 8)) / 4.0
-        else:
-            a = float(rng.integers(1, 8)) / 4.0
-            b = float(rng.integers(1, 8)) / 4.0
-        u = lambda xx, yy: phi(xx) * phi(yy) * xx ** a * yy ** b
-        E1 = IndexSet([(a, 0)], 2.5, cinf_step=True)
-        E2 = IndexSet([(b, 0)], 2.5, cinf_step=True)
-        exp, verdict = pushforward_fund2(u, E1, E2, xg)
-        all_ok = all_ok and verdict.passed
-        if a == b:
-            # closed-form oracle: the log coefficient is -1 exactly
-            err = abs(exp.coeff(a, 1) + 1.0)
-            worst_log = max(worst_log, err)
-            all_ok = all_ok and err < 1e-6
-            has_log = any(t.detected and t.logpow == 1 for t in exp.terms)
-            all_ok = all_ok and has_log
-        else:
-            log_cols = [t for t in exp.terms if t.logpow >= 1 and t.detected]
-            all_ok = all_ok and not log_cols
+    all_ok, n_coincident, worst_log = pushforward_suite(
+        np.random.default_rng(42), 20, xg)
     report(8, all_ok, "fiber integral expansions on 20 randomized separable cases",
            f"{n_coincident} coincidences, worst log coeff err={worst_log:.2e}")
 
 
 def test_accept_09_ode_resonance():
-    def om(v):
-        return 1.0 - float(smoothstep((float(v) - 0.8) / 0.8))
-
-    a = 0.4
-    xg = np.geomspace(1e-4, 0.09, 50)
-    E = IndexSet([(a, 0)], 3.0, cinf_step=True)
-    exp, verdict = ode_fund1(lambda x: om(x) * x ** a, a, E, xg)
-    fit_coeff = exp.coeff(a, 1)
-
-    # explicit solution oracle by direct integration: the decaying solution
-    # is f = x^a (c log x + C) exactly for small x, and two-point sampling
-    # pins c (the orientation gives c = +1; a log(1/x) basis would flip it)
-    def f(x):
-        val, _ = quad(lambda s: om(math.exp(s)), math.log(x), math.log(2.0),
-                      epsabs=1e-13, epsrel=1e-13, limit=400)
-        return -(x ** a) * val
-
-    x1, x2 = 1e-5, 1e-6
-    explicit = (f(x1) / x1 ** a - f(x2) / x2 ** a) / math.log(x1 / x2)
-    err = abs(fit_coeff - explicit)
-    unit = abs(abs(fit_coeff) - 1.0)
-    ok = verdict.passed and err < 1e-8 and unit < 1e-8
+    ok, fit_coeff, err = ode_explicit_check(np.geomspace(1e-4, 0.09, 50))
     report(9, ok, "resonant dilation ODE reproduces the explicit log term",
            f"|fit-explicit|={err:.2e}, coeff={fit_coeff.real:+.9f}")
 
@@ -266,54 +216,11 @@ def test_accept_13_graph_norm_convergence():
 
 def test_accept_14_index_set_algebra():
     rng = np.random.default_rng(1234)
-    zpool = [complex(r * 0.5, i * 0.5) for r in range(-2, 8)
-             for i in (-1, 0, 1)]
-
-    def rand_set():
-        n = int(rng.integers(0, 5))
-        return IndexSet([(zpool[rng.integers(0, len(zpool))],
-                          int(rng.integers(0, 3))) for _ in range(n)], 6.0)
-
-    def close(entries):
-        out = set()
-        for z, k in entries:
-            for j in range(k + 1):
-                out.add((z, j))
-        return out
-
-    def brute_eu(sa, sb):
-        s = set(sa) | set(sb)
-        for z, k in sa:
-            for w, l in sb:
-                if z == w:
-                    s.add((z, k + l + 1))
-        return close(s)
-
-    def brute_sum(A, B):
-        if not A.entries or not B.entries:
-            return set()
-        return close({(z + w, k + l) for z, k in A.entries
-                      for w, l in B.entries if (z + w).real <= 6.0 + 1e-9})
-
-    bad = 0
     n_cases = 10000
+    bad = 0
     for _ in range(n_cases):
-        A, B, C, D = rand_set(), rand_set(), rand_set(), rand_set()
-        if set(extended_union(A, B).entries) != brute_eu(set(A.entries),
-                                                         set(B.entries)):
-            bad += 1
-            continue
-        E = IndexFamily4(A, B, C, D)
-        F = IndexFamily4(D, C, B, A)
-        out = compose_family(E, F)
-        want = (brute_eu(set(A.entries), brute_sum(C, D)),
-                brute_eu(brute_sum(B, B), set(C.entries)),
-                brute_eu(brute_sum(C, B), brute_sum(A, C)),
-                brute_sum(D, A))
-        got = (set(out.lb.entries), set(out.rb.entries),
-               set(out.ff.entries), set(out.fi.entries))
-        if got != want:
-            bad += 1
+        A, B, C, D = (random_index_set(rng) for _ in range(4))
+        bad += not index_algebra_agrees(A, B, C, D)
     report(14, bad == 0, "randomized index set algebra vs brute force",
            f"{n_cases - bad}/{n_cases} cases")
 

@@ -138,3 +138,32 @@ h_weight = 1
     omega, eta, value, dist = row.split(",")[:4]
     assert abs(float(value) + 1.0) < 1e-6
     assert float(dist) < 1e-6
+
+
+def test_spectrum_run_skips_oracle_for_perturbed_operator(tmp_path):
+    # the Bessel oracle describes the frozen model only
+    cfg = write_cfg(tmp_path / "s.cfg", f"""
+operator = {CONFIGS / 'laplace_perturbed.op'}
+lam_max = 60
+npoints = 200
+""")
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert not (tmp_path / "out" / "oracle_compare.csv").exists()
+
+
+@pytest.mark.parametrize("sub, text, key", [
+    ("heat", f"operator = {CONFIGS / 'laplace_a1.5.op'}\nt_min = abc\n",
+     "t_min"),
+    ("index", f"""operator = {CONFIGS / 'laplace_perturbed.op'}
+npoints = 120
+eps_list = 0,x
+""", "eps_list"),
+], ids=["t_min", "eps_list"])
+def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
+    cfg = write_cfg(tmp_path / "bad.cfg", text)
+    code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest and f"key={key}" in manifest
+    assert not list((tmp_path / "out").glob("*.csv"))
