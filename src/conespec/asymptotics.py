@@ -7,9 +7,17 @@ exponent families determined by the order data (mu, mu', beta, n, N):
 the interior family (k - mu' - n)/mu, the boundary-weight family
 (k - beta)/mu and the integer family, with log powers allowed only on
 the stated sub-lattices.  The fitter decides presence of a term by the
-residual inflation caused by removing its column (default factor 10);
-overlapping families are merged to a single column per (gamma, j), and
-no attribution of a coefficient to a particular family is attempted.
+residual inflation caused by removing its column (factor 10); designs
+with equilibrated condition number above 1e12 are refused; overlapping
+families are merged to a single column per (gamma, j), and no attribution
+of a coefficient to a particular family is attempted.
+
+The quadrature oracles integrate to relative tolerance ``_QUAD_TOL`` =
+1e-11, below the 1e-5 fit residual and the 1e-6 to 1e-8 coefficient
+tolerances their checks apply.  Their fits carry two probe columns
+``_PROBE_OFFSET`` = 0.37 either side of the leading predicted exponent,
+off the quarter-integer lattices in use: a detected probe flags a term
+outside the prediction.
 """
 
 import cmath
@@ -26,14 +34,16 @@ from .indexsets import IndexSet, extended_union
 
 _DETECT_FACTOR = 10.0
 _COND_LIMIT = 1e12
+_QUAD_TOL = 1e-11
+_PROBE_OFFSET = 0.37
 
 
 # ---------------------------------------------------------------------------
 # predicted terms
 
 
-def _is_nonneg_int(x, tol=1e-9):
-    return x > -tol and abs(x - round(x)) <= tol
+def _is_nonneg_int(x):
+    return x > -1e-9 and abs(x - round(x)) <= 1e-9
 
 
 def predict_terms(mu, mu_prime, beta, n, k_max, *, kind="heat", N=None):
@@ -96,14 +106,14 @@ def expand_columns(terms):
     return sorted(set(cols))
 
 
-def columns_from_indexset(E, *, gamma_cap=None):
-    """Fit columns x^z (log x)^k from a (real-exponent) index set."""
+def columns_from_indexset(E, gamma_cap):
+    """Fit columns x^z (log x)^k, Re z <= gamma_cap, from a real-exponent index set."""
     cols = []
     for z, k in E:
         if abs(z.imag) > 1e-9:
             raise ConfigurationError("fitting supports real exponents only",
                                      exponent=z)
-        if gamma_cap is None or z.real <= gamma_cap + 1e-9:
+        if z.real <= gamma_cap + 1e-9:
             cols.append((float(z.real), int(k)))
     return sorted(set(cols))
 
@@ -137,11 +147,11 @@ class LogPolyExpansion:
     meta: dict = field(default_factory=dict)
     exponent_flags: dict = field(default_factory=dict)
 
-    def coeff(self, gamma, logpow=0, default=0.0):
+    def coeff(self, gamma, logpow=0):
         for t in self.terms:
             if abs(t.gamma - gamma) < 1e-9 and t.logpow == logpow:
                 return t.coeff
-        return default
+        return 0.0
 
     def detected_terms(self):
         return [t for t in self.terms if t.detected]
@@ -203,17 +213,16 @@ def _weighted_lstsq(A, y, wts):
     return coef, resid, cond
 
 
-def fit_expansion(series, terms, window=None, *, min_samples_per_term=4,
-                  detect_factor=_DETECT_FACTOR, cond_limit=_COND_LIMIT,
-                  meta=None):
+def fit_expansion(series, terms, window=None, *, meta=None):
     """Weighted least squares fit of a log-polynomial expansion.
 
     ``series`` is a TraceSeries or an (x, y) pair; ``terms`` is a list of
-    (gamma, maxlog) pairs or explicit (gamma, j) columns.  Rows are scaled
-    by 1/|y| so exponent ranges spanning many decades are balanced.  A
-    term counts as detected when removing its column inflates the residual
-    by at least ``detect_factor``.  Designs with equilibrated condition
-    number above ``cond_limit`` are refused.
+    (gamma, maxlog) pairs or explicit (gamma, j) columns.  At least four
+    samples per column are required.  Rows are scaled by 1/|y| so exponent
+    ranges spanning many decades are balanced.  A term counts as detected
+    when removing its column inflates the residual by at least
+    ``_DETECT_FACTOR``.  Designs with equilibrated condition number above
+    ``_COND_LIMIT`` are refused.
     """
     if hasattr(series, "params"):
         x = np.asarray(series.params, dtype=float)
@@ -231,14 +240,14 @@ def fit_expansion(series, terms, window=None, *, min_samples_per_term=4,
         window = (float(np.min(x)), float(np.max(x)))
     # input pairs are (gamma, max log power); lower log powers are implied
     cols = expand_columns(terms)
-    if len(x) < min_samples_per_term * len(cols):
+    if len(x) < 4 * len(cols):
         raise ConfigurationError("not enough samples for the requested terms",
                                  samples=len(x), terms=len(cols),
-                                 needed=min_samples_per_term * len(cols))
+                                 needed=4 * len(cols))
     wts = 1.0 / np.maximum(np.abs(y), 1e-14 * np.max(np.abs(y)))
     A = _design(x, cols)
     coef, resid, cond = _weighted_lstsq(A, y, wts)
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise ConditioningError(
             "design too ill conditioned; shrink the term list or the window",
             conditioning=cond, terms=len(cols), window=window)
@@ -253,23 +262,23 @@ def fit_expansion(series, terms, window=None, *, min_samples_per_term=4,
 
     fitted = []
     for c in range(len(cols)):
-        detected = resid_without({c}) >= detect_factor * floor
+        detected = resid_without({c}) >= _DETECT_FACTOR * floor
         gamma, j = cols[c]
         fitted.append(FittedTerm(gamma, j, complex(coef[c]), bool(detected)))
     exponent_flags = {}
     for gamma in sorted({g for g, _ in cols}):
         drop = {k for k, (g, _) in enumerate(cols) if abs(g - gamma) < 1e-12}
         exponent_flags[round(gamma, 9)] = bool(
-            resid_without(drop) >= detect_factor * floor)
+            resid_without(drop) >= _DETECT_FACTOR * floor)
     return LogPolyExpansion(fitted, window, resid, cond, meta, exponent_flags)
 
 
-def fitted_leading_exponent(series, window, *, correction_powers=(0.5, 1.0, 1.5)):
+def fitted_leading_exponent(series, window):
     """Leading exponent from local log-log slopes, extrapolated to zero.
 
     The local slope of a series c x^g (1 + corrections) approaches g with
     corrections proportional to powers of x; fitting the sampled slopes
-    against [1, x^p1, x^p2, ...] and reading off the intercept removes the
+    against [1, x^0.5, x, x^1.5] and reading off the intercept removes the
     subleading bias that a raw slope estimate suffers.
     """
     x = np.asarray(series.params, dtype=float)
@@ -282,7 +291,7 @@ def fitted_leading_exponent(series, window, *, correction_powers=(0.5, 1.0, 1.5)
     slopes = (ly[2:] - ly[:-2]) / (lx[2:] - lx[:-2])
     xm = x[1:-1]
     A = np.column_stack([np.ones_like(xm)] +
-                        [xm ** p for p in correction_powers])
+                        [xm ** p for p in (0.5, 1.0, 1.5)])
     coef, _, _, _ = np.linalg.lstsq(A, slopes, rcond=None)
     return float(coef[0])
 
@@ -301,7 +310,7 @@ class ExpansionVerdict:
     residual: float
 
 
-def _verdict(expansion, predicted_cols, probe_cols):
+def _verdict(expansion, predicted_cols):
     detected = [(t.gamma, t.logpow) for t in expansion.detected_terms()]
     pred = set(predicted_cols)
     extra = [c for c in detected if c not in pred]
@@ -311,39 +320,25 @@ def _verdict(expansion, predicted_cols, probe_cols):
                             absent, extra, expansion.residual)
 
 
-def pushforward_fund2(u, E_lb, E_rb, x_grid, *, quad_tol=1e-11,
-                      probe_offset=0.37):
-    """Fiber integral v(x) = int_x^1 u(x/y, y) dy/y and its expansion check.
+def _fit_against_union(x_grid, vals, union, kind):
+    """Fit against the columns of ``union`` the grid resolves, plus probes.
 
-    The expansion of v at 0 must lie in the extended union of the two
-    index sets of u; the fit runs against exactly that predicted set plus
-    two off-lattice probe columns, and the verdict fails if any probe (or
-    other non-predicted term) is detected.  Predicted but absent terms
-    are reported informationally.
+    The verdict fails if a probe (or any other non-predicted term) is
+    detected; predicted but absent terms are reported informationally.
+    All-zero values pass with no terms.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    union = extended_union(E_lb, E_rb)
-    gamma_cap = _resolvable_cap(x_grid, union)
-    predicted = columns_from_indexset(union, gamma_cap=gamma_cap)
+    predicted = columns_from_indexset(union, _resolvable_cap(x_grid, union))
     if not predicted:
         raise ConfigurationError("empty predicted term set")
-
-    def v(x):
-        sigma = -math.log(x)
-        val, err = quad(lambda s: u(math.exp(-(sigma - s)), math.exp(-s)),
-                        0.0, sigma, epsabs=0.0, epsrel=quad_tol, limit=400)
-        return val
-
-    vals = np.array([v(x) for x in x_grid])
     if np.max(np.abs(vals)) < 1e-14:
         exp = LogPolyExpansion([], (float(x_grid.min()), float(x_grid.max())),
-                               0.0, 1.0, {"kind": "pushforward"})
+                               0.0, 1.0, {"kind": kind})
         return exp, ExpansionVerdict(True, [], predicted, predicted, [], 0.0)
     lo = min(g for g, _ in predicted)
-    probes = [(lo - probe_offset, 0), (lo + probe_offset, 0)]
+    probes = [(lo - _PROBE_OFFSET, 0), (lo + _PROBE_OFFSET, 0)]
     cols = sorted(set(predicted) | set(probes))
-    exp = fit_expansion((x_grid, vals), cols, meta={"kind": "pushforward"})
-    return exp, _verdict(exp, predicted, probes)
+    exp = fit_expansion((x_grid, vals), cols, meta={"kind": kind})
+    return exp, _verdict(exp, predicted)
 
 
 def _resolvable_cap(x_grid, union):
@@ -354,41 +349,48 @@ def _resolvable_cap(x_grid, union):
     return lo + max(2.0, 0.45 * span / math.log(10.0) * 2.2)
 
 
-def ode_fund1(g, a, E, x_grid, *, support=(0.0, 2.0), quad_tol=1e-11):
+def pushforward_fund2(u, E_lb, E_rb, x_grid):
+    """Fiber integral v(x) = int_x^1 u(x/y, y) dy/y and its expansion check.
+
+    The expansion of v at 0 must lie in the extended union of the two
+    index sets of u (see ``_fit_against_union``).
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+
+    def v(x):
+        sigma = -math.log(x)
+        val, err = quad(lambda s: u(math.exp(-(sigma - s)), math.exp(-s)),
+                        0.0, sigma, epsabs=0.0, epsrel=_QUAD_TOL, limit=400)
+        return val
+
+    vals = np.array([v(x) for x in x_grid])
+    return _fit_against_union(x_grid, vals, extended_union(E_lb, E_rb),
+                              "pushforward")
+
+
+def ode_fund1(g, a, E, x_grid):
     """Decaying solution of (x d/dx - a) f = g and its expansion check.
 
     f(x) = -x^a int_x^inf y^(-a) g(y) dy/y, computed by quadrature (g must
-    vanish beyond ``support``); the expansion of f at 0 lies in the
-    extended union of E with the singleton {(a, 0)}.
+    vanish for x >= 2); the expansion of f at 0 lies in the extended union
+    of E with the singleton {(a, 0)} (see ``_fit_against_union``).
     """
     a = complex(a)
     if abs(a.imag) > 1e-12:
         raise ConfigurationError("real exponents only in the fitter", a=a)
     x_grid = np.asarray(x_grid, dtype=float)
-    cutoff = float(support[1])
 
     def f(x):
-        if x >= cutoff:
+        if x >= 2.0:
             return 0.0
         val, err = quad(lambda s: math.exp(-a.real * s) * g(math.exp(s)),
-                        math.log(x), math.log(cutoff),
-                        epsabs=0.0, epsrel=quad_tol, limit=400)
+                        math.log(x), math.log(2.0),
+                        epsabs=0.0, epsrel=_QUAD_TOL, limit=400)
         return -(x ** a.real) * val
 
     vals = np.array([f(x) for x in x_grid])
-    singleton = IndexSet([(a, 0)], E.re_cutoff)
-    union = extended_union(E, singleton)
-    gamma_cap = _resolvable_cap(x_grid, union)
-    predicted = columns_from_indexset(union, gamma_cap=gamma_cap)
-    if np.max(np.abs(vals)) < 1e-14:
-        exp = LogPolyExpansion([], (float(x_grid.min()), float(x_grid.max())),
-                               0.0, 1.0, {"kind": "ode"})
-        return exp, ExpansionVerdict(True, [], predicted, predicted, [], 0.0)
-    lo = min(gc for gc, _ in predicted)
-    probes = [(lo - 0.37, 0), (lo + 0.37, 0)]
-    cols = sorted(set(predicted) | set(probes))
-    exp = fit_expansion((x_grid, vals), cols, meta={"kind": "ode"})
-    return exp, _verdict(exp, predicted, probes)
+    union = extended_union(E, IndexSet([(a, 0)], E.re_cutoff))
+    return _fit_against_union(x_grid, vals, union, "ode")
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +402,24 @@ class ComponentIntegralResult:
     expansion: LogPolyExpansion
     gamma: float
     identity_residual: float
-    powers: list
 
 
-def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k,
-                       theta=math.pi, quad_tol=1e-11):
+def _quad_complex(f, lo, hi, limit):
+    """int_lo^hi f of a complex integrand, as two real quadratures."""
+    re, _ = quad(lambda xi: f(xi).real, lo, hi,
+                 epsabs=0.0, epsrel=_QUAD_TOL, limit=limit)
+    im, _ = quad(lambda xi: f(xi).imag, lo, hi,
+                 epsabs=0.0, epsrel=_QUAD_TOL, limit=limit)
+    return re + 1j * im
+
+
+def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k):
     """Frequency integral of one homogeneous component against the cutoff.
 
     Computes A(z) = (2 pi)^(-1) int chi(xi) a_k(xi, z^(-mu) e^(i theta)) dxi
-    on the z grid, fits it against the lattice (mu N + mu N_0) extunion
-    {gamma} with gamma = N mu - mu' - n + k, and verifies the Euler
+    on the negative real ray, theta = pi, over the z grid, fits it against
+    the lattice (mu N + mu N_0) extunion {gamma} with
+    gamma = N mu - mu' - n + k, and verifies the Euler
     derivative identity
 
         (z d/dz - gamma) A(z) = -z^(mu N) (2 pi)^(-1)
@@ -426,7 +436,7 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k,
         raise ConfigurationError("non-integrable component degree",
                                  degree=degree, n=n)
     gamma = N * mu - mu_prime - n + k
-    ray = cmath.exp(1j * theta)
+    ray = cmath.exp(1j * math.pi)
     z_grid = np.asarray(z_grid, dtype=float)
 
     def integrand_full(xi, z):
@@ -436,11 +446,8 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k,
         lo = chi.radius / 2.0
         out = 0.0
         for sgn in (+1.0, -1.0):
-            re, _ = quad(lambda xi: (integrand_full(sgn * xi, z)).real,
-                         lo, np.inf, epsabs=0.0, epsrel=quad_tol, limit=400)
-            im, _ = quad(lambda xi: (integrand_full(sgn * xi, z)).imag,
-                         lo, np.inf, epsabs=0.0, epsrel=quad_tol, limit=400)
-            out += re + 1j * im
+            out += _quad_complex(lambda xi: integrand_full(sgn * xi, z),
+                                 lo, np.inf, 400)
         return out / (2.0 * math.pi)
 
     vals = np.array([A(z) for z in z_grid])
@@ -449,7 +456,7 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k,
                         for j in range(int((cutoff - N * mu) / mu) + 2)], cutoff)
     single = IndexSet([(gamma, 0)], cutoff)
     union = extended_union(lattice, single)
-    cols = columns_from_indexset(union, gamma_cap=_resolvable_cap(z_grid, union))
+    cols = columns_from_indexset(union, _resolvable_cap(z_grid, union))
     exp = fit_expansion((z_grid, vals), cols, meta={"kind": "component",
                                                     "gamma": gamma})
 
@@ -464,13 +471,9 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k,
         hi = chi.radius
         out = 0.0
         for sgn in (+1.0, -1.0):
-            re, _ = quad(lambda xi: (chi.xi_dchi(sgn * xi)
-                                     * atilde(sgn * xi, z ** mu)).real,
-                         lo, hi, epsabs=0.0, epsrel=quad_tol, limit=200)
-            im, _ = quad(lambda xi: (chi.xi_dchi(sgn * xi)
-                                     * atilde(sgn * xi, z ** mu)).imag,
-                         lo, hi, epsabs=0.0, epsrel=quad_tol, limit=200)
-            out += re + 1j * im
+            out += _quad_complex(lambda xi: (chi.xi_dchi(sgn * xi)
+                                             * atilde(sgn * xi, z ** mu)),
+                                 lo, hi, 200)
         return -(z ** (mu * N)) * out / (2.0 * math.pi)
 
     sub = z_grid[:: max(1, len(z_grid) // 8)]
@@ -483,8 +486,7 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k,
         r = rhs(z)
         scale = max(abs(lhs), abs(r), 1e-300)
         worst = max(worst, abs(lhs - r) / scale)
-    return ComponentIntegralResult(exp, gamma, float(worst),
-                                   [c for c in cols])
+    return ComponentIntegralResult(exp, gamma, float(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -566,39 +568,29 @@ class ZetaContinuation:
                                                  self.t0, z)
         return total
 
-    def value(self, z, *, pole_tol=0.01):
+    def value(self, z):
+        """zeta(z); refused within 0.01 of a reported pole."""
         z = complex(z)
         for p in self.pole_report():
-            if abs(z - p.z) < pole_tol:
+            if abs(z - p.z) < 0.01:
                 raise ZetaPoleError("evaluation at a reported pole",
                                     z=z, pole=p.z, order=p.order)
         return self.mellin_value(z) * rgamma(-z)
 
-    def values(self, z_grid):
-        return np.array([self.value(z) for z in z_grid])
-
     # -- poles ----------------------------------------------------------------
 
-    def _laurent(self, z0, radius=0.03, M=32):
-        zs = z0 + radius * np.exp(2j * math.pi * np.arange(M) / M)
-        vals = np.array([self.mellin_value(z) * rgamma(-z) for z in zs])
-        coeffs = {}
-        for k in range(1, 4):
-            phase = np.exp(2j * math.pi * k * np.arange(M) / M)
-            coeffs[k] = np.mean(vals * phase) * radius ** k
-        return coeffs, float(np.max(np.abs(vals)))
-
-    def pole_report(self, *, rel_tol=1e-6, radius=0.03):
+    def pole_report(self):
         """Poles with orders, residues and lattice tags from the fitted terms.
 
         Candidates are the fitted exponents; the pole order and leading
-        Laurent data are measured on a small circle, which automatically
-        accounts for the zeros of 1/Gamma at nonnegative integers.  A
-        Laurent coefficient counts as present when it exceeds rel_tol
-        times the circle maximum (in circle units).
+        Laurent data are measured on a circle of radius 0.03 (32 nodes),
+        which automatically accounts for the zeros of 1/Gamma at
+        nonnegative integers.  A Laurent coefficient counts as present when
+        it exceeds 1e-6 times the circle maximum (in circle units).
         """
         if self._poles is not None:
             return self._poles
+        radius, M = 0.03, 32
         out = []
         seen = set()
         for term in self.fit.terms:
@@ -607,10 +599,14 @@ class ZetaContinuation:
                 continue
             seen.add(g)
             z0 = complex(term.gamma)
-            co, v_scale = self._laurent(z0, radius=radius)
+            zs = z0 + radius * np.exp(2j * math.pi * np.arange(M) / M)
+            vals = np.array([self.mellin_value(z) * rgamma(-z) for z in zs])
+            v_scale = float(np.max(np.abs(vals)))
+            co = {k: np.mean(vals * np.exp(2j * math.pi * k * np.arange(M) / M))
+                  * radius ** k for k in (1, 2, 3)}
             order = 0
             for k in (3, 2, 1):
-                if abs(co[k]) > rel_tol * v_scale * radius ** k:
+                if abs(co[k]) > 1e-6 * v_scale * radius ** k:
                     order = k
                     break
             if order == 0:

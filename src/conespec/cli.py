@@ -25,18 +25,13 @@ import numpy as np
 
 from . import asymptotics, coneop, traces
 from . import index as indextools
-from . import oracles, symbols
+from . import oracles
 from .errors import ConespecError, ConfigurationError
 from .opfile import config_digest, parse_operator, read_kv
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
-
-PROFILES = {
-    "default": {"seminorm_ppd": 40, "verify_cases": 2000, "push_cases": 8},
-    "strict": {"seminorm_ppd": 40, "verify_cases": 10000, "push_cases": 20},
-}
 
 
 class Runner:
@@ -79,15 +74,34 @@ def _parse(key, text, convert=float):
 
 
 def _f(kv, key, default=None):
+    """A finite number; ``default`` when the key is absent (None: required)."""
     if key not in kv:
         if default is None:
             raise ConfigurationError("missing config key", key=key)
         return default
-    return _parse(key, kv[key])
+    value = _parse(key, kv[key])
+    if not math.isfinite(value):
+        raise ConfigurationError("config value must be finite", key=key,
+                                 got=kv[key])
+    return value
 
 
 def _i(kv, key, default=None):
-    return _parse(key, _f(kv, key, default), int)
+    """An integer, written with or without a fractional part of zero."""
+    value = _f(kv, key, default)
+    if value != int(value):
+        raise ConfigurationError("config value must be an integer", key=key,
+                                 got=kv[key])
+    return int(value)
+
+
+def _positive(kv, key, default):
+    """A positive number: a time or a spectral cutoff, checked before use."""
+    value = _f(kv, key, default)
+    if value <= 0:
+        raise ConfigurationError("config value must be positive", key=key,
+                                 got=kv[key])
+    return value
 
 
 def _operator(kv, config_path):
@@ -142,19 +156,18 @@ def run_spectrum(kv, runner, args):
 
 def run_heat(kv, runner, args):
     op = _operator(kv, args.config)
-    t_min, t_max = _f(kv, "t_min", 1e-3), _f(kv, "t_max", 0.12)
-    lam_max = _f(kv, "lam_max", 46.0 / t_min)
+    t_min, t_max = _positive(kv, "t_min", 1e-3), _positive(kv, "t_max", 0.12)
+    lam_max = _positive(kv, "lam_max", 46.0 / t_min)
+    ts = np.geomspace(t_min, t_max, _i(kv, "t_count", 120))
+    k_max = _i(kv, "k_max", 4)
+    window = (_f(kv, "window_lo", t_min), _f(kv, "window_hi", t_max))
     # the trace of the full model needs every mode with spectrum below lam_max
     op = op.with_modes(int(math.sqrt(lam_max)) + 2)
     sd = _spectral(kv, op, lam_max)
-    ts = np.geomspace(t_min, t_max, _i(kv, "t_count", 120))
     series = traces.heat_trace(sd, ts)
     runner.write_csv("trace.csv", series.to_csv_rows())
-    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, _i(kv, "k_max", 4),
-                                      kind="heat")
-    fit = asymptotics.fit_expansion(series, terms,
-                                    window=(_f(kv, "window_lo", t_min),
-                                            _f(kv, "window_hi", t_max)))
+    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max, kind="heat")
+    fit = asymptotics.fit_expansion(series, terms, window=window)
     runner.write_csv("fit.csv", fit.to_csv_rows())
     slope = asymptotics.fitted_leading_exponent(
         series, (t_min, min(10 * t_min, t_max)))
@@ -174,24 +187,25 @@ def run_heat(kv, runner, args):
 
 def run_resolvent(kv, runner, args):
     op = _operator(kv, args.config)
-    lam_spec = _f(kv, "lam_max_spec", 2e4)
-    op = op.with_modes(int(math.sqrt(lam_spec)) + 2)
-    sd = _spectral(kv, op, lam_spec)
+    lam_spec = _positive(kv, "lam_max_spec", 2e4)
     mags = np.geomspace(_f(kv, "lam_min", 1e2), _f(kv, "lam_max", 1e6),
                         _i(kv, "count", 40))
+    N = _i(kv, "N", 2)
+    lam_tr = -np.geomspace(_f(kv, "trace_lam_min", 10.0),
+                           _f(kv, "trace_lam_max", 1e3),
+                           _i(kv, "trace_count", 25))
+    k_max = _i(kv, "k_max", 4)
+    op = op.with_modes(int(math.sqrt(lam_spec)) + 2)
+    sd = _spectral(kv, op, lam_spec)
     norms = [coneop.resolvent_norm(sd, -m) for m in mags]
     rows = [("lam_abs", "norm")] + [(f"{m:.6e}", f"{v:.12e}")
                                     for m, v in zip(mags, norms)]
     runner.write_csv("norms.csv", rows)
     slope = float(np.polyfit(np.log(mags), np.log(norms), 1)[0])
-    N = _i(kv, "N", 2)
-    lam_tr = -np.geomspace(_f(kv, "trace_lam_min", 10.0),
-                           _f(kv, "trace_lam_max", 1e3),
-                           _i(kv, "trace_count", 25))
     series = traces.resolvent_power_trace_spectral(sd, N, lam_tr)
     runner.write_csv("power_trace.csv", series.to_csv_rows())
-    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2,
-                                      _i(kv, "k_max", 4), kind="resolvent", N=N)
+    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max,
+                                      kind="resolvent", N=N)
     fit = asymptotics.fit_expansion((np.abs(lam_tr), series.values), terms)
     runner.write_csv("power_fit.csv", fit.to_csv_rows())
     runner.write_csv("summary.csv",
@@ -204,21 +218,22 @@ def run_resolvent(kv, runner, args):
 
 def run_zeta(kv, runner, args):
     op = _operator(kv, args.config)
-    t_min = _f(kv, "t_min", 1e-3)
-    t0 = _f(kv, "t0", 0.1)
-    lam_max = _f(kv, "lam_max", 46.0 / t_min)
+    t_min = _positive(kv, "t_min", 1e-3)
+    t0 = _positive(kv, "t0", 0.1)
+    lam_max = _positive(kv, "lam_max", 46.0 / t_min)
+    ts = np.geomspace(t_min, 1.2 * t0, _i(kv, "t_count", 120))
+    k_max = _i(kv, "k_max", 4)
+    z_eval = [_parse("z_eval", z, complex)
+              for z in kv.get("z_eval", "-3,-2.5,-1.5").split(",")]
     op = op.with_modes(int(math.sqrt(lam_max)) + 2)
     sd = _spectral(kv, op, lam_max)
-    ts = np.geomspace(t_min, 1.2 * t0, _i(kv, "t_count", 120))
     series = traces.heat_trace(sd, ts)
-    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, _i(kv, "k_max", 4),
-                                      kind="heat")
+    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max, kind="heat")
     fit = asymptotics.fit_expansion(series, terms, window=(t_min, 1.05 * t0))
     zc = asymptotics.zeta_continue(series, fit, t0=t0)
     runner.write_csv("poles.csv", zc.poles_to_csv_rows())
     rows = [("z_re", "z_im", "value_re", "value_im")]
-    for z_text in kv.get("z_eval", "-3,-2.5,-1.5").split(","):
-        z = _parse("z_eval", z_text, complex)
+    for z in z_eval:
         v = zc.value(z)
         rows.append((f"{z.real:.6g}", f"{z.imag:.6g}",
                      f"{v.real:.12e}", f"{v.imag:.12e}"))
@@ -275,12 +290,11 @@ def run_index(kv, runner, args):
 
 
 def run_verify(kv, runner, args):
-    profile = PROFILES[args.tolerance_profile]
     rng = np.random.default_rng(args.seed)
     checks = []
 
     # index set laws against brute-force enumeration
-    cases = _i(kv, "cases", profile["verify_cases"])
+    cases = _i(kv, "cases", 2000)
     bad = 0
     for _ in range(cases):
         E = oracles.random_index_set(rng)
@@ -291,35 +305,24 @@ def run_verify(kv, runner, args):
                    f"{cases - bad}/{cases}"))
 
     # symbol seminorms: membership and a deliberate misdeclaration
-    sec = symbols.LEFT_HALF_PLANE
-    q = symbols.resolvent_symbol(lambda xi: np.asarray(xi) ** 2, 2.0, sec)
-    rep = symbols.seminorm_check(q, 2, 2, pts_per_decade=profile["seminorm_ppd"])
-    checks.append(("seminorm_membership", "pass" if rep.passed else "fail",
-                   f"worst={max(r.worst_ratio for r in rep.rows):.3e}"))
-    bad_claim = q.with_orders((-3.0, -2.0, 2.0))
-    rep_bad = symbols.seminorm_check(bad_claim, 0, 0,
-                                     pts_per_decade=profile["seminorm_ppd"])
-    slope = rep_bad.rows[0].growth_slope
-    checks.append(("seminorm_misdeclared", "pass" if (not rep_bad.passed and
-                                                      slope >= 0.9) else "fail",
+    member_ok, worst, caught, slope = oracles.symbol_class_check()
+    checks.append(("seminorm_membership", "pass" if member_ok else "fail",
+                   f"worst={worst:.3e}"))
+    checks.append(("seminorm_misdeclared", "pass" if caught else "fail",
                    f"slope={slope:.3f}"))
 
     # pushforward and ODE oracles on randomized separable cases
     xg = np.geomspace(1e-4, 0.09, 40)
-    push_ok, _, _ = oracles.pushforward_suite(rng, profile["push_cases"], xg)
+    push_ok, _, _ = oracles.pushforward_suite(rng, 8, xg)
     checks.append(("pushforward_cases", "pass" if push_ok else "fail",
-                   f"{profile['push_cases']} cases"))
+                   "8 cases"))
     ode_ok, _, _ = oracles.ode_explicit_check(xg)
     checks.append(("ode_solution", "pass" if ode_ok else "fail", "-"))
 
     # component integral identity
-    chi = symbols.ChiCutoff(1.0)
-    res = asymptotics.trace_component_Ak(
-        lambda xi, lam: (np.asarray(xi) ** 2 - lam) ** -2.0, chi,
-        np.geomspace(1e-3, 1e-1, 16), mu=2.0, N=2, mu_prime=0.0, n=1, k=0)
-    checks.append(("component_identity",
-                   "pass" if res.identity_residual < 1e-6 else "fail",
-                   f"resid={res.identity_residual:.2e}"))
+    ident_ok, resid = oracles.component_identity_check()
+    checks.append(("component_identity", "pass" if ident_ok else "fail",
+                   f"resid={resid:.2e}"))
 
     rows = [("check", "status", "metric")] + checks
     runner.write_csv("checks.csv", rows)
@@ -353,8 +356,6 @@ def main(argv=None):
     parser.add_argument("--svg", action="store_true",
                         help="emit fit-vs-data SVG plots")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance-profile", choices=sorted(PROFILES),
-                        default="default")
     args = parser.parse_args(argv)
 
     config_path = Path(args.config)

@@ -8,9 +8,9 @@ with p_m a polynomial in the dilation generator whose coefficients may
 depend smoothly on x.  The Mellin convention is fixed once and for all:
 trial functions are x^(i sigma), so x D_x acts as multiplication by
 sigma and the indicial polynomial of the Laplace type example is
-sigma^2 + m^2 + (n-2)^2/4 + a^2.  (The equivalent convention with trial
-functions x^z is related by z = i sigma; weight lines Im z = -alpha
-become Im sigma = -alpha here.)
+sigma^2 + m^2 + a^2 (its general term (n-2)^2/4 vanishes for the circle,
+n = 2).  (The equivalent convention with trial functions x^z is related
+by z = i sigma; weight lines Im z = -alpha become Im sigma = -alpha here.)
 
 Discretization uses the logarithmic variable s = log x on a uniform grid
 with Dirichlet cuts at both ends; the x^(-mu) factor becomes the diagonal
@@ -83,19 +83,14 @@ class ConeOperator:
     def mode_list(self):
         return list(range(self.modes[0], self.modes[1] + 1))
 
-    def degree(self, m):
-        return len(np.asarray(self._indicial(m))) - 1
-
     @property
     def is_frozen(self):
         return self._x_correction is None
 
-    def coeffs(self, m, x=None):
-        """Coefficient values [c0(x), ..., cdeg(x)]; x may be an array."""
+    def coeffs(self, m, x):
+        """Coefficient values [c0(x), ..., cdeg(x)] on the (array) x."""
         base = [np.asarray(c) for c in np.asarray(self._indicial(m), dtype=complex)]
-        if x is None or self._x_correction is None:
-            if x is None:
-                return base
+        if self._x_correction is None:
             return [np.broadcast_to(c, np.shape(x)).astype(complex) for c in base]
         corr = self._x_correction(m, np.asarray(x, dtype=float))
         return [np.broadcast_to(b, np.shape(x)).astype(complex) + np.asarray(c, dtype=complex)
@@ -119,24 +114,24 @@ class ConeOperator:
                             label=self.label)
 
 
-def laplace_type(a, n=2, mode_cap=8, alpha=1.0):
-    """Laplace type model: p_m(sigma) = sigma^2 + m^2 + (n-2)^2/4 + a^2, mu = 2."""
-    shift = (n - 2) ** 2 / 4.0 + a * a
+def laplace_type(a, mode_cap=8, alpha=1.0):
+    """Laplace type model on the circle: p_m(sigma) = sigma^2 + m^2 + a^2, mu = 2."""
+    shift = a * a
 
     def indicial(m):
         return [m * m + shift, 0.0, 1.0]
 
     return ConeOperator(2.0, (-mode_cap, mode_cap), indicial, alpha=alpha,
-                        label=f"laplace(a={a},n={n})")
+                        label=f"laplace(a={a},n=2)")
 
 
-def perturbed_laplace(a, n=2, mode_cap=8, alpha=1.0, strength=0.5):
+def perturbed_laplace(a, mode_cap=8, alpha=1.0, strength=0.5):
     """Laplace type model with a bounded zeroth order coefficient in x.
 
-    The zero order coefficient becomes m^2 + (n-2)^2/4 + a^2 + strength *
-    x * cos(1.3 x); the conormal data are unchanged.
+    The zero order coefficient becomes m^2 + a^2 + strength * x * cos(1.3 x);
+    the conormal data are unchanged.
     """
-    shift = (n - 2) ** 2 / 4.0 + a * a
+    shift = a * a
 
     def indicial(m):
         return [m * m + shift, 0.0, 1.0]
@@ -172,12 +167,6 @@ class BoundarySpectrum:
 
     poles: list
     strip: float
-    mode_cap: int
-
-    def merged(self):
-        """(sigma, max order) pairs aggregated across modes."""
-        from .indexsets import merge_poles
-        return merge_poles([(p.sigma, p.order, p.mode) for p in self.poles])
 
     def min_abs_im(self):
         if not self.poles:
@@ -197,11 +186,11 @@ class BoundarySpectrum:
         return out
 
 
-def _polish_root(coeffs, z, iters=4):
-    # Newton on p(z); coeffs ascending
+def _polish_root(coeffs, z):
+    # four Newton steps on p(z); coeffs ascending
     p = np.polynomial.Polynomial(coeffs)
     dp = p.deriv()
-    for _ in range(iters):
+    for _ in range(4):
         dz = dp(z)
         if abs(dz) < 1e-14:
             break
@@ -209,18 +198,15 @@ def _polish_root(coeffs, z, iters=4):
     return z
 
 
-def boundary_spectrum(op, strip, mode_cap=None):
+def boundary_spectrum(op, strip):
     """All indicial roots sigma with |Im sigma| <= strip, with multiplicities.
 
     Roots are found per mode by the companion method, polished by Newton
     where simple, and clustered into multiplicities.  Nonconvergence is
     reported with the offending mode and residual.
     """
-    mode_cap = op.modes[1] if mode_cap is None else int(mode_cap)
     poles = []
     for m in op.mode_list():
-        if abs(m) > mode_cap:
-            continue
         coeffs = np.asarray(op._indicial(m), dtype=complex)
         if len(coeffs) == 1:
             continue  # constant invertible family, no roots
@@ -252,7 +238,7 @@ def boundary_spectrum(op, strip, mode_cap=None):
             if abs(center.imag) <= strip + 1e-12:
                 poles.append(PoleEntry(center, len(group), m))
     poles.sort(key=lambda p: (p.mode, p.sigma.real, p.sigma.imag))
-    return BoundarySpectrum(poles, float(strip), mode_cap)
+    return BoundarySpectrum(poles, float(strip))
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +316,22 @@ def _check_degree2(op):
                 mode=m)
 
 
-def discretize(op, s_min, npoints, s_max=0.0):
+def discretize(op, s_min, npoints):
     """Per-mode tridiagonal realization of -c2 d^2/ds^2 + c0(m, e^s).
 
     The x^(-mu) factor is carried by the diagonal weight e^(mu s) of the
     generalized problem K u = lambda W u.  Second order centered
-    differences, Dirichlet conditions at s_min and s_max.
+    differences on [s_min, 0], Dirichlet conditions at both ends.
     """
     if not s_min < -5:
         raise ConfigurationError("s_min must be below -5", s_min=s_min)
     if npoints < 100:
         raise ConfigurationError("need at least 100 grid points", npoints=npoints)
-    if s_max <= s_min:
-        raise ConfigurationError("s_max must exceed s_min")
     _check_degree2(op)
-    return Discretization(op, float(s_min), float(s_max), int(npoints))
+    return Discretization(op, float(s_min), 0.0, int(npoints))
 
 
-def discretize_halfline(op, s_min=-12.0, s_max=5.0, npoints=800):
+def discretize_halfline(op, s_min, s_max, npoints):
     """Truncation of the dilation-invariant model on a two-sided log window."""
     _check_degree2(op.frozen())
     return Discretization(op.frozen(), float(s_min), float(s_max), int(npoints))
@@ -398,12 +382,12 @@ def resolvent_solve(disc, m, lam, rhs):
 # dilation action on grid functions
 
 
-def kappa_scale(u, rho, s_grid, *, warn_tol=1e-12):
+def kappa_scale(u, rho, s_grid):
     """Pullback (kappa_rho u)(x) = u(rho x) on the log grid: a shift in s.
 
     Linear interpolation at fractional shifts; values outside the grid are
-    zero (Dirichlet).  Emits a warning if the shift pushes a visible
-    fraction of the mass past an end of the grid.
+    zero (Dirichlet).  Emits a warning if the shift pushes more than 1e-12
+    of the norm past an end of the grid.
     """
     if rho <= 0:
         raise ConfigurationError("scaling factor must be positive", rho=rho)
@@ -413,7 +397,7 @@ def kappa_scale(u, rho, s_grid, *, warn_tol=1e-12):
     u = np.asarray(u)
     lost = u[(target < s_grid[0] - 1e-12) | (target > s_grid[-1] + 1e-12)]
     total = np.linalg.norm(u)
-    if total > 0 and np.linalg.norm(lost) > warn_tol * total:
+    if total > 0 and np.linalg.norm(lost) > 1e-12 * total:
         warnings.warn("kappa_scale: support truncated at the grid end",
                       RuntimeWarning, stacklevel=2)
     if np.iscomplexobj(u):
@@ -501,7 +485,6 @@ class SpectralData:
     meta: dict
     weyl: dict
     extra_nus: np.ndarray
-    mode_complete: bool = True
 
     def validate(self):
         for m, lam in self.eigs.items():
@@ -617,7 +600,7 @@ def _frozen_nu(op, m):
     return math.sqrt(c0.real)
 
 
-def oracle_spectral_data(op, lam_max, *, mode_cap=None, meta=None):
+def oracle_spectral_data(op, lam_max, *, meta=None):
     """Exact per-mode spectra of a frozen Laplace type operator up to lam_max.
 
     Requires mu = 2, indicial polynomials sigma^2 + nu_m^2 with nu_m^2 > 0.
@@ -630,16 +613,11 @@ def oracle_spectral_data(op, lam_max, *, mode_cap=None, meta=None):
     if abs(op.mu - 2.0) > 1e-12:
         raise ConfigurationError("oracle spectra require mu = 2", mu=op.mu)
     _check_degree2(op)
-    mode_cap = op.modes[1] if mode_cap is None else int(mode_cap)
     jmax = math.sqrt(lam_max)
     eigs = {}
     weyl = {}
     cache = {}
-    covered = True
     for m in op.mode_list():
-        if abs(m) > mode_cap:
-            covered = False
-            continue
         nu = _frozen_nu(op, m)
         key = round(nu, 12)
         if key not in cache:
@@ -661,7 +639,7 @@ def oracle_spectral_data(op, lam_max, *, mode_cap=None, meta=None):
     if meta:
         base_meta.update(meta)
     return SpectralData(eigs, float(lam_max), "oracle", base_meta, weyl,
-                        np.asarray(extra), mode_complete=covered).validate()
+                        np.asarray(extra)).validate()
 
 
 def _mode_nu_floor(op, m):
@@ -675,15 +653,12 @@ def _mode_nu_floor(op, m):
     return math.sqrt(max(nu2, 0.25))
 
 
-def grid_spectral_data(disc, lam_max, *, mode_cap=None, meta=None):
+def grid_spectral_data(disc, lam_max):
     """Discretized per-mode spectra up to lam_max via pencil bisection."""
     op = disc.op
-    mode_cap = op.modes[1] if mode_cap is None else int(mode_cap)
     eigs = {}
     weyl = {}
     for m in disc.mode_list():
-        if abs(m) > mode_cap:
-            continue
         d, e = disc.matrix(m)
         vals = pencil.eig_pencil(d, e, disc.w, lam_max=lam_max)
         if len(vals):
@@ -691,11 +666,9 @@ def grid_spectral_data(disc, lam_max, *, mode_cap=None, meta=None):
             weyl[m] = _weyl_fit(vals)
     extra = sorted(_mode_nu_floor(op, m) for m in op.mode_list()
                    if m not in eigs)
-    base_meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label,
-                 "s_min": disc.s_min, "npoints": disc.npoints}
-    if meta:
-        base_meta.update(meta)
-    return SpectralData(eigs, float(lam_max), "discretization", base_meta, weyl,
+    meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label,
+            "s_min": disc.s_min, "npoints": disc.npoints}
+    return SpectralData(eigs, float(lam_max), "discretization", meta, weyl,
                         np.asarray(extra)).validate()
 
 
@@ -737,23 +710,20 @@ class EllipticityReport:
     clean_weight_line: bool
     details: dict
 
-    @property
-    def undecided(self):
-        return self.model_ok is None
-
     def all_ok(self):
         return bool(self.symbol_ok and self.model_ok and self.clean_weight_line)
 
 
-def check_parameter_ellipticity(op, sector, alpha=None, *, lam_mags=(1e2, 1e3),
-                                rays=3, strip=None):
+def check_parameter_ellipticity(op, sector, alpha=None):
     """Three-part ellipticity check for the operator family A - lam.
 
     symbol_ok: sampled per-mode symbol values avoid the sector away from
     frequency zero.  model_ok: the frozen model on the half line, realized
-    on growing truncations, stays invertible for large sampled lam in the
-    sector; inconclusive refinement yields None (undecided), never a false
-    positive.  clean_weight_line: no indicial root on Im sigma = -alpha.
+    on growing truncations, stays invertible for |lam| in {1e2, 1e3} on
+    three rays of the sector; inconclusive refinement yields None
+    (undecided), never a false positive.  clean_weight_line: no indicial
+    root on Im sigma = -alpha (roots searched in |Im sigma| <=
+    max(8, 2 |alpha| + 4)).
     """
     alpha = op.alpha if alpha is None else float(alpha)
     details = {}
@@ -773,8 +743,7 @@ def check_parameter_ellipticity(op, sector, alpha=None, *, lam_mags=(1e2, 1e3),
             break
 
     # (c) weight line
-    strip = strip if strip is not None else max(8.0, 2 * abs(alpha) + 4.0)
-    bspec = boundary_spectrum(op, strip)
+    bspec = boundary_spectrum(op, max(8.0, 2 * abs(alpha) + 4.0))
     dist_line = bspec.min_dist_to_line(-alpha)
     clean = dist_line > 1e-9
     details["weight_line_distance"] = dist_line
@@ -785,11 +754,11 @@ def check_parameter_ellipticity(op, sector, alpha=None, *, lam_mags=(1e2, 1e3),
     try:
         d1 = discretize_halfline(frozen, -10.0, 4.0, 500)
         d2 = discretize_halfline(frozen, -12.0, 6.0, 900)
-        spec1 = grid_spectral_data(d1, max(lam_mags) * 8.0)
-        spec2 = grid_spectral_data(d2, max(lam_mags) * 8.0)
-        for theta in sector.rays(rays):
+        spec1 = grid_spectral_data(d1, 8e3)
+        spec2 = grid_spectral_data(d2, 8e3)
+        for theta in sector.rays():
             u = complex(math.cos(theta), math.sin(theta))
-            for mag in lam_mags:
+            for mag in (1e2, 1e3):
                 lam = mag * u
                 verdicts.append(_invertibility_verdict(spec1, spec2, lam))
     except (NumericalError, ConfigurationError) as exc:

@@ -4,6 +4,10 @@ Supports +, -, *, /, ** (also '^'), parentheses, numeric literals, the
 variables ``m`` (mode number) and ``x`` (radial variable), and the
 functions sin, cos, exp, log, sqrt, abs.  Anything else is rejected at
 parse time, so untrusted files cannot execute code.
+
+Integer powers are exact, so ``9^9^9`` would never finish: an exponent
+must be a numeric literal, optionally negated, and the exponents of nested
+powers must multiply to at most ``_MAX_POWER`` = 64 in absolute value.
 """
 
 import ast
@@ -17,6 +21,7 @@ _ALLOWED_FUNCS = {
     "sqrt": np.sqrt, "abs": np.abs,
 }
 _ALLOWED_NAMES = {"m", "x", "pi"}
+_MAX_POWER = 64
 
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
@@ -25,7 +30,8 @@ _ALLOWED_NODES = (
 )
 
 
-def _validate(node, source):
+def _validate(node, source, power):
+    # power: product of the |exponents| of the powers enclosing this node
     if not isinstance(node, _ALLOWED_NODES):
         raise ConfigurationError("disallowed syntax in expression",
                                  expression=source,
@@ -44,8 +50,19 @@ def _validate(node, source):
     if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
         raise ConfigurationError("only numeric literals allowed",
                                  expression=source)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        p = node.right
+        if isinstance(p, ast.UnaryOp) and isinstance(p.op, ast.USub):
+            p = p.operand
+        if not (isinstance(p, ast.Constant) and type(p.value) in (int, float)):
+            raise ConfigurationError("exponents must be numeric literals",
+                                     expression=source)
+        power *= abs(p.value)
+        if power > _MAX_POWER:
+            raise ConfigurationError("exponent too large",
+                                     expression=source, limit=_MAX_POWER)
     for child in ast.iter_child_nodes(node):
-        _validate(child, source)
+        _validate(child, source, power)
 
 
 def compile_expr(source):
@@ -56,7 +73,7 @@ def compile_expr(source):
     except SyntaxError as exc:
         raise ConfigurationError("cannot parse expression",
                                  expression=source) from exc
-    _validate(tree, source)
+    _validate(tree, source, 1.0)
     code = compile(tree, "<expr>", "eval")
     env = dict(_ALLOWED_FUNCS)
     env["pi"] = np.pi

@@ -100,24 +100,25 @@ class MellinPerturbation:
         return MellinPerturbation(terms, self.weight, check_line=False)
 
 
-def lorentzian_perturbation(c, b, weight, *, matrix=None):
-    """Rank one family c E / (sigma^2 + b^2); E defaults to the 1x1 identity."""
-    E = np.eye(1) if matrix is None else np.asarray(matrix, dtype=complex)
-    return MellinPerturbation([(c * E, 1j * b, -1j * b)], weight)
+def lorentzian_perturbation(c, b, weight):
+    """Rank one family c / (sigma^2 + b^2), as a 1x1 matrix."""
+    return MellinPerturbation([(c * np.eye(1), 1j * b, -1j * b)], weight)
 
 
 # ---------------------------------------------------------------------------
 # eta integral and the argument-principle oracle
 
 
-def eta_term(H: MellinPerturbation, *, R_max=80.0, quad_tol=1e-11):
+def eta_term(H: MellinPerturbation, *, R_max=80.0):
     """Logarithmic-derivative integral of det(1+H) along Im sigma = -weight.
 
-    The finite segment |Re sigma| <= R_max is integrated adaptively; the
-    two tails are added exactly as boundary values of log det(1 + H),
-    which is single valued there because H decays.  The orientation is
-    chosen so the result counts zeros minus poles below the line.
+    The finite segment |Re sigma| <= R_max is integrated adaptively to
+    1e-11; the two tails are added exactly as boundary values of
+    log det(1 + H), which is single valued there because H decays.  The
+    orientation is chosen so the result counts zeros minus poles below the
+    line.
     """
+    tol = 1e-11
     line = -1j * H.weight
 
     def g(u):
@@ -125,8 +126,8 @@ def eta_term(H: MellinPerturbation, *, R_max=80.0, quad_tol=1e-11):
         M = np.linalg.solve(np.eye(H.dim) + H(sigma), H.dsigma(sigma))
         return np.trace(M)
 
-    val, err = quad_vec(g, -R_max, R_max, epsabs=quad_tol, epsrel=quad_tol)
-    if err > 100 * quad_tol * max(1.0, abs(val)):
+    val, err = quad_vec(g, -R_max, R_max, epsabs=tol, epsrel=tol)
+    if err > 100 * tol * max(1.0, abs(val)):
         raise NumericalError("eta quadrature did not converge", error=float(err))
     # exact tails: the integrand is d/dsigma log det(1+H)
     tail = -cmath.log(H.det1p(R_max + line)) + cmath.log(H.det1p(-R_max + line))
@@ -146,19 +147,20 @@ def _winding(values):
     return float(np.sum(d)) / (2 * math.pi)
 
 
-def argument_principle_count(H: MellinPerturbation, *, margin=4.0, n_side=2000):
+def argument_principle_count(H: MellinPerturbation):
     """Zeros minus poles of det(1+H) strictly below the line, by winding.
 
-    Walks the counterclockwise boundary of the half-disk-like box below
-    Im sigma = -weight that contains every finite zero and pole, tracking
-    the phase of the determinant; the sampling is doubled until adjacent
-    phase steps are small.
+    Walks the counterclockwise boundary of the box below Im sigma = -weight
+    with half-width 4 (pole radius + |weight|), which contains every finite
+    zero and pole, tracking the phase of the determinant; the sampling
+    starts at 2000 points per side and is doubled until adjacent phase
+    steps are small.
     """
-    R = margin * H.pole_radius() + abs(H.weight) * margin
+    R = 4.0 * H.pole_radius() + abs(H.weight) * 4.0
     y_top = -H.weight
     y_bot = -R
     for attempt in range(6):
-        n = n_side * 2 ** attempt
+        n = 2000 * 2 ** attempt
         top = np.linspace(R, -R, n) + 1j * y_top       # right to left
         left = -R + 1j * np.linspace(y_top, y_bot, n)  # downward
         bot = np.linspace(-R, R, n) + 1j * y_bot       # left to right
@@ -206,28 +208,29 @@ class OmegaResult:
     window_spread: float
 
 
-def omega_constant(B, t_window=(0.05, 5.0), *, n_samples=48, noise_floor=1e-10):
+def omega_constant(B):
     """Constant term of the heat-trace difference of a matrix map B.
 
-    Fits the sampled difference with the constant plus probe columns at
-    (0, 1) and (0, 2); log probes that come out detected are flagged.
-    Returns UNDECIDED when the constant is not separated from noise.
+    Samples the difference at 48 times geometric in [0.05, 5] and fits it
+    with the constant plus probe columns at (0, 1) and (0, 2); log probes
+    that come out detected are flagged.  Values below 1e-10 count as zero;
+    returns UNDECIDED when the constant is not separated from noise.
     """
     B = np.asarray(B)
-    ts = np.geomspace(t_window[0], t_window[1], n_samples)
+    t_lo, t_hi, noise_floor = 0.05, 5.0, 1e-10
+    ts = np.geomspace(t_lo, t_hi, 48)
     vals = mckean_singer(B, ts)
     spread = float(np.max(vals) - np.min(vals))
     if np.max(np.abs(vals)) < noise_floor:
         return OmegaResult(0.0, False, [], 0.0, spread)
     series = TraceSeries(ts, vals, np.zeros_like(ts), "heat", {"kind": "ms"})
-    fit = fit_expansion(series, [(0.0, 2)], min_samples_per_term=4)
+    fit = fit_expansion(series, [(0.0, 2)])
     flags = [(t.gamma, t.logpow) for t in fit.detected_terms() if t.logpow > 0]
     c = fit.coeff(0.0, 0).real
     undecided = abs(c) > noise_floor and fit.residual > 0.25 * abs(c)
     # window stability: refit on the upper half of the window
     fit2 = fit_expansion(series, [(0.0, 2)],
-                         window=(math.sqrt(t_window[0] * t_window[1]), t_window[1]),
-                         min_samples_per_term=4)
+                         window=(math.sqrt(t_lo * t_hi), t_hi))
     spread2 = abs(fit2.coeff(0.0, 0).real - c)
     return OmegaResult(float(c), bool(undecided), flags, fit.residual,
                        float(spread2))
@@ -260,9 +263,9 @@ class IndexReport:
                  ";".join(f"{k}={v}" for k, v in sorted(self.flags.items())) or "-")]
 
 
-def index_assemble(fact: Factorization, *, t_window=(0.05, 5.0)):
+def index_assemble(fact: Factorization):
     """Index = constant term of the factor's heat difference minus eta."""
-    om = omega_constant(fact.B, t_window)
+    om = omega_constant(fact.B)
     if om.undecided:
         raise NumericalError("constant term undecided", residual=om.residual)
     eta = eta_term(fact.H)
@@ -284,26 +287,23 @@ class ConstReductionResult:
     slope: float
 
 
-def invariance_red_to_const(disc, tau_list, *, eps=0.1, n_test=12, seed=0):
+def invariance_red_to_const(disc, tau_list):
     """Graph-norm convergence rate of the frozen-near-the-tip interpolation.
 
     A_[tau] = phi(x/tau) A_0 + (1 - phi(x/tau)) A with A_0 the frozen
     operator; for each tau the worst ratio ||(A - A_[tau]) u|| / ||u||_A
-    over a sample of decaying test vectors is recorded, and the log-log
-    decay slope is fitted.  The expected rate is at least 1 - eps.
+    over 12 decaying test vectors (seed 0) is recorded, and the log-log
+    decay slope is fitted.  The expected rate is at least 1 - eps for
+    every eps > 0.
     """
     from .symbols import smoothstep
     op = disc.op
-    if op.is_frozen:
-        frozen = op
-    else:
-        frozen = op.frozen()
-    disc0 = type(disc)(frozen, disc.s_min, disc.s_max, disc.npoints)
-    rng = np.random.default_rng(seed)
+    disc0 = type(disc)(op.frozen(), disc.s_min, disc.s_max, disc.npoints)
+    rng = np.random.default_rng(0)
     mu = op.mu
     tests = []
     decays = [0.05, 0.3, 0.8]
-    for i in range(n_test):
+    for i in range(12):
         delta = decays[i % len(decays)]
         env = disc.x ** (mu / 2.0 + delta)
         k = 1 + i % 4
@@ -346,22 +346,23 @@ class SobolevReductionRow:
 @dataclass
 class SobolevReductionReport:
     rows: list
-    threshold: float
 
     def all_decided(self):
         return all(r.dim_kernel is not None and r.dim_cokernel is not None
                    for r in self.rows)
 
 
-def invariance_red_to_sobolev(disc, eps_list, *, threshold=1e-8, strip=None):
+def invariance_red_to_sobolev(disc, eps_list):
     """Kernel and cokernel dimensions of the weight-shifted realizations.
 
     On the truncated grid the factor x^eps is an invertible diagonal, so
     the dimensions are read from the singular values of the polynomial
-    part; an eps is flagged as a crossing when shifting the weight by eps
-    moves a boundary-spectrum pole across one of the reference lines
-    Im sigma = +-mu/2.  Singular values within a factor 10 of the
-    threshold give an UNDECIDED (None) dimension rather than a count.
+    part: those below 1e-8 of the largest count as kernel, and those
+    within a further factor 10 give an UNDECIDED (None) dimension rather
+    than a count.  An eps is flagged as a crossing when shifting the
+    weight by eps moves a boundary-spectrum pole (searched in
+    |Im sigma| <= mu + max |eps| + 2) across one of the reference lines
+    Im sigma = +-mu/2.
 
     On the grid the dimensions are therefore eps-invariant by construction
     and only ``crossing`` depends on eps; the polynomial part is symmetric,
@@ -370,8 +371,7 @@ def invariance_red_to_sobolev(disc, eps_list, *, threshold=1e-8, strip=None):
     from .coneop import boundary_spectrum
     op = disc.op
     mu = op.mu
-    strip = strip if strip is not None else mu + max(abs(e) for e in eps_list) + 2.0
-    bspec = boundary_spectrum(op, strip)
+    bspec = boundary_spectrum(op, mu + max(abs(e) for e in eps_list) + 2.0)
     ims = [p.sigma.imag for p in bspec.poles]
     total, undecided = 0, False
     for m in disc.mode_list():
@@ -379,8 +379,8 @@ def invariance_red_to_sobolev(disc, eps_list, *, threshold=1e-8, strip=None):
         K = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         sv = np.linalg.svd(K, compute_uv=False)
         top = sv[0]
-        small = sv < threshold * top
-        amb = (~small) & (sv < 10 * threshold * top)
+        small = sv < 1e-8 * top
+        amb = (~small) & (sv < 10 * 1e-8 * top)
         if np.any(amb):
             undecided = True
         total += int(np.sum(small))
@@ -391,4 +391,4 @@ def invariance_red_to_sobolev(disc, eps_list, *, threshold=1e-8, strip=None):
             (-mu / 2.0 < v <= -mu / 2.0 + eps) or (mu / 2.0 - eps <= v < mu / 2.0)
             for v in ims) if eps > 0 else False
         rows.append(SobolevReductionRow(float(eps), dim, dim, bool(crossing)))
-    return SobolevReductionReport(rows, threshold)
+    return SobolevReductionReport(rows)

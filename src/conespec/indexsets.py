@@ -53,7 +53,7 @@ class IndexSet:
 
     __slots__ = ("entries", "re_cutoff", "cinf_step")
 
-    def __init__(self, pairs=(), re_cutoff=10.0, cinf_step=False):
+    def __init__(self, pairs, re_cutoff, cinf_step=False):
         re_cutoff = float(re_cutoff)
         cut_key = int(round((re_cutoff + _CUTOFF_TOL) * _SCALE))
         best = {}
@@ -115,14 +115,6 @@ class IndexSet:
                 best = k
         return best
 
-    def exponents(self):
-        """Distinct exponents in canonical order."""
-        seen = []
-        for z, k in self.entries:
-            if k == 0:
-                seen.append(z)
-        return seen
-
     def __eq__(self, other):
         if not isinstance(other, IndexSet):
             return NotImplemented
@@ -139,24 +131,6 @@ class IndexSet:
         tag = ", cinf" if self.cinf_step else ""
         return f"IndexSet({list(self.entries)!r}, re_cutoff={self.re_cutoff}{tag})"
 
-    # -- simple constructions ---------------------------------------------
-
-    def union(self, other):
-        _check_cutoffs(self, other)
-        return IndexSet(
-            self.entries + other.entries,
-            self.re_cutoff,
-            cinf_step=self.cinf_step and other.cinf_step,
-        )
-
-    def shifted(self, c):
-        """Translate every exponent by the constant c."""
-        return IndexSet(
-            [(z + c, k) for z, k in self.entries],
-            self.re_cutoff,
-            cinf_step=self.cinf_step,
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_text(self):
@@ -167,8 +141,10 @@ class IndexSet:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, re_cutoff=None, cinf_step=False):
+    def from_text(cls, text):
+        """Inverse of ``to_text``: the cutoff and tag come from the header."""
         pairs = []
+        re_cutoff, cinf_step = None, False
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -265,10 +241,7 @@ class IndexFamily4:
     lb: IndexSet
     rb: IndexSet
     ff: IndexSet
-    fi: IndexSet = None
-
-    def components(self):
-        return {"lb": self.lb, "rb": self.rb, "ff": self.ff, "fi": self.fi}
+    fi: IndexSet
 
 
 def compose_family(E, F):
@@ -282,11 +255,7 @@ def compose_family(E, F):
     g_lb = extended_union(E.lb, index_sum(E.ff, F.lb))
     g_rb = extended_union(index_sum(E.rb, F.ff), F.rb)
     g_ff = extended_union(index_sum(E.ff, F.ff), index_sum(E.lb, F.rb))
-    if E.fi is None or F.fi is None:
-        g_fi = None
-    else:
-        g_fi = index_sum(E.fi, F.fi)
-    return IndexFamily4(g_lb, g_rb, g_ff, g_fi)
+    return IndexFamily4(g_lb, g_rb, g_ff, index_sum(E.fi, F.fi))
 
 
 def compose_power(fam, N):

@@ -6,14 +6,20 @@
   and ``tests/test_indexsets.py``.
 * ``pushforward_suite``: verify's ``pushforward_cases`` check, ACCEPT-08.
 * ``ode_explicit_check``: verify's ``ode_solution`` check, ACCEPT-09.
+* ``component_identity_check``: verify's ``component_identity`` check,
+  ACCEPT-10.
+* ``symbol_class_check``: verify's ``seminorm_membership`` and
+  ``seminorm_misdeclared`` checks, ACCEPT-15.
 
-Callers choose the grid and case count.  Library functions are looked up
-through their modules at call time, so wrappers installed on module
-attributes (``perfbench/tracer.py``) see these calls.
+Callers choose the grid and case count of the first three; the last two
+run at one fixed setting.  Library functions are looked up through their
+modules at call time, so wrappers installed on module attributes
+(``perfbench/tracer.py``) see these calls.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import asymptotics, indexsets, symbols
@@ -138,3 +144,32 @@ def ode_explicit_check(xg):
     err = abs(fit - explicit)
     passed = verdict.passed and err < 1e-8 and abs(abs(fit) - 1.0) < 1e-8
     return passed, fit, err
+
+
+def component_identity_check():
+    """Euler identity of the (xi^2 - lam)^(-2) component integral, to 1e-6.
+
+    Returns (passed, identity residual).
+    """
+    res = asymptotics.trace_component_Ak(
+        lambda xi, lam: (np.asarray(xi) ** 2 - lam) ** -2.0,
+        symbols.ChiCutoff(1.0), np.geomspace(1e-3, 1e-1, 16),
+        mu=2.0, N=2, mu_prime=0.0, n=1, k=0)
+    return res.identity_residual < 1e-6, res.identity_residual
+
+
+def symbol_class_check():
+    """Seminorms of the resolvent symbol (xi^2 - lam)^(-1) at 40 points per decade.
+
+    It must pass its class bounds at orders (-2, -2, 2), and fail at the
+    misdeclared orders (-3, -2, 2) with growth slope >= 0.9.  Returns
+    (membership passed, worst ratio, misdeclaration caught, its slope).
+    """
+    q = symbols.resolvent_symbol(lambda xi: np.asarray(xi) ** 2, 2.0,
+                                 symbols.LEFT_HALF_PLANE)
+    rep = symbols.seminorm_check(q, 2, 2, pts_per_decade=40)
+    rep_bad = symbols.seminorm_check(q.with_orders((-3.0, -2.0, 2.0)), 0, 0,
+                                     pts_per_decade=40)
+    slope = rep_bad.rows[0].growth_slope
+    return (rep.passed, max(r.worst_ratio for r in rep.rows),
+            not rep_bad.passed and slope >= 0.9, slope)

@@ -13,8 +13,8 @@ def _log_map(v, lo, hi, out_lo, out_hi):
     return out_lo + t * (out_hi - out_lo)
 
 
-def write_fit_svg(path, x, y_data, y_model, *, title="fit vs data",
-                  width=640, height=440):
+def write_fit_svg(path, x, y_data, y_model, *, title="fit vs data"):
+    width, height = 640, 440
     xs = [float(v) for v in x]
     yd = [abs(float(v)) for v in y_data]
     ym = [abs(float(v)) for v in y_model]

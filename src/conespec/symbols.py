@@ -16,7 +16,7 @@ Evaluators must broadcast over numpy arrays.  Derivatives in lam assume
 holomorphy (true for every constructor in this module) and are taken as
 directional finite differences along the sampled ray.
 
-The small-parameter regime |lam| < 1 is not exercised by the default
+The small-parameter regime |lam| < 1 is not exercised by the sampling
 grids; membership claims are tested for |lam| >= 1 only.
 """
 
@@ -45,7 +45,7 @@ class Sector:
         if not (0.0 <= span <= 2.0 * math.pi + 1e-12):
             raise ConfigurationError("sector span must lie in [0, 2*pi]", span=span)
 
-    def contains(self, w, pad=0.0):
+    def contains(self, w):
         w = complex(w)
         if w == 0:
             return self.contains_origin
@@ -55,7 +55,7 @@ class Sector:
             phi += 2.0 * math.pi
         while phi >= self.arg_min + 2.0 * math.pi - 1e-15:
             phi -= 2.0 * math.pi
-        return self.arg_min - pad <= phi <= self.arg_max + pad
+        return self.arg_min <= phi <= self.arg_max
 
     def rays(self, count=3):
         """Sample ray angles, endpoints included."""
@@ -153,7 +153,7 @@ class ParamSymbol:
                            dlam=self.dlam, sector=self.sector, label=self.label)
 
     @staticmethod
-    def constant(value, d, sector=None):
+    def constant(value, d, sector):
         v = complex(value)
         return ParamSymbol(lambda xi, lam: v * np.ones_like(np.asarray(xi, dtype=complex) * np.asarray(lam, dtype=complex)),
                            (0.0, 0.0, d),
@@ -167,8 +167,6 @@ class ParamSymbol:
         return max(self.chi_clear_radius, other.chi_clear_radius), self.sector or other.sector
 
     def __add__(self, other):
-        if np.isscalar(other):
-            other = ParamSymbol.constant(other, self.d)
         clear, sector = self._combine_meta(other)
         f1, f2 = self.fn, other.fn
         c1, c2 = self.core, other.core
@@ -178,19 +176,7 @@ class ParamSymbol:
                            core=core, chi_clear_radius=clear, sector=sector,
                            label=f"({self.label}+{other.label})")
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __mul__(self, other):
-        if np.isscalar(other):
-            c = complex(other)
-            f1, c1 = self.fn, self.core
-            core = (lambda xi, lam: c * c1(xi, lam)) if c1 else None
-            return ParamSymbol(lambda xi, lam: c * f1(xi, lam), self.orders,
-                               core=core, chi_clear_radius=self.chi_clear_radius,
-                               sector=self.sector, label=self.label)
         clear, sector = self._combine_meta(other)
         f1, f2 = self.fn, other.fn
         c1, c2 = self.core, other.core
@@ -199,17 +185,6 @@ class ParamSymbol:
                            (self.mu + other.mu, self.p + other.p, self.d),
                            core=core, chi_clear_radius=clear, sector=sector,
                            label=f"({self.label}*{other.label})")
-
-    __rmul__ = __mul__
-
-    def __pow__(self, j):
-        j = int(j)
-        if j < 1:
-            raise ConfigurationError("symbol powers must be >= 1", power=j)
-        out = self
-        for _ in range(j - 1):
-            out = out * self
-        return out
 
 
 @dataclass
@@ -244,18 +219,18 @@ class HomogComponent:
 # constructors
 
 
-def resolvent_symbol(a_fn, mu_a, sector, *, b_fn=None, mu_b=0.0, ell=1, chi=None):
+def resolvent_symbol(a_fn, mu_a, sector, *, b_fn=None, mu_b=0.0, ell=1):
     """Excised resolvent-type symbol chi(xi) b(xi) (a(xi) - lam)^(-ell).
 
-    a_fn must be homogeneous of degree mu_a and avoid the sector on the
-    unit sphere (checked on the sample points xi = +-1; by homogeneity the
-    rays through those values stay outside as well).  Declared orders are
-    (mu_b - ell*mu_a, -ell*mu_a, mu_a).
+    chi is ChiCutoff(1.0).  a_fn must be homogeneous of degree mu_a and
+    avoid the sector on the unit sphere (checked on the sample points
+    xi = +-1; by homogeneity the rays through those values stay outside as
+    well).  Declared orders are (mu_b - ell*mu_a, -ell*mu_a, mu_a).
     """
     ell = int(ell)
     if ell < 1:
         raise ConfigurationError("resolvent power ell must be >= 1", ell=ell)
-    chi = chi or ChiCutoff(1.0)
+    chi = ChiCutoff(1.0)
     for xi0 in (1.0, -1.0):
         val = complex(a_fn(xi0))
         if sector.contains(val):
@@ -279,7 +254,7 @@ def resolvent_symbol(a_fn, mu_a, sector, *, b_fn=None, mu_b=0.0, ell=1, chi=None
                        sector=sector, label=f"resolvent(ell={ell})")
 
 
-def zero_symbol(d=2.0, sector=None):
+def zero_symbol(d, sector):
     return ParamSymbol(lambda xi, lam: np.zeros_like(np.asarray(xi, dtype=complex) + np.asarray(lam, dtype=complex)),
                        (0.0, 0.0, d),
                        core=lambda xi, lam: 0.0 * (np.asarray(xi, dtype=complex) + np.asarray(lam, dtype=complex)),
@@ -306,12 +281,6 @@ class SeminormReport:
     passed: bool
     meta: dict
 
-    def row(self, alpha, beta):
-        for r in self.rows:
-            if r.alpha == alpha and r.beta == beta:
-                return r
-        raise KeyError((alpha, beta))
-
     def to_csv_rows(self):
         out = [("alpha", "beta", "worst_ratio", "grid_refined_ratio", "pass")]
         for r in self.rows:
@@ -320,19 +289,20 @@ class SeminormReport:
         return out
 
 
-def _xi_axis(pts_per_decade, lo=1e-2, hi=1e3):
-    ndec = math.log10(hi / lo)
-    n = max(2, int(round(ndec * pts_per_decade)) + 1)
-    pos = np.geomspace(lo, hi, n)
+def _xi_axis(pts_per_decade):
+    # |xi| geometric over the five decades [1e-2, 1e3], both signs, and 0
+    n = max(2, int(round(5 * pts_per_decade)) + 1)
+    pos = np.geomspace(1e-2, 1e3, n)
     return np.concatenate([-pos[::-1], [0.0], pos])
 
-def _lam_axis(sector, d, pts_per_decade, rays):
-    # |lam|^(1/d) geometric in [1, 1e3] along each sampled ray
+
+def _lam_axis(sector, d, pts_per_decade):
+    # |lam|^(1/d) geometric in [1, 1e3] along three rays of the sector
     n = max(2, int(round(3 * pts_per_decade)) + 1)
     r = np.geomspace(1.0, 1e3, n)
     lam = []
     dirs = []
-    for theta in sector.rays(rays):
+    for theta in sector.rays():
         u = complex(math.cos(theta), math.sin(theta))
         lam.append((r ** d) * u)
         dirs.append(np.full(n, u))
@@ -376,27 +346,26 @@ def _fd_derivative(fn, XI, LAM, DIR, a, b, d):
     return deriv, noise
 
 
-def seminorm_check(sym, max_alpha=2, max_beta=2, *, sector=None,
-                   pts_per_decade=40, rays=3, refine=True,
-                   growth_threshold=0.3, refine_factor=1.1):
+def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
     """Sampled seminorm ratios of a symbol against its declared class bound.
 
     For each derivative pair (alpha, beta) up to the maxima this computes
     sup over the grid of |d^alpha_xi d^beta_lam s| divided by the class
-    bound.  A pair passes when the ratio is finite, grows by at most
-    ``refine_factor`` when the grid density is doubled, and the log-log
-    growth slope of the ratio envelope in |xi| stays below
-    ``growth_threshold``.  Raises SymbolRejection if the evaluator returns
-    a non-finite value, reporting the offending grid point.
+    bound, with lam on three rays of the symbol's sector.  A pair passes
+    when the ratio is finite, grows by at most a factor 1.1 when the grid
+    density is doubled, and the log-log growth slope of the ratio envelope
+    in |xi| stays at or below 0.3.  Raises SymbolRejection if the
+    evaluator returns a non-finite value, reporting the offending grid
+    point.
     """
-    sector = sector or sym.sector
+    sector = sym.sector
     if sector is None:
         raise ConfigurationError("a sector is required for the lambda grid")
     mu, p, d = sym.orders
 
     def sweep(ppd):
         XI = _xi_axis(ppd)
-        LAM, DIR = _lam_axis(sector, d, ppd, rays)
+        LAM, DIR = _lam_axis(sector, d, ppd)
         out = {}
         for a in range(max_alpha + 1):
             for b in range(max_beta + 1):
@@ -415,12 +384,12 @@ def seminorm_check(sym, max_alpha=2, max_beta=2, *, sector=None,
         return out
 
     base = sweep(pts_per_decade)
-    fine = sweep(2 * pts_per_decade) if refine else None
+    fine = sweep(2 * pts_per_decade)
 
     rows = []
     ok_all = True
     for (a, b), (worst, absxi, env) in sorted(base.items()):
-        refined = fine[(a, b)][0] if refine else worst
+        refined = fine[(a, b)][0]
         # growth slope of the ratio envelope over the top |xi| decades
         mask = (absxi >= 10.0) & (env > 1e-290)
         if worst <= 1e-290 or mask.sum() < 4:
@@ -431,12 +400,12 @@ def seminorm_check(sym, max_alpha=2, max_beta=2, *, sector=None,
             ok = True
         else:
             ok = (np.isfinite(worst) and np.isfinite(refined)
-                  and refined <= refine_factor * worst
-                  and slope <= growth_threshold)
+                  and refined <= 1.1 * worst
+                  and slope <= 0.3)
         rows.append(SeminormRow(a, b, worst, refined, slope, bool(ok)))
         ok_all = ok_all and ok
     meta = {"orders": sym.orders, "pts_per_decade": pts_per_decade,
-            "rays": rays, "label": sym.label}
+            "label": sym.label}
     return SeminormReport(rows, bool(ok_all), meta)
 
 
@@ -467,13 +436,13 @@ def _circle_coeff(sym, xi, lam, j, radius, M):
     return acc / (M * radius ** j)
 
 
-def homog_component_fn(sym, j, *, rtol=1e-10):
+def homog_component_fn(sym, j):
     """Evaluator of the degree mu - j homogeneous component of sym.
 
     The component is the j-th term of the Taylor expansion at t = 0 of
     t**mu * core(xi/t, lam/t**d), extracted by averaging over small circles
     in t.  The radius and node count are decreased and doubled until two
-    evaluations agree to ``rtol``; failure to converge raises
+    evaluations agree to 1e-10 relative; failure to converge raises
     SymbolRejection (non-classical input).
     """
 
@@ -484,7 +453,7 @@ def homog_component_fn(sym, j, *, rtol=1e-10):
             c2 = _circle_coeff(sym, xi, lam, j, radius / 2.0, 96)
             scale = max(float(np.max(np.abs(c2))), 1e-300)
             if np.all(np.isfinite(c1)) and np.all(np.isfinite(c2)) \
-                    and float(np.max(np.abs(c1 - c2))) <= rtol * scale:
+                    and float(np.max(np.abs(c1 - c2))) <= 1e-10 * scale:
                 return c2
             radius /= 4.0
         raise SymbolRejection("scaling limit failed to converge",
@@ -493,19 +462,20 @@ def homog_component_fn(sym, j, *, rtol=1e-10):
     return fn
 
 
-def homog_expand(sym, N, *, chi=None):
+def homog_expand(sym, N):
     """Split sym into N homogeneous components plus a remainder.
 
     Returns (components, remainder) with components[j] of degree mu - j and
     remainder declared at orders (mu - N, p, d).  The reassembly identity
-    is sym = sum_j chi * components[j] + remainder.
+    is sym = sum_j chi * components[j] + remainder, with the excision
+    chi = ChiCutoff(max(chi_clear_radius, 1)).
     """
     N = int(N)
     if N < 0:
         raise ConfigurationError("component count must be >= 0", N=N)
     if N == 0:
         return [], sym
-    chi = chi or ChiCutoff(max(sym.chi_clear_radius, 1.0))
+    chi = ChiCutoff(max(sym.chi_clear_radius, 1.0))
     comps = [HomogComponent(sym.mu - j, sym.d, homog_component_fn(sym, j))
              for j in range(N)]
 
@@ -563,25 +533,24 @@ class ModelParametrix:
                            label=f"parametrix@x={x0:g}")
 
 
-def parametrix_leading(a_fn, mu, sector, eps, *, x_samples=None, xi_samples=None,
-                       lam_mags=(1.0, 1e2, 1e4), rays=3):
+def parametrix_leading(a_fn, mu, sector, eps, *, xi_samples=None):
     """Leading parametrix chi(xi) (a(x, xi) - x^mu lam)^(-1) with excision eps.
 
     Pointwise invertibility of a(x, xi) - x^mu lam is verified on a sampled
-    slice (x in [0,1], |xi| around the excision scale and above, lam on
-    sector rays).  A vanishing denominator raises SymbolRejection carrying
-    the witness point.
+    slice (x = 0 and 25 points geometric in [1e-4, 1], |xi| around the
+    excision scale and above unless ``xi_samples`` is given, |lam| in
+    {1, 1e2, 1e4} on three sector rays).  A vanishing denominator raises
+    SymbolRejection carrying the witness point.
     """
     chi = ChiCutoff(eps)
-    if x_samples is None:
-        x_samples = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 25)])
+    x_samples = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 25)])
     if xi_samples is None:
         pos = np.geomspace(max(eps / 4, 1e-3), 1e3, 60)
         xi_samples = np.concatenate([-pos[::-1], pos])
     lam = []
-    for theta in sector.rays(rays):
+    for theta in sector.rays():
         u = complex(math.cos(theta), math.sin(theta))
-        lam.extend([m * u for m in lam_mags])
+        lam.extend([m * u for m in (1.0, 1e2, 1e4)])
     lam = np.asarray(lam, dtype=complex)
     X = np.asarray(x_samples, dtype=float)[:, None, None]
     XI = np.asarray(xi_samples, dtype=float)[None, :, None]

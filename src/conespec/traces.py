@@ -3,8 +3,11 @@
 Values come either from eigenvalue sums (spectral data, exact for the
 frozen models via the Bessel oracle) or from contour quadrature against
 resolvent solves on a discretization.  Every retained sample carries an
-explicit truncation bound; samples whose bound exceeds the configured
-fraction of the value are refused rather than silently kept.
+explicit truncation bound; samples whose bound exceeds a fixed fraction of
+the value are refused rather than silently kept.  The fraction is
+``_TAIL_REFUSAL`` = 1 % for heat and resolvent trace samples, and
+``_POWER_SUM_TAIL_REFUSAL`` = 1e-6 for complex power sums, which are the
+independent values the zeta continuation is checked against to 1e-6.
 """
 
 import math
@@ -16,6 +19,9 @@ from . import pencil
 from .coneop import Discretization, SpectralData, _weyl_fit, eigenvalues
 from .errors import (ConfigurationError, InsufficientSpectrumError,
                      NumericalError)
+
+_TAIL_REFUSAL = 0.01
+_POWER_SUM_TAIL_REFUSAL = 1e-6
 
 
 @dataclass
@@ -32,12 +38,6 @@ class TraceSeries:
     def __len__(self):
         return len(self.params)
 
-    def window(self, lo, hi):
-        mask = (self.params >= lo) & (self.params <= hi)
-        return TraceSeries(self.params[mask], self.values[mask],
-                           self.tails[mask], self.kind, dict(self.meta),
-                           self.source)
-
     def to_csv_rows(self):
         rows = [("param", "value_re", "value_im", "tail_bound")]
         for p, v, t in zip(self.params, self.values, self.tails):
@@ -50,24 +50,17 @@ class TraceSeries:
 class WeightOperator:
     """Weight x^(-beta) phi(x) times a per-mode multiplier of given order.
 
-    phi is a smooth cutoff that is identically 1 near x = 0 (default) or
-    identically 0 near x = 0, vanishing near x = 1 when it starts at 1.
-    The tangential part acts per circle mode as (1 + m^2)^(mu_prime/2).
+    phi defaults to a smooth cutoff that is identically 1 for x <= 1/4 and
+    vanishes for x >= 1/2.  The tangential part acts per circle mode as
+    (1 + m^2)^(mu_prime/2).
     """
 
-    def __init__(self, beta=0.0, mu_prime=0.0, *, phi=None, one_near_zero=True,
-                 phi_edges=(0.25, 0.5), label=None):
+    def __init__(self, beta=0.0, mu_prime=0.0, *, phi=None, label=None):
         self.beta = float(beta)
         self.mu_prime = float(mu_prime)
-        self.one_near_zero = bool(one_near_zero)
-        self.phi_edges = tuple(phi_edges)
         if phi is None:
-            a, b = self.phi_edges
             from .symbols import smoothstep
-            if one_near_zero:
-                phi = lambda x: 1.0 - smoothstep((np.asarray(x) - a) / (b - a))
-            else:
-                phi = lambda x: smoothstep((np.asarray(x) - a) / (b - a))
+            phi = lambda x: 1.0 - smoothstep((np.asarray(x) - 0.25) / 0.25)
         self.phi = phi
         self.label = label or f"x^(-{beta})*phi, mu'={mu_prime}"
 
@@ -96,10 +89,10 @@ def _require_trace_class(meta, N, B):
 # eigenvalue-sum traces
 
 
-def heat_trace(sd: SpectralData, t_grid, *, rel_tail_tol=0.01):
+def heat_trace(sd: SpectralData, t_grid):
     """Heat trace sum exp(-t lam) over the materialized spectrum.
 
-    Refuses any sample whose truncation bound exceeds ``rel_tail_tol``
+    Refuses any sample whose truncation bound exceeds ``_TAIL_REFUSAL``
     times the value, reporting the eigenvalue range that would be needed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -109,7 +102,7 @@ def heat_trace(sd: SpectralData, t_grid, *, rel_tail_tol=0.01):
     tails = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
         v, tl = sd.heat_sum(t)
-        if tl > rel_tail_tol * max(v, 1e-300):
+        if tl > _TAIL_REFUSAL * max(v, 1e-300):
             need = 40.0 / float(np.min(t_grid))
             raise InsufficientSpectrumError(
                 "heat trace tail bound too large at small t",
@@ -123,12 +116,12 @@ def heat_trace(sd: SpectralData, t_grid, *, rel_tail_tol=0.01):
     return TraceSeries(t_grid, vals, tails, "heat", meta, sd)
 
 
-def complex_power_sum(sd: SpectralData, z, *, rel_tail_tol=1e-6):
+def complex_power_sum(sd: SpectralData, z):
     """Sum of lam^z over the spectrum, for Re z well inside convergence.
 
     Requires Re z < -n/mu - 0.5 (margin on the convergence abscissa).
     Returns (value, tail_bound); raises if the tail bound is above
-    ``rel_tail_tol`` times the value.
+    ``_POWER_SUM_TAIL_REFUSAL`` times the value.
     """
     mu = sd.meta.get("mu", 2.0)
     n = sd.meta.get("n", 2)
@@ -136,7 +129,7 @@ def complex_power_sum(sd: SpectralData, z, *, rel_tail_tol=1e-6):
         raise ConfigurationError("need Re z < -n/mu - 1/2",
                                  z=complex(z), n=n, mu=mu)
     val, tail = sd.power_sum(z)
-    if tail > rel_tail_tol * max(abs(val), 1e-300):
+    if tail > _POWER_SUM_TAIL_REFUSAL * max(abs(val), 1e-300):
         raise InsufficientSpectrumError("power sum tail above tolerance",
                                         z=complex(z), tail=tail, value=val)
     return val, tail
@@ -161,7 +154,7 @@ class WeightedSpectralData:
     meta: dict
     weyl: dict
     bfit: dict            # mode -> (C, q): |b| <~ C * lam^q for the tail
-    extra_nus: np.ndarray = None
+    extra_nus: np.ndarray
 
     def modes(self):
         return sorted(self.pairs)
@@ -221,7 +214,7 @@ class WeightedSpectralData:
                                lambda L: C * max(L, 1.0) ** q)
 
     def _mode_tail(self, f):
-        if self.extra_nus is None or len(self.extra_nus) == 0:
+        if len(self.extra_nus) == 0:
             return 0.0
         cap = self._b_cap()
         total = 0.0
@@ -234,18 +227,14 @@ class WeightedSpectralData:
         return total
 
 
-def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap,
-                           *, mode_cap=None):
+def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
     """Eigenpairs up to lam_cap with matrix elements of the weight operator."""
     op = disc.op
-    mode_cap = op.modes[1] if mode_cap is None else int(mode_cap)
     mult = B.multiplier(disc.x)
     pairs = {}
     weyl = {}
     bfit = {}
     for m in disc.mode_list():
-        if abs(m) > mode_cap:
-            continue
         vals, vecs = eigenvalues(disc, m, lam_max=lam_cap, vectors=True)
         if len(vals) == 0:
             continue
@@ -271,21 +260,19 @@ def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap,
     return WeightedSpectralData(pairs, float(lam_cap), meta, weyl, bfit, extra)
 
 
-def weighted_heat_trace(source, B: WeightOperator, t_grid, *,
-                        lam_cap=None, rel_tail_tol=0.01):
+def weighted_heat_trace(wsd: WeightedSpectralData, B: WeightOperator, t_grid):
     """Trace of B e^(-tA) as an eigenvalue sum with matrix elements.
 
-    ``source`` is either a WeightedSpectralData (preferred, reusable) or a
-    Discretization, in which case eigenpairs up to ``lam_cap`` are computed
-    here.  For the identity weight on plain SpectralData use heat_trace.
+    ``wsd`` holds the eigenpairs with the matrix elements of B (see
+    weighted_spectral_data).  For the identity weight on plain
+    SpectralData use heat_trace.
     """
-    wsd = _as_weighted(source, B, lam_cap, t_grid=t_grid)
     t_grid = np.asarray(t_grid, dtype=float)
     vals = np.empty(len(t_grid))
     tails = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
         v, tl = wsd.heat_value(t)
-        if tl > rel_tail_tol * max(abs(v), 1e-300):
+        if tl > _TAIL_REFUSAL * max(abs(v), 1e-300):
             raise InsufficientSpectrumError(
                 "weighted heat trace tail too large",
                 t=float(t), tail=float(tl), value=float(v),
@@ -297,22 +284,8 @@ def weighted_heat_trace(source, B: WeightOperator, t_grid, *,
     return TraceSeries(t_grid, vals, tails, "heat", meta, wsd)
 
 
-def _as_weighted(source, B, lam_cap, *, t_grid=None, lam_grid=None):
-    if isinstance(source, WeightedSpectralData):
-        return source
-    if isinstance(source, Discretization):
-        if lam_cap is None:
-            if t_grid is not None:
-                lam_cap = 40.0 / float(np.min(np.asarray(t_grid)))
-            else:
-                lam_cap = 100.0 * float(np.max(np.abs(np.asarray(lam_grid))))
-        return weighted_spectral_data(source, B, lam_cap)
-    raise ConfigurationError("source must be WeightedSpectralData or Discretization",
-                             got=type(source).__name__)
-
-
-def resolvent_power_trace(source, B: WeightOperator, N, lam_grid, *,
-                          lam_cap=None, rel_tail_tol=0.01):
+def resolvent_power_trace(wsd: WeightedSpectralData, B: WeightOperator, N,
+                          lam_grid):
     """Trace of B (A - lam)^(-N) on a grid of shifts.
 
     Enforces the trace-class condition N*mu - mu' > n before computing.
@@ -320,13 +293,12 @@ def resolvent_power_trace(source, B: WeightOperator, N, lam_grid, *,
     """
     N = int(N)
     lam_grid = np.asarray(lam_grid, dtype=complex)
-    wsd = _as_weighted(source, B, lam_cap, lam_grid=lam_grid)
     _require_trace_class(wsd.meta, N, B)
     vals = np.empty(len(lam_grid), dtype=complex)
     tails = np.empty(len(lam_grid))
     for i, lam in enumerate(lam_grid):
         v, tl = wsd.resolvent_power_value(lam, N)
-        if tl > rel_tail_tol * max(abs(v), 1e-300):
+        if tl > _TAIL_REFUSAL * max(abs(v), 1e-300):
             raise InsufficientSpectrumError(
                 "resolvent power trace tail too large",
                 lam=complex(lam), tail=float(tl), value=complex(v))
@@ -368,23 +340,11 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
 # contour realization of the heat operator
 
 
-@dataclass
-class ContourSpec:
-    """Vertex plus two rays: lam = a + u exp(+-i delta), u >= 0."""
-
-    a: float = -1.0
-    delta: float = math.pi / 4
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < math.pi / 2):
-            raise ConfigurationError("contour angle must lie in (0, pi/2)",
-                                     delta=self.delta)
-
-
-def _gauss_panels(u_max, n_panels, n_gauss=24):
+def _gauss_panels(u_max, n_panels):
+    # 24-point Gauss-Legendre on each of n_panels geometrically growing panels
     edges = np.concatenate([[0.0], np.geomspace(u_max / 2 ** (n_panels - 1),
                                                 u_max, n_panels)])
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+    xg, wg = np.polynomial.legendre.leggauss(24)
     nodes = []
     weights = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -393,26 +353,26 @@ def _gauss_panels(u_max, n_panels, n_gauss=24):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def heat_trace_contour(disc: Discretization, t, *, N=3, contour=None,
-                       rel_tol=1e-8, bdiag=None):
+def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     """Heat trace by contour quadrature of the N-th resolvent power.
 
     Evaluates the Cauchy integral of exp(-t lam) against Tr (A - lam)^(-N)
-    after N-1 integrations by parts; the trace of the resolvent power is
-    obtained from the tridiagonal diagonal-of-inverse recursions plus a
-    small Cauchy circle for the (N-1)-st derivative, so each quadrature
-    node costs O(grid size) per mode.  The result must agree with the
-    eigenvalue sum; a last-panel contribution above ``rel_tol`` raises.
+    after N-1 integrations by parts, on the contour lam = -1 + u e^(+-i pi/4),
+    u >= 0.  The trace of the resolvent power is obtained from the
+    tridiagonal diagonal-of-inverse recursions plus a small Cauchy circle
+    for the (N-1)-st derivative, so each quadrature node costs O(grid size)
+    per mode.  The result must agree with the eigenvalue sum; a last-panel
+    contribution above 1e-8 of the value raises.
     """
     N = int(N)
     if N < 2:
         raise ConfigurationError("need N >= 2 for an integrable contour", N=N)
-    contour = contour or ContourSpec()
     t = float(t)
-    u_max = 46.0 / (t * math.cos(contour.delta))
+    delta = math.pi / 4
+    u_max = 46.0 / (t * math.cos(delta))
     nodes, weights = _gauss_panels(u_max, n_panels=14)
-    e_dir = complex(math.cos(contour.delta), math.sin(contour.delta))
-    lam_nodes = contour.a + nodes * e_dir
+    e_dir = complex(math.cos(delta), math.sin(delta))
+    lam_nodes = -1.0 + nodes * e_dir
 
     # derivative circles around each node
     M = 8
@@ -437,13 +397,13 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, contour=None,
     # counterclockwise: upper ray traversed inward, lower ray (the complex
     # conjugate for a real pencil) outward
     total = np.conjugate(upper) - upper
-    # last panel contribution check
+    # contribution of the last panel (its 24 nodes)
     lastw = weights[-24:]
     lasti = integrand[-24:]
     last = abs(np.sum(lastw * lasti))
     # the constant is pinned by the one-eigenvalue residue computation
     value = (1j / (2 * math.pi)) * math.factorial(N - 1) * t ** (-(N - 1)) * total
-    if last > rel_tol * max(abs(value), 1e-300):
+    if last > 1e-8 * max(abs(value), 1e-300):
         raise NumericalError("contour quadrature not converged",
                              last_panel=float(last), value=complex(value))
     if abs(value.imag) > 1e-6 * max(abs(value), 1.0):

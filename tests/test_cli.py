@@ -22,6 +22,8 @@ def test_expr_polynomial_in_mode_and_x():
     assert fn(2, 0.0) == pytest.approx(6.25)
     x = np.linspace(0, 1, 5)
     assert fn(0, x).shape == x.shape
+    for text in ("x^-2", "x^0.5", "(m^8 + 1)^8", "m^-64"):
+        compile_expr(text)  # literal exponents, nested product <= 64
 
 
 def test_expr_rejects_unsafe_code():
@@ -29,6 +31,11 @@ def test_expr_rejects_unsafe_code():
         compile_expr("__import__('os').system('true')")
     with pytest.raises(ConfigurationError):
         compile_expr("open('x')")
+    # validated only: evaluating these with Python ints would not finish
+    for text in ("m^2 + 9^9^9", "m^99999999", "m^x", "m^(1+1)",
+                 "((m^8)^8)^2", "2^-65"):
+        with pytest.raises(ConfigurationError):
+            compile_expr(text)
 
 
 def test_parse_shipped_operator():
@@ -152,14 +159,26 @@ npoints = 200
     assert not (tmp_path / "out" / "oracle_compare.csv").exists()
 
 
+OP_LINE = f"operator = {CONFIGS / 'laplace_a1.5.op'}\n"
+
+
 @pytest.mark.parametrize("sub, text, key", [
-    ("heat", f"operator = {CONFIGS / 'laplace_a1.5.op'}\nt_min = abc\n",
-     "t_min"),
+    ("heat", OP_LINE + "t_min = abc\n", "t_min"),
     ("index", f"""operator = {CONFIGS / 'laplace_perturbed.op'}
 npoints = 120
 eps_list = 0,x
 """, "eps_list"),
-], ids=["t_min", "eps_list"])
+    ("heat", OP_LINE + "t_min = nan\n", "t_min"),
+    ("heat", OP_LINE + "t_min = 0\n", "t_min"),
+    ("heat", OP_LINE + "t_min = -1e-3\n", "t_min"),
+    ("heat", OP_LINE + "lam_max = inf\n", "lam_max"),
+    ("heat", OP_LINE + "t_count = 12.9\n", "t_count"),
+    ("heat", OP_LINE + "t_max = 0\n", "t_max"),
+    ("zeta", OP_LINE + "t0 = 0\n", "t0"),
+    ("resolvent", OP_LINE + "lam_max_spec = -1\n", "lam_max_spec"),
+], ids=["t_min", "eps_list", "t_min_nan", "t_min_zero", "t_min_negative",
+        "lam_max_inf", "t_count_fractional", "t_max_zero", "t0_zero",
+        "lam_max_spec_negative"])
 def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])

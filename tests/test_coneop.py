@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,6 +180,16 @@ def test_bessel_nu_three_halves_first_zero():
 def test_bessel_half_integer_closed_form():
     z = bessel_zeros(0.5, count=6)
     assert np.max(np.abs(z - np.pi * np.arange(1, 7))) < 1e-11
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 0.5, 2.5, 40.0])
+def test_bessel_zeros_match_mpmath(nu):
+    # independent oracle: mpmath's besseljzero at 30 significant digits
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besseljzero(nu, k)) for k in range(1, 21)])
+    z = bessel_zeros(nu, count=20)
+    assert len(z) == 20
+    assert np.max(np.abs(z - ref) / ref) < 1e-13
 
 
 def test_mcmahon_asymptotics():

@@ -137,7 +137,7 @@ def test_red_to_const_decay_rate():
     disc = discretize(perturbed_laplace(1.5, mode_cap=0, strength=0.7),
                       -10.0, 800)
     taus = [2.0 ** -k for k in range(2, 9)]
-    res = invariance_red_to_const(disc, taus, eps=0.1)
+    res = invariance_red_to_const(disc, taus)
     assert res.slope >= 0.8
     assert res.ratios[-1] < res.ratios[0]
 
