@@ -27,7 +27,7 @@ from . import asymptotics, coneop, traces
 from . import index as indextools
 from . import oracles
 from .errors import ConespecError, ConfigurationError
-from .opfile import config_digest, parse_operator, read_kv
+from .opfile import config_digest, parse_operator, parse_value, read_kv
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -64,26 +64,13 @@ class Runner:
         (self.out / "MANIFEST").write_text("\n".join(lines) + "\n")
 
 
-def _parse(key, text, convert=float):
-    """Convert one config value; a malformed value is a configuration error."""
-    try:
-        return convert(text)
-    except (ValueError, OverflowError):
-        raise ConfigurationError("malformed config value", key=key,
-                                 got=text) from None
-
-
 def _f(kv, key, default=None):
     """A finite number; ``default`` when the key is absent (None: required)."""
     if key not in kv:
         if default is None:
             raise ConfigurationError("missing config key", key=key)
         return default
-    value = _parse(key, kv[key])
-    if not math.isfinite(value):
-        raise ConfigurationError("config value must be finite", key=key,
-                                 got=kv[key])
-    return value
+    return parse_value(key, kv[key])
 
 
 def _i(kv, key, default=None):
@@ -223,7 +210,7 @@ def run_zeta(kv, runner, args):
     lam_max = _positive(kv, "lam_max", 46.0 / t_min)
     ts = np.geomspace(t_min, 1.2 * t0, _i(kv, "t_count", 120))
     k_max = _i(kv, "k_max", 4)
-    z_eval = [_parse("z_eval", z, complex)
+    z_eval = [parse_value("z_eval", z, complex)
               for z in kv.get("z_eval", "-3,-2.5,-1.5").split(",")]
     op = op.with_modes(int(math.sqrt(lam_max)) + 2)
     sd = _spectral(kv, op, lam_max)
@@ -243,7 +230,7 @@ def run_zeta(kv, runner, args):
 
 def run_index(kv, runner, args):
     rng = np.random.default_rng(args.seed)
-    eps_list = [_parse("eps_list", s)
+    eps_list = [parse_value("eps_list", s)
                 for s in kv.get("eps_list", "0,0.1,0.3").split(",")]
     kind = kv.get("b_kind", "gaussian")
     rows_n, cols_n = _i(kv, "b_rows", 40), _i(kv, "b_cols", 60)

@@ -11,9 +11,14 @@ nesting.  Operator files use the keys
     coeff[2] = 1                 # optionally with x dependence
 
 x-dependent coefficient expressions are split into their value at x = 0
-(the conormal data) and the remainder.
+(the conormal data) and the remainder.  Every number is checked at parse
+time: ``mu`` and ``alpha`` must be finite, and each coefficient must
+evaluate to a finite value at x = 0 for every declared mode (and wherever
+it is evaluated later); anything else is a ConfigurationError naming the
+key.
 """
 
+import cmath
 import hashlib
 import re
 from pathlib import Path
@@ -48,23 +53,52 @@ def config_digest(path):
 
 
 def _parse_modes(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
-    cap = int(text)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return int(lo), int(hi)
+        cap = int(text)
+    except ValueError:
+        raise ConfigurationError("malformed value", key="modes",
+                                 got=text) from None
     return -cap, cap
+
+
+def parse_value(key, text, convert=float):
+    """One config or operator value; malformed or non-finite is an error."""
+    try:
+        value = convert(text)
+    except (ValueError, OverflowError):
+        raise ConfigurationError("malformed value", key=key,
+                                 got=text) from None
+    if not cmath.isfinite(value):
+        raise ConfigurationError("value must be finite", key=key, got=text)
+    return value
+
+
+def _finite_coeff(j, fn, m, x):
+    """fn(m, x), or a ConfigurationError if it fails or is not finite."""
+    try:
+        v = fn(m, x)
+        finite = bool(np.all(np.isfinite(np.asarray(v, dtype=complex))))
+    except (ArithmeticError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigurationError("coefficient is not finite",
+                                 key=f"coeff[{j}]", got=fn.source, m=m)
+    return v
 
 
 def parse_operator(path):
     """Build a ConeOperator from a definition file."""
     kv = read_kv(path)
     try:
-        mu = float(kv["mu"])
+        mu = parse_value("mu", kv["mu"])
         modes = _parse_modes(kv["modes"])
     except KeyError as exc:
         raise ConfigurationError("operator file missing a required key",
                                  file=str(path), key=str(exc)) from None
-    alpha = float(kv.get("alpha", 0.0))
+    alpha = parse_value("alpha", kv.get("alpha", "0.0"))
     bc = kv.get("bc", "dirichlet").lower()
     if bc != "dirichlet":
         raise ConfigurationError("only dirichlet cuts are supported", bc=bc)
@@ -86,7 +120,7 @@ def parse_operator(path):
                 out.append(np.zeros_like(np.asarray(x, dtype=float)) if
                            np.ndim(x) else 0.0)
             else:
-                v = fn(m, x)
+                v = _finite_coeff(j, fn, m, x)
                 out.append(np.broadcast_to(v, np.shape(x)).astype(complex)
                            if np.ndim(x) else complex(v))
         return out
@@ -99,6 +133,8 @@ def parse_operator(path):
             base0[m] = values(m, 0.0)
         return base0[m]
 
+    for m in range(modes[0], modes[1] + 1):
+        indicial(m)  # a bad coefficient fails here, before any study runs
     x_probe = np.linspace(0.0, 1.0, 7)
     x_dependent = False
     for m in (0, modes[1]):

@@ -1,25 +1,37 @@
 """Eigen and resolvent computations for symmetric tridiagonal pencils (K, W).
 
 K is real symmetric tridiagonal, W is diagonal and strictly positive.  The
-generalized problem K u = lambda W u is solved by Sturm bisection on the
-shifted pencil K - lambda W followed by inverse iteration.  Working with
-the pencil directly matters: the equivalent standard reduction
-W^(-1/2) K W^(-1/2) has norm of order max(1/w) * ||K||, and with weights
-spanning ten or more orders of magnitude a backward-stable dense solver
-would lose every digit of the low eigenvalues.  Eigenvalues of the pencil
-itself are perturbed only by ||dK|| + |lambda| ||dW|| per unit W-norm, so
-bisection counts on (K - lambda W) are effectively exact.
+generalized problem K u = lambda W u is congruent to the standard problem
+for T = W^(-1/2) K W^(-1/2), which is again symmetric tridiagonal, with the
+same Sturm counts and the same eigenvalues.  With weights spanning ten or
+more orders of magnitude ||T|| is of order max(1/w) * ||K||, and the low
+eigenvalues lose their accuracy in two places: in dense solvers (QR,
+divide and conquer), whose errors scale with ||T||, and in bisection run
+to LAPACK's default absolute tolerance eps * ||T||.  Bisection run to a
+tight absolute tolerance keeps it: the K of a cone discretization is
+diagonally dominant, the diagonal congruence leaves T scaled diagonally
+dominant, and bisection determines every eigenvalue of such a matrix to
+high relative accuracy (Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).
+
+``eig_pencil`` therefore makes one Sturm count on the pencil K - lambda W
+itself (``inertia``), which picks the indices of the wanted eigenvalues,
+computes those by LAPACK bisection (dstebz) on T with an explicit tiny
+tolerance, and polishes each on the pencil by inverse iteration
+(``refine_pair``), which also gives the eigenvectors.
 
 All public functions take the tridiagonal data as (d, e, w): diagonal,
 subdiagonal (length n-1) and weight.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import NumericalError
 
 _PIVMIN = 1e-300
+# absolute dstebz tolerance; LAPACK's default eps * ||T|| loses the low
+# eigenvalues (the first ACCEPT-01 eigenvalue reads 20.2092, not 20.19048)
+_ABSTOL = 1e-300
 
 
 def inertia(d, e, w, shifts):
@@ -40,46 +52,12 @@ def inertia(d, e, w, shifts):
     return count
 
 
-def upper_bound(d, e, w):
-    """Gershgorin style upper bound for the pencil eigenvalues."""
-    n = len(d)
-    rad = np.zeros(n)
-    rad[:-1] += np.abs(e)
-    rad[1:] += np.abs(e)
-    return float(np.max((d + rad) / w)) + 1.0
-
-
 def lower_bound(d, e, w):
     n = len(d)
     rad = np.zeros(n)
     rad[:-1] += np.abs(e)
     rad[1:] += np.abs(e)
     return float(np.min((d - rad) / w)) - 1.0
-
-
-def eigvals_range(d, e, w, lo, hi, *, rtol=1e-13, max_iter=64):
-    """All pencil eigenvalues in (lo, hi], ascending, by parallel bisection."""
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    w = np.asarray(w, dtype=float)
-    nlo = int(inertia(d, e, w, lo)[0])
-    nhi = int(inertia(d, e, w, hi)[0])
-    m = nhi - nlo
-    if m <= 0:
-        return np.empty(0)
-    los = np.full(m, float(lo))
-    his = np.full(m, float(hi))
-    idx = np.arange(nlo + 1, nhi + 1)  # 1-based eigenvalue indices
-    for _ in range(max_iter):
-        mids = 0.5 * (los + his)
-        cnt = inertia(d, e, w, mids)
-        below = cnt >= idx  # eigenvalue idx is <= mid
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
-        width = his - los
-        if np.all(width <= rtol * np.maximum(np.abs(his), 1e-6)):
-            break
-    return 0.5 * (los + his)
 
 
 def _solve_shifted(d, e, w, shift, rhs):
@@ -91,7 +69,7 @@ def _solve_shifted(d, e, w, shift, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def refine_pair(d, e, w, lam, *, iters=3):
+def refine_pair(d, e, w, lam):
     """Polish one eigenvalue by inverse iteration with Rayleigh updates.
 
     Returns (lam, v) with v normalized so that v^T W v = 1.
@@ -101,7 +79,7 @@ def refine_pair(d, e, w, lam, *, iters=3):
     v = rng.standard_normal(n)
     v /= np.sqrt(v @ (w * v))
     lam = float(lam)
-    for _ in range(iters):
+    for _ in range(3):
         shift = lam * (1.0 + 1e-11) + 1e-300
         try:
             v_new = _solve_shifted(d, e, w, shift, w * v)
@@ -124,35 +102,44 @@ def _tridiag_matvec(d, e, v):
     return out
 
 
-def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False,
-               lo=None, rtol=1e-13):
+def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
     """Low eigenpairs of the pencil (K, W).
 
     Either ``lam_max`` (all eigenvalues at most lam_max) or ``count``
-    (the lowest ``count``) must be given.  Eigenvalues are polished by
-    Rayleigh-quotient inverse iteration; vectors are W-orthonormal up to
-    the grid measure (caller applies the grid step when needed).
+    (the lowest ``count``) must be given.  One Sturm count on the pencil
+    picks the eigenvalue indices, LAPACK bisection on the congruent
+    tridiagonal computes them, and Rayleigh-quotient inverse iteration
+    polishes them; vectors are W-orthonormal up to the grid measure
+    (caller applies the grid step when needed).
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
-    if lo is None:
-        lo = lower_bound(d, e, w)
     if lam_max is None and count is None:
         raise NumericalError("need lam_max or count")
+    n = len(d)
+    lo = lower_bound(d, e, w)
     if lam_max is None:
-        top = upper_bound(d, e, w)
-        width = 1.0
-        hi = min(lo + width, top)
-        while int(inertia(d, e, w, hi)[0]) < count and hi < top:
-            width *= 2.0
-            hi = min(lo + width, top)
-        lam_max = hi
-    vals = eigvals_range(d, e, w, lo, lam_max, rtol=rtol)
+        nlo = int(inertia(d, e, w, [lo])[0])
+        nhi = n
+    else:
+        nlo, nhi = (int(c) for c in inertia(d, e, w, [lo, lam_max]))
     if count is not None:
-        vals = vals[:count]
+        nhi = min(nhi, nlo + count)
+    vals = np.empty(0)
+    if nhi > nlo:
+        s = np.sqrt(w)
+        vals = eigh_tridiagonal(d / w, e / (s[:-1] * s[1:]), eigvals_only=True,
+                                select="i", select_range=(nlo, nhi - 1),
+                                lapack_driver="stebz", tol=_ABSTOL)
+        top = np.inf if lam_max is None else lam_max
+        slack = 1e-12 * np.abs(vals)
+        if np.any(vals < lo - slack) or np.any(vals > top + slack):
+            raise NumericalError("LAPACK bisection disagrees with the pencil "
+                                 "Sturm count", lo=lo, lam_max=lam_max,
+                                 got=f"{vals[0]:.17g}..{vals[-1]:.17g}")
     out_vals = np.empty(len(vals))
-    out_vecs = np.empty((len(d), len(vals))) if vectors else None
+    out_vecs = np.empty((n, len(vals))) if vectors else None
     for i, lam in enumerate(vals):
         lam_p, v = refine_pair(d, e, w, lam)
         # keep the bisection value if polishing wandered off

@@ -176,12 +176,41 @@ eps_list = 0,x
     ("heat", OP_LINE + "t_max = 0\n", "t_max"),
     ("zeta", OP_LINE + "t0 = 0\n", "t0"),
     ("resolvent", OP_LINE + "lam_max_spec = -1\n", "lam_max_spec"),
+    ("index", f"""operator = {CONFIGS / 'laplace_perturbed.op'}
+npoints = 120
+eps_list = 0,nan
+""", "eps_list"),
 ], ids=["t_min", "eps_list", "t_min_nan", "t_min_zero", "t_min_negative",
         "lam_max_inf", "t_count_fractional", "t_max_zero", "t0_zero",
-        "lam_max_spec_negative"])
+        "lam_max_spec_negative", "eps_list_nan"])
 def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest and f"key={key}" in manifest
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+LAPLACE_OP = (CONFIGS / "laplace_a1.5.op").read_text()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("coeff[0] = m^2 + 2.25", "coeff[0] = m^2 + 2.25 + 1e308^2", "coeff[0]"),
+    ("coeff[0] = m^2 + 2.25", "coeff[0] = m^2 + 2.25 + 1e308*10", "coeff[0]"),
+    ("coeff[0] = m^2 + 2.25", "coeff[0] = m^2 + 2.25 + 1/(m - 3)",
+     "coeff[0]"),
+    ("mu = 2", "mu = abc", "mu"),
+    ("mu = 2", "mu = inf", "mu"),
+    ("alpha = 1", "alpha = nan", "alpha"),
+    ("modes = -8..8", "modes = -8..x", "modes"),
+], ids=["coeff_overflow", "coeff_inf", "coeff_pole_at_mode", "mu_malformed",
+        "mu_inf", "alpha_nan", "modes_malformed"])
+def test_malformed_operator_file_exits_invalid(tmp_path, old, new, key):
+    assert old in LAPLACE_OP
+    (tmp_path / "bad.op").write_text(LAPLACE_OP.replace(old, new))
+    cfg = write_cfg(tmp_path / "s.cfg", "operator = bad.op\nnpoints = 200\n")
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     manifest = (tmp_path / "out" / "MANIFEST").read_text()
     assert "status: incomplete" in manifest and f"key={key}" in manifest
