@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import rgamma
+from scipy.special import hyperu, rgamma
 
 from .errors import (ConditioningError, ConfigurationError, NumericalError,
                      ZetaPoleError)
@@ -530,6 +530,9 @@ class ZetaContinuation:
     zeta(z) = [sum of closed-form Mellin transforms of the fitted terms
     over (0, t0] + numerical integral over [t0, inf)] / Gamma(-z).  The
     reciprocal Gamma factor kills would-be poles at nonnegative integers.
+    The numerical integral stops at t_max = t0 e^(v_max), where
+    e^(-lam_min t) is below e^(-46); ``truncation_bound`` bounds what that
+    leaves out.
     """
 
     def __init__(self, spectral_source, fit, *, t0=0.1, meta=None):
@@ -544,6 +547,8 @@ class ZetaContinuation:
         # t = t0 e^v the heat values are z independent and cached once
         lam_min = self.source.min_eig()
         v_max = math.log(46.0 / (self.t0 * lam_min) + 2.0)
+        self._lam_min = lam_min
+        self._t_max = self.t0 * math.exp(v_max)
         xg, wg = np.polynomial.legendre.leggauss(48)
         vs, ws = [], []
         edges = np.linspace(0.0, v_max, 9)
@@ -552,14 +557,39 @@ class ZetaContinuation:
             ws.append(0.5 * (b - a) * wg)
         self._vq = np.concatenate(vs)
         self._wq = np.concatenate(ws)
-        self._fq = np.array([self.source.heat_sum(self.t0 * math.exp(v))[0]
-                             for v in self._vq])
+        # one heat_sum call for the nodes and t_max; math.exp, not np.exp,
+        # which may differ in the last ulp
+        ts = np.array([self.t0 * math.exp(v) for v in self._vq] + [self._t_max])
+        heat, tail = self.source.heat_sum(ts)
+        self._fq = heat[:-1]
+        self._theta_max = float(heat[-1] + tail[-1])
 
     # -- raw pieces ---------------------------------------------------------
 
     def _upper_integral(self, z):
         total = np.sum(self._wq * np.exp(-z * self._vq) * self._fq)
         return self.t0 ** (-z) * total
+
+    def truncation_bound(self, z):
+        """Bound on |zeta(z)| dropped by stopping the integral at t_max.
+
+        For t >= t_max every eigenvalue is at least lam_min, so the heat
+        trace is at most theta e^(-lam_min (t - t_max)), theta being the
+        heat sum plus its tail bound at t_max.  The integral of
+        t^(-Re z - 1) times that is theta e^(x) lam_min^(Re z)
+        Gamma(-Re z, x), x = lam_min t_max, for Re z < 0, and at most
+        theta t_max^(-Re z - 1) / lam_min for Re z >= 0.  The bound is
+        scaled by |1/Gamma(-z)|, as zeta(z) is.
+        """
+        z = complex(z)
+        s, lam, t_max = z.real, self._lam_min, self._t_max
+        if s < 0:
+            # e^x Gamma(a, x) = U(1 - a, 1 - a, x) (DLMF 8.5.3) stays finite
+            # where exp(x) * gammaincc(a, x) * gamma(a) overflows (x > 709)
+            piece = lam ** s * hyperu(1.0 + s, 1.0 + s, lam * t_max)
+        else:
+            piece = t_max ** (-s - 1.0) / lam
+        return float(self._theta_max * piece * abs(rgamma(-z)))
 
     def mellin_value(self, z):
         total = self._upper_integral(z)

@@ -225,6 +225,8 @@ def run_zeta(kv, runner, args):
         rows.append((f"{z.real:.6g}", f"{z.imag:.6g}",
                      f"{v.real:.12e}", f"{v.imag:.12e}"))
     runner.write_csv("values.csv", rows)
+    bound = max(zc.truncation_bound(z) for z in z_eval)
+    runner.notes.append(f"zeta truncation bound {bound:.3e} (max over z_eval)")
     return EXIT_OK
 
 

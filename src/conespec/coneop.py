@@ -417,12 +417,18 @@ def bessel_zeros(nu, count=None, j_max=None):
     Returns the first ``count`` zeros, or all zeros at most ``j_max``.
     Scanning uses a step well below the minimal zero spacing (about pi),
     so a sign change brackets exactly one zero; brentq refines each
-    bracket to machine-level accuracy.
+    bracket to machine-level accuracy.  The scan runs in blocks of 512
+    steps; with ``j_max`` the block that reaches it is cut one step past
+    ``j_max`` and the scan stops there.  Its points are a prefix of the
+    full block's, so the brackets, and every zero at most ``j_max``, are
+    the same as those of a full-block scan.
     """
     if nu < 0:
         raise ConfigurationError("order nu must be nonnegative", nu=nu)
     if count is None and j_max is None:
         raise ConfigurationError("need count or j_max")
+    if j_max is not None and not math.isfinite(j_max):
+        raise ConfigurationError("j_max must be finite", j_max=j_max)
     step = 0.45
     start = max(nu, 1e-6)
     found = []
@@ -430,7 +436,10 @@ def bessel_zeros(nu, count=None, j_max=None):
     block = 512
     guard = 0
     while True:
-        grid = lo + step * np.arange(block + 1)
+        n = block
+        if j_max is not None:
+            n = min(block, max(1, math.ceil((j_max - lo) / step) + 1))
+        grid = lo + step * np.arange(n + 1)
         vals = jv(nu, grid)
         sign = np.sign(vals)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -446,7 +455,7 @@ def bessel_zeros(nu, count=None, j_max=None):
                 return np.asarray(found)
             if j_max is not None and z > j_max:
                 return np.asarray([z0 for z0 in found if z0 <= j_max])
-        if j_max is not None and grid[-1] > j_max + 2 * math.pi:
+        if j_max is not None and grid[-1] > j_max:
             return np.asarray([z0 for z0 in found if z0 <= j_max])
         lo = grid[-1]
         guard += 1
@@ -529,19 +538,29 @@ class SpectralData:
         return c1, c0
 
     def heat_sum(self, t):
-        """(sum of exp(-t lam), upper tail bound) at one time t."""
-        val = 0.0
-        tail = 0.0
+        """(sum of exp(-t lam), upper tail bound) at a time t or 1-D array of times.
+
+        A scalar t gives two floats, an array two arrays.  The modes are
+        visited once and each mode's sum runs over all times at once; the
+        per-time values are bitwise those of one call per time.
+        """
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        half_root = 0.5 * np.sqrt(math.pi / ts)
+        root_t = np.sqrt(ts)
+        val = np.zeros(len(ts))
+        tail = np.zeros(len(ts))
         for m in self.modes():
-            lam = self.eigs[m]
-            val += float(np.sum(np.exp(-t * lam)))
+            lam = np.asarray(self.eigs[m], dtype=float)
+            val += np.sum(np.exp(-ts[:, None] * lam[None, :]), axis=1)
             c1, c0 = self._mode_weyl(m)
             edge = max(c1 * (len(lam) + 1) + c0, math.sqrt(self.lam_max))
-            tail += 0.5 * math.sqrt(math.pi / t) * erfc(math.sqrt(t) * edge) / c1
-        tail += self._mode_tail_heat(t)
+            tail += half_root * erfc(root_t * edge) / c1
+        tail += self._mode_tail_heat(ts, half_root, root_t)
+        if np.ndim(t) == 0:
+            return float(val[0]), float(tail[0])
         return val, tail
 
-    def _mode_tail_heat(self, t):
+    def _mode_tail_heat(self, ts, half_root, root_t):
         # declared modes without materialized eigenvalues contribute from
         # lam >= nu^2 up; each full mode trace is bounded by its first term
         # plus a half-line counting integral
@@ -549,9 +568,9 @@ class SpectralData:
             return 0.0
         c1 = min(self._mode_weyl(m)[0] for m in self.modes()) if self.eigs else math.pi
         nus = np.asarray(self.extra_nus, dtype=float)
-        per_mode = (0.5 * math.sqrt(math.pi / t) * erfc(np.sqrt(t) * nus) / c1
-                    + np.exp(-t * nus ** 2))
-        return float(np.sum(per_mode))
+        per_mode = (half_root[:, None] * erfc(root_t[:, None] * nus[None, :]) / c1
+                    + np.exp(-ts[:, None] * nus[None, :] ** 2))
+        return np.sum(per_mode, axis=1)
 
     def power_sum(self, z):
         """(sum of lam^z, tail bound); requires Re z < -1/2 for convergence."""

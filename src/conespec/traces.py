@@ -98,19 +98,16 @@ def heat_trace(sd: SpectralData, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0):
         raise ConfigurationError("heat trace needs positive times")
-    vals = np.empty(len(t_grid))
-    tails = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        v, tl = sd.heat_sum(t)
-        if tl > _TAIL_REFUSAL * max(v, 1e-300):
-            need = 40.0 / float(np.min(t_grid))
-            raise InsufficientSpectrumError(
-                "heat trace tail bound too large at small t",
-                t=float(t), tail=float(tl), value=float(v),
-                lam_max_needed=need,
-                count_needed=int(sd.count() * need / max(sd.lam_max, 1.0)))
-        vals[i] = v
-        tails[i] = tl
+    vals, tails = sd.heat_sum(t_grid)
+    refused = np.flatnonzero(tails > _TAIL_REFUSAL * np.maximum(vals, 1e-300))
+    if len(refused):
+        i = refused[0]
+        need = 40.0 / float(np.min(t_grid))
+        raise InsufficientSpectrumError(
+            "heat trace tail bound too large at small t",
+            t=float(t_grid[i]), tail=float(tails[i]), value=float(vals[i]),
+            lam_max_needed=need,
+            count_needed=int(sd.count() * need / max(sd.lam_max, 1.0)))
     meta = dict(sd.meta)
     meta.update({"N": 0, "mu_prime": 0.0, "beta": 0.0})
     return TraceSeries(t_grid, vals, tails, "heat", meta, sd)

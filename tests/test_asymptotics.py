@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import rgamma
 
 from conespec.asymptotics import (ZetaContinuation, fit_expansion,
                                   fitted_leading_exponent, mellin_t_power,
@@ -268,6 +269,40 @@ def test_zeta_single_mode_pipeline():
     direct, _ = complex_power_sum(sd, -2.0)
     assert abs(v - direct) < 1e-8
     assert abs(v.real - 1.0 / 90.0) < 1e-8
+
+
+def test_zeta_truncation_bound_covers_neglected_integral(zeta_cont):
+    # the continuation integrates the heat trace over t0 e^v, v in
+    # [0, v_max]; measure the piece beyond v_max directly on [v_max, v_max + 5]
+    sd, t0 = zeta_cont.source, zeta_cont.t0
+    v_max = math.log(46.0 / (t0 * sd.min_eig()) + 2.0)
+    xg, wg = np.polynomial.legendre.leggauss(48)
+    edges = np.linspace(v_max, v_max + 5.0, 11)
+    vs = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b)
+                         for a, b in zip(edges[:-1], edges[1:])])
+    ws = np.concatenate([0.5 * (b - a) * wg
+                         for a, b in zip(edges[:-1], edges[1:])])
+    heat, _ = sd.heat_sum(t0 * np.exp(vs))
+    for z in (-3.0, -2.5, -1.5, -0.5 + 1j, -0.25, 0.5, 1.5 + 2j, 3.3):
+        piece = abs(t0 ** (-z) * np.sum(ws * np.exp(-z * vs) * heat)
+                    * rgamma(-z))
+        bound = zeta_cont.truncation_bound(z)
+        assert math.isfinite(bound)
+        # a bound, and a close one: the lowest eigenvalue dominates there
+        assert piece <= bound <= 1.2 * piece
+
+
+def test_zeta_truncation_bound_finite_past_exp_overflow():
+    # lam_min t_max = 46 + 2 t0 lam_min is about 1230 here, beyond
+    # where exp overflows; the bound must stay a finite number
+    op = ConeOperator(2.0, (0, 0), lambda m: [0.25, 0.0, 1.0])
+    sd = oracle_spectral_data(op, 1.0e3, meta={"n": 1})
+    from conespec.asymptotics import FittedTerm, LogPolyExpansion
+    fit = LogPolyExpansion([FittedTerm(-0.5, 0, 0.2820947917738781, True)],
+                           (1e-3, 63.0), 1e-9, 1.0, {"mu": 2.0, "n": 1})
+    zc = ZetaContinuation(sd, fit, t0=60.0)
+    for z in (-3.0, -0.5 + 1j, 1.5):
+        assert 0.0 <= zc.truncation_bound(z) < 1e-300
 
 
 def test_zeta_pole_evaluation_guard():

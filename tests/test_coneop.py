@@ -192,6 +192,22 @@ def test_bessel_zeros_match_mpmath(nu):
     assert np.max(np.abs(z - ref) / ref) < 1e-13
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 40.0, 110.0])
+def test_bessel_zeros_j_max_scan_matches_count_scan(nu):
+    # the j_max scan cuts its last block one step past j_max; the count
+    # scan runs full 512-step blocks (230.4 long), so the j_max values
+    # below and above nu + 230 put the cut on both sides of a block edge
+    for j_max in (nu + 12.0, nu + 100.0, nu + 229.0, nu + 231.0, nu + 500.0):
+        z = bessel_zeros(nu, j_max=j_max)
+        k = len(z)
+        assert k > 0 and z[-1] <= j_max
+        assert np.array_equal(z, bessel_zeros(nu, count=k))
+        assert bessel_zeros(nu, count=k + 1)[-1] > j_max
+    assert len(bessel_zeros(nu, j_max=0.5 * nu)) == 0
+    with pytest.raises(ConfigurationError):
+        bessel_zeros(nu, j_max=math.inf)
+
+
 def test_mcmahon_asymptotics():
     nu = 2.25
     z = bessel_zeros(nu, count=60)

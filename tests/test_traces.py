@@ -49,12 +49,41 @@ def test_heat_trace_monotone_decreasing(sd_half):
     assert np.all(np.diff(series.values) < 0)
 
 
+def test_heat_sum_over_array_equals_per_time_calls():
+    # more declared modes than lam_max reaches: the extra-mode tail counts
+    sd = oracle_spectral_data(laplace_type(1.5, mode_cap=80), 2000.0)
+    assert len(sd.extra_nus) > 0
+    ts = np.concatenate([np.geomspace(1e-3, 5.0, 37),
+                         [0.1 * math.exp(v) for v in np.linspace(0.0, 4.0, 11)]])
+    vals, tails = sd.heat_sum(ts)
+    one_by_one = [sd.heat_sum(t) for t in ts]
+    assert np.array_equal(vals, [v for v, _ in one_by_one])
+    assert np.array_equal(tails, [tl for _, tl in one_by_one])
+    # reference: the per-time loop over modes, in mode order
+    for t, v in zip(ts, vals):
+        assert v == sum(float(np.sum(np.exp(-t * sd.eigs[m])))
+                        for m in sd.modes())
+    v, tl = sd.heat_sum(0.01)
+    assert type(v) is float and type(tl) is float
+
+
 def test_heat_trace_refuses_undersampled_spectrum():
     sd = oracle_spectral_data(single_mode_op(), 400.0,
                               meta={"n": 1})
     with pytest.raises(InsufficientSpectrumError) as err:
         heat_trace(sd, np.array([1e-4]))
     assert "count_needed" in err.value.payload
+
+
+def test_heat_trace_refusal_reports_first_refused_time():
+    sd = oracle_spectral_data(single_mode_op(), 400.0,
+                              meta={"n": 1})
+    with pytest.raises(InsufficientSpectrumError) as err:
+        heat_trace(sd, np.array([1.0, 1e-4, 1e-5]))
+    payload = err.value.payload
+    v, tl = sd.heat_sum(1e-4)
+    assert payload["t"] == 1e-4
+    assert payload["value"] == v and payload["tail"] == tl
 
 
 # ---------------------------------------------------------------------------
