@@ -14,10 +14,17 @@ of a coefficient to a particular family is attempted.
 
 The quadrature oracles integrate to relative tolerance ``_QUAD_TOL`` =
 1e-11, below the 1e-5 fit residual and the 1e-6 to 1e-8 coefficient
-tolerances their checks apply.  Their fits carry two probe columns
-``_PROBE_OFFSET`` = 0.37 either side of the leading predicted exponent,
-off the quarter-integer lattices in use: a detected probe flags a term
-outside the prediction.
+tolerances their checks apply.  They evaluate the whole grid at once by
+composite 24-point Gauss-Legendre (``_composite_gauss``), in the log
+variable for fiber integrals and the dilation ODE and in a mapped variable
+for the frequency integrals: the panel count doubles until every grid
+point changes by at most ``_QUAD_TOL`` relative, that change is the
+point's error estimate, and a rule that does not get there raises.  The
+right-hand side of the component integral's Euler identity stays on
+QUADPACK, so that identity compares two independent rules.  The fits carry
+two probe columns ``_PROBE_OFFSET`` = 0.37 either side of the leading
+predicted exponent, off the quarter-integer lattices in use: a detected
+probe flags a term outside the prediction.
 """
 
 import cmath
@@ -36,6 +43,11 @@ _DETECT_FACTOR = 10.0
 _COND_LIMIT = 1e12
 _QUAD_TOL = 1e-11
 _PROBE_OFFSET = 0.37
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_START_PANELS = 4
+_MAX_PANELS = 4096
+# nodes evaluated per block of rows, bounding the temporaries' memory
+_BLOCK_NODES = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +361,65 @@ def _resolvable_cap(x_grid, union):
     return lo + max(2.0, 0.45 * span / math.log(10.0) * 2.2)
 
 
+def _gauss_panels(edges):
+    """24-point Gauss-Legendre nodes and weights on the panels between
+    consecutive ``edges`` (last axis), concatenated panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    shape = edges.shape[:-1] + (-1,)
+    nodes = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * _GL_WEIGHTS
+    return nodes.reshape(shape), weights.reshape(shape)
+
+
+def _composite_gauss(f, lo, hi, *params):
+    """Row-wise int_lo^hi f(s, *params) ds by composite Gauss-Legendre.
+
+    ``lo``, ``hi`` and each of ``params`` broadcast to one value per row.
+    ``f`` gets the nodes as a (rows, nodes) array and each param as a
+    (rows, 1) column; it may return anything that broadcasts against the
+    nodes, a constant included.  Each row is split into equal panels,
+    starting at ``_START_PANELS`` and doubling until every row changes by
+    at most ``_QUAD_TOL`` relative; returns the values and those changes
+    as per-row error estimates.  Raises NumericalError when
+    ``_MAX_PANELS`` panels do not meet the tolerance.
+    """
+    lo, hi, *params = (np.ravel(v) for v in
+                       np.broadcast_arrays(lo, hi, *params))
+    panels, prev = _START_PANELS, None
+    while panels <= _MAX_PANELS:
+        edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0,
+                                                               panels + 1)
+        step = max(1, _BLOCK_NODES // (panels * len(_GL_NODES)))
+        parts = []
+        for i in range(0, len(lo), step):
+            blk = slice(i, i + step)
+            s, w = _gauss_panels(edges[blk])
+            cols = [p[blk, None] for p in params]
+            parts.append(np.sum(w * f(s, *cols), axis=-1))
+        val = np.concatenate(parts)
+        if prev is not None:
+            err = np.abs(val - prev)
+            if np.all(err <= _QUAD_TOL * np.abs(val)):
+                return val, err
+        prev = val
+        panels *= 2
+    raise NumericalError("composite Gauss quadrature did not converge",
+                         panels=_MAX_PANELS, error=float(np.max(err)))
+
+
 def pushforward_fund2(u, E_lb, E_rb, x_grid):
     """Fiber integral v(x) = int_x^1 u(x/y, y) dy/y and its expansion check.
 
-    The expansion of v at 0 must lie in the extended union of the two
-    index sets of u (see ``_fit_against_union``).
+    The integral runs in s = -log y over the whole grid at once, so ``u``
+    is called with arrays (it may return a constant).  The expansion of v
+    at 0 must lie in the extended union of the two index sets of u (see
+    ``_fit_against_union``).
     """
     x_grid = np.asarray(x_grid, dtype=float)
-
-    def v(x):
-        sigma = -math.log(x)
-        val, err = quad(lambda s: u(math.exp(-(sigma - s)), math.exp(-s)),
-                        0.0, sigma, epsabs=0.0, epsrel=_QUAD_TOL, limit=400)
-        return val
-
-    vals = np.array([v(x) for x in x_grid])
+    sigma = -np.log(x_grid)
+    vals, _ = _composite_gauss(
+        lambda s, sig: u(np.exp(-(sig - s)), np.exp(-s)), 0.0, sigma, sigma)
     return _fit_against_union(x_grid, vals, extended_union(E_lb, E_rb),
                               "pushforward")
 
@@ -371,24 +427,21 @@ def pushforward_fund2(u, E_lb, E_rb, x_grid):
 def ode_fund1(g, a, E, x_grid):
     """Decaying solution of (x d/dx - a) f = g and its expansion check.
 
-    f(x) = -x^a int_x^inf y^(-a) g(y) dy/y, computed by quadrature (g must
-    vanish for x >= 2); the expansion of f at 0 lies in the extended union
-    of E with the singleton {(a, 0)} (see ``_fit_against_union``).
+    f(x) = -x^a int_x^inf y^(-a) g(y) dy/y, integrated in s = log y over
+    the whole grid at once, so ``g`` is called with arrays (it may return
+    a constant); g must vanish for x >= 2.  The expansion of f at 0 lies
+    in the extended union of E with the singleton {(a, 0)} (see
+    ``_fit_against_union``).
     """
     a = complex(a)
     if abs(a.imag) > 1e-12:
         raise ConfigurationError("real exponents only in the fitter", a=a)
     x_grid = np.asarray(x_grid, dtype=float)
-
-    def f(x):
-        if x >= 2.0:
-            return 0.0
-        val, err = quad(lambda s: math.exp(-a.real * s) * g(math.exp(s)),
-                        math.log(x), math.log(2.0),
-                        epsabs=0.0, epsrel=_QUAD_TOL, limit=400)
-        return -(x ** a.real) * val
-
-    vals = np.array([f(x) for x in x_grid])
+    # points at or beyond 2 get the empty interval [log 2, log 2]
+    lo = np.log(np.minimum(x_grid, 2.0))
+    ints, _ = _composite_gauss(lambda s: np.exp(-a.real * s) * g(np.exp(s)),
+                               lo, math.log(2.0))
+    vals = -(x_grid ** a.real) * ints
     union = extended_union(E, IndexSet([(a, 0)], E.re_cutoff))
     return _fit_against_union(x_grid, vals, union, "ode")
 
@@ -405,12 +458,20 @@ class ComponentIntegralResult:
 
 
 def _quad_complex(f, lo, hi, limit):
-    """int_lo^hi f of a complex integrand, as two real quadratures."""
-    re, _ = quad(lambda xi: f(xi).real, lo, hi,
-                 epsabs=0.0, epsrel=_QUAD_TOL, limit=limit)
-    im, _ = quad(lambda xi: f(xi).imag, lo, hi,
-                 epsabs=0.0, epsrel=_QUAD_TOL, limit=limit)
-    return re + 1j * im
+    """int_lo^hi f of a complex integrand, as two real quadratures.
+
+    Raises NumericalError when the two error estimates add up to more than
+    100 ``_QUAD_TOL`` of the value.
+    """
+    re, err_re = quad(lambda xi: f(xi).real, lo, hi,
+                      epsabs=0.0, epsrel=_QUAD_TOL, limit=limit)
+    im, err_im = quad(lambda xi: f(xi).imag, lo, hi,
+                      epsabs=0.0, epsrel=_QUAD_TOL, limit=limit)
+    value = re + 1j * im
+    if err_re + err_im > 100 * _QUAD_TOL * abs(value):
+        raise NumericalError("complex quadrature did not converge",
+                             error=err_re + err_im, value=value)
+    return value
 
 
 def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k):
@@ -426,7 +487,12 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k):
             int (xi chi'(xi)) a~_k(xi, z^mu) dxi,
 
     where a~_k(xi, w) = w^(-N) a_k(xi, e^(i theta)/w), by two independent
-    quadratures.  Requires degree mu' - N mu - k < -n for integrability.
+    quadratures.  A is evaluated for all z at once, so ``chi`` and ``a_k``
+    are called with arrays (``a_k`` with a column of lambda values); the
+    Gauss rule covers |xi| in [r/2, r], r the excision radius, directly and
+    [r, inf) through xi = r + c t / (1 - t), c = max(r, 1/z).  The right
+    side stays on QUADPACK, one z at a time.  Requires degree
+    mu' - N mu - k < -n for integrability.
     """
     if n != 1:
         raise ConfigurationError("component integrals are one dimensional here",
@@ -438,19 +504,24 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k):
     gamma = N * mu - mu_prime - n + k
     ray = cmath.exp(1j * math.pi)
     z_grid = np.asarray(z_grid, dtype=float)
+    radius = chi.radius
 
-    def integrand_full(xi, z):
-        return chi(xi) * a_k(xi, z ** (-mu) * ray)
+    def both_signs(xi, lam):
+        return chi(xi) * a_k(xi, lam) + chi(-xi) * a_k(-xi, lam)
+
+    # [r, inf) in t = u / (c + u), u = xi - r: c = max(r, 1/z) follows
+    # the decay scale |lam|^(1/mu) = 1/z of a_k
+    def mapped(t, lam, c):
+        return c / (1.0 - t) ** 2 * both_signs(radius + c * t / (1.0 - t), lam)
 
     def A(z):
-        lo = chi.radius / 2.0
-        out = 0.0
-        for sgn in (+1.0, -1.0):
-            out += _quad_complex(lambda xi: integrand_full(sgn * xi, z),
-                                 lo, np.inf, 400)
-        return out / (2.0 * math.pi)
+        lam = z ** (-mu) * ray
+        near, _ = _composite_gauss(both_signs, radius / 2.0, radius, lam)
+        far, _ = _composite_gauss(mapped, 0.0, 1.0, lam,
+                                  np.maximum(radius, 1.0 / z))
+        return (near + far) / (2.0 * math.pi)
 
-    vals = np.array([A(z) for z in z_grid])
+    vals = A(z_grid)
     cutoff = gamma + 3 * mu + 1.0
     lattice = IndexSet([(N * mu + mu * j, 0)
                         for j in range(int((cutoff - N * mu) / mu) + 2)], cutoff)
@@ -467,22 +538,23 @@ def trace_component_Ak(a_k, chi, z_grid, *, mu, N, mu_prime, n, k):
     def rhs(z):
         # the Euler derivative xi * d(chi)/d(xi) is supported in the
         # excision transition annulus
-        lo = chi.radius / 2.0
-        hi = chi.radius
         out = 0.0
         for sgn in (+1.0, -1.0):
             out += _quad_complex(lambda xi: (chi.xi_dchi(sgn * xi)
                                              * atilde(sgn * xi, z ** mu)),
-                                 lo, hi, 200)
+                                 radius / 2.0, radius, 200)
         return -(z ** (mu * N)) * out / (2.0 * math.pi)
 
-    sub = z_grid[:: max(1, len(z_grid) // 8)]
+    stride = max(1, len(z_grid) // 8)
+    sub = z_grid[::stride]
+    # five-point z d/dz in log z with step hl; A(z) itself is in vals
+    hl = 1e-3
+    shifted = A((sub[:, None] * np.exp(hl * np.array([-2.0, -1.0, 1.0, 2.0])))
+                .ravel()).reshape(len(sub), 4)
+    zddz = (shifted[:, 0] - 8 * shifted[:, 1] + 8 * shifted[:, 2]
+            - shifted[:, 3]) / (12 * hl)
     worst = 0.0
-    for z in sub:
-        hl = 1e-3
-        vals5 = np.array([A(z * math.exp(s * hl)) for s in (-2, -1, 1, 2)])
-        zddz = (vals5[0] - 8 * vals5[1] + 8 * vals5[2] - vals5[3]) / (12 * hl)
-        lhs = zddz - gamma * A(z)
+    for z, lhs in zip(sub, zddz - gamma * vals[::stride]):
         r = rhs(z)
         scale = max(abs(lhs), abs(r), 1e-300)
         worst = max(worst, abs(lhs - r) / scale)

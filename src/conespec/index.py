@@ -35,6 +35,9 @@ class MellinPerturbation:
     Poles must avoid the integration line Im sigma = -weight; the rational
     form enforces O(|Re sigma|^(-2)) decay.  1 + H(sigma) must be
     invertible on the line (checked by determinant sampling at build time).
+    ``H(sigma)`` and ``det1p`` take a scalar or an array of sigma; an
+    array gives the matrices stacked along its shape, and ``det1p`` one
+    batched determinant per point.
     """
 
     def __init__(self, terms, weight, *, check_line=True):
@@ -58,7 +61,7 @@ class MellinPerturbation:
                                          pole=p, line=line)
         if check_line and self.terms:
             u = np.linspace(-200.0, 200.0, 4001)
-            dets = np.array([self.det1p(x - 1j * self.weight) for x in u])
+            dets = self.det1p(u - 1j * self.weight)
             i = int(np.argmin(np.abs(dets)))
             if abs(dets[i]) < 1e-9:
                 raise ConfigurationError("1 + H is not invertible on the line",
@@ -66,7 +69,8 @@ class MellinPerturbation:
                                          det=complex(dets[i]))
 
     def __call__(self, sigma):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        sigma = np.asarray(sigma, dtype=complex)[..., None, None]
+        out = np.zeros(sigma.shape[:-2] + (self.dim, self.dim), dtype=complex)
         for E, p, q in self.terms:
             out += E / ((sigma - p) * (sigma - q))
         return out
@@ -79,7 +83,8 @@ class MellinPerturbation:
         return out
 
     def det1p(self, sigma):
-        return complex(np.linalg.det(np.eye(self.dim) + self(sigma)))
+        det = np.linalg.det(np.eye(self.dim) + self(sigma))
+        return complex(det) if np.ndim(det) == 0 else det
 
     def pole_radius(self):
         r = 1.0
@@ -166,7 +171,7 @@ def argument_principle_count(H: MellinPerturbation):
         bot = np.linspace(-R, R, n) + 1j * y_bot       # left to right
         right = R + 1j * np.linspace(y_bot, y_top, n)  # upward
         contour = np.concatenate([top, left[1:], bot[1:], right[1:]])
-        vals = np.array([H.det1p(s) for s in contour])
+        vals = H.det1p(contour)
         try:
             wind = _winding(np.append(vals, vals[0]))
         except NumericalError:

@@ -91,7 +91,7 @@ def pushforward_suite(rng, cases, xg):
     Returns (all passed, coincident cases, worst log coefficient error).
     """
     def phi(v):
-        return 1.0 - float(symbols.smoothstep((float(v) - 0.35) / 0.35))
+        return 1.0 - symbols.smoothstep((v - 0.35) / 0.35)
 
     n_coincident = max(3, cases // 4)
     ok, worst_log = True, 0.0
@@ -126,7 +126,7 @@ def ode_explicit_check(xg):
     Returns (passed, fitted coefficient, |fit - explicit|).
     """
     def omega(v):
-        return 1.0 - float(symbols.smoothstep((float(v) - 0.8) / 0.8))
+        return 1.0 - symbols.smoothstep((v - 0.8) / 0.8)
 
     a = 0.4
     E = indexsets.IndexSet([(a, 0)], 3.0, cinf_step=True)

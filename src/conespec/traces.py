@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pencil
+from .asymptotics import _gauss_panels
 from .coneop import Discretization, SpectralData, _weyl_fit, eigenvalues
 from .errors import (ConfigurationError, InsufficientSpectrumError,
                      NumericalError)
@@ -337,19 +338,6 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
 # contour realization of the heat operator
 
 
-def _gauss_panels(u_max, n_panels):
-    # 24-point Gauss-Legendre on each of n_panels geometrically growing panels
-    edges = np.concatenate([[0.0], np.geomspace(u_max / 2 ** (n_panels - 1),
-                                                u_max, n_panels)])
-    xg, wg = np.polynomial.legendre.leggauss(24)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     """Heat trace by contour quadrature of the N-th resolvent power.
 
@@ -367,7 +355,9 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     t = float(t)
     delta = math.pi / 4
     u_max = 46.0 / (t * math.cos(delta))
-    nodes, weights = _gauss_panels(u_max, n_panels=14)
+    # 24-point Gauss-Legendre on 14 geometrically growing panels
+    nodes, weights = _gauss_panels(np.concatenate(
+        [[0.0], np.geomspace(u_max / 2 ** 13, u_max, 14)]))
     e_dir = complex(math.cos(delta), math.sin(delta))
     lam_nodes = -1.0 + nodes * e_dir
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from conespec.asymptotics import (ZetaContinuation, fit_expansion,
-                                  fitted_leading_exponent, mellin_t_power,
-                                  ode_fund1, predict_terms, pushforward_fund2,
-                                  trace_component_Ak, zeta_continue)
+from conespec import asymptotics
+from conespec.asymptotics import (ZetaContinuation, _quad_complex,
+                                  fit_expansion, fitted_leading_exponent,
+                                  mellin_t_power, ode_fund1, predict_terms,
+                                  pushforward_fund2, trace_component_Ak,
+                                  zeta_continue)
 from conespec.coneop import ConeOperator, oracle_spectral_data
-from conespec.errors import ConditioningError, ConfigurationError
+from conespec.errors import (ConditioningError, ConfigurationError,
+                             NumericalError)
 from conespec.indexsets import IndexSet
 from conespec.symbols import ChiCutoff, smoothstep
 from conespec.traces import TraceSeries, complex_power_sum, heat_trace
@@ -229,6 +233,85 @@ def test_component_rejects_non_integrable():
     with pytest.raises(ConfigurationError):
         trace_component_Ak(lambda xi, lam: xi, chi, np.array([0.1]),
                            mu=2.0, N=0, mu_prime=1.0, n=1, k=0)
+
+
+# ---------------------------------------------------------------------------
+# vectorized quadrature against scipy quad, point by point
+
+
+@pytest.fixture
+def fitted_values(monkeypatch):
+    """The (grid, values) series each oracle hands to ``fit_expansion``."""
+    seen = []
+    fit = asymptotics.fit_expansion
+
+    def recording(series, *args, **kwargs):
+        seen.append(series)
+        return fit(series, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "fit_expansion", recording)
+    return seen
+
+
+def assert_close_per_point(vals, ref, tol=1e-10):
+    vals, ref = np.asarray(vals), np.asarray(ref)
+    assert np.all(np.abs(vals - ref) <= tol * np.abs(ref))
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.7), (0.5, 0.5)])
+def test_pushforward_values_match_quad(fitted_values, a, b):
+    u = lambda xx, yy: phi_cut(xx) * phi_cut(yy) * xx ** a * yy ** b
+    E1 = IndexSet([(a, 0)], 2.5, cinf_step=True)
+    E2 = IndexSet([(b, 0)], 2.5, cinf_step=True)
+    pushforward_fund2(u, E1, E2, np.geomspace(1e-4, 0.09, 50))
+    (xg, vals), = fitted_values
+    ref = [quad(lambda y: u(x / y, y) / y, x, 1.0, epsabs=0.0, epsrel=1e-13,
+                limit=400, points=(0.35, 0.7, x / 0.7, x / 0.35))[0]
+           for x in xg]
+    assert_close_per_point(vals, ref)
+
+
+def test_ode_values_match_quad(fitted_values):
+    a, b = 0.4, 1.1
+    g = lambda x: om_cut(x) * x ** b
+    ode_fund1(g, a, IndexSet([(b, 0)], 3.0, cinf_step=True),
+              np.geomspace(1e-4, 0.09, 50))
+    (xg, vals), = fitted_values
+    ref = [-(x ** a) * quad(lambda y: y ** (-a - 1.0) * g(y), x, 2.0,
+                            epsabs=0.0, epsrel=1e-13, limit=400,
+                            points=(0.8, 1.6))[0]
+           for x in xg]
+    assert_close_per_point(vals, ref)
+
+
+def test_component_values_match_quad(fitted_values):
+    chi = ChiCutoff(1.0)
+    a_k = lambda xi, lam: (np.asarray(xi) ** 2 - lam) ** -2.0
+    trace_component_Ak(a_k, chi, np.geomspace(1e-3, 1e-1, 12),
+                       mu=2.0, N=2, mu_prime=0.0, n=1, k=0)
+    (zg, vals) = fitted_values[0]
+    ray = cmath.exp(1j * math.pi)
+    ref = []
+    for z in zg:
+        lam = z ** -2.0 * ray
+        f = lambda xi: chi(xi) * (a_k(xi, lam) + a_k(-xi, lam))
+        ref.append((quad(lambda xi: f(xi).real, 0.5, 1.0, epsabs=0.0,
+                         epsrel=1e-13)[0]
+                    + quad(lambda xi: f(xi).real, 1.0, np.inf, epsabs=0.0,
+                           epsrel=1e-13, limit=400)[0]) / (2.0 * math.pi))
+    assert_close_per_point(vals, ref)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_quadrature_refuses_a_jump():
+    # a jump at y = 1/2 inside every interval: the composite rule cannot
+    # meet its tolerance, and neither can QUADPACK with few subintervals
+    step = lambda xx, yy: (yy < 0.5) * 1.0
+    E = IndexSet([(0.5, 0)], 2.5, cinf_step=True)
+    with pytest.raises(NumericalError):
+        pushforward_fund2(step, E, E, np.geomspace(1e-4, 0.09, 10))
+    with pytest.raises(NumericalError):
+        _quad_complex(lambda xi: (xi < 0.3) + 0j, 0.0, 1.0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,23 @@ h_weight = 1
     assert float(dist) < 1e-6
 
 
+def test_index_run_refuses_singular_perturbation(tmp_path):
+    # 1 + H vanishes on the line at sigma = -i
+    cfg = write_cfg(tmp_path / "i.cfg", """
+b_kind = symmetric
+b_rows = 16
+b_cols = 16
+h_c = 0.75
+h_b = 0.5
+h_weight = 1
+""")
+    code = main(["index", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "incomplete" in manifest
+    assert not (tmp_path / "out" / "index_report.csv").exists()
+
+
 def test_spectrum_run_skips_oracle_for_perturbed_operator(tmp_path):
     # the Bessel oracle describes the frozen model only
     cfg = write_cfg(tmp_path / "s.cfg", f"""

@@ -86,6 +86,32 @@ def test_perturbation_rejects_pole_on_line():
         lorentzian_perturbation(0.5, 1.0, 1.0)  # poles at -+ i, line at -i
 
 
+def two_term_family():
+    E1 = np.array([[1.25, 0.3], [0.0, 0.02]])
+    E2 = np.array([[0.1, -0.4j], [0.2, 0.5]])
+    return MellinPerturbation([(E1, 0.5j, -0.5j), (E2, 1.0 + 0.2j, -2.0j)],
+                              1.0)
+
+
+def test_perturbation_on_arrays_matches_points():
+    H = two_term_family()
+    sigma = np.array([[0.0 - 1.0j, 2.5 - 1.0j], [-3.0 + 0.7j, 0.4 - 2.2j]])
+    stacked = H(sigma)
+    dets = H.det1p(sigma)
+    assert stacked.shape == (2, 2, 2, 2) and dets.shape == (2, 2)
+    for idx in np.ndindex(sigma.shape):
+        s = complex(sigma[idx])
+        assert np.allclose(stacked[idx], H(s), rtol=1e-15, atol=0.0)
+        assert abs(dets[idx] - H.det1p(s)) <= 1e-15 * abs(H.det1p(s))
+    assert isinstance(H.det1p(0.3 - 1.0j), complex)
+
+
+def test_perturbation_rejects_singular_line():
+    # det(1 + H) = 1 + 0.75 / (sigma^2 + 1/4) vanishes at sigma = -i
+    with pytest.raises(ConfigurationError):
+        lorentzian_perturbation(0.75, 0.5, 1.0)
+
+
 def test_matrix_valued_eta():
     E = np.array([[1.25, 0.3], [0.0, 0.02]])
     H = MellinPerturbation([(E, 0.5j, -0.5j)], 1.0)
