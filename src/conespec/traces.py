@@ -11,6 +11,7 @@ independent values the zeta continuation is checked against to 1e-6.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,30 @@ from .errors import (ConfigurationError, InsufficientSpectrumError,
 
 _TAIL_REFUSAL = 0.01
 _POWER_SUM_TAIL_REFUSAL = 1e-6
+
+
+def _block_offsets():
+    # k - k0 of the left endpoints of the tail blocks and their widths:
+    # width max(1, (k - k0) // 8), up to the first k past k0 + 300000
+    ks, strides = [0], [1]
+    while ks[-1] <= 300000:
+        ks.append(ks[-1] + strides[-1])
+        strides.append(max(1, ks[-1] // 8))
+    return np.array(ks), np.array(strides, dtype=float)
+
+
+_BLOCK_K, _BLOCK_STRIDE = _block_offsets()
+
+
+def _block_sums(terms):
+    """Left-endpoint block bounds of decreasing tails (blocks on the last
+    axis), summed left to right up to the first block below 1e-18 of the
+    running sum, or up to the last block."""
+    acc = np.cumsum(terms, axis=-1)
+    stop = terms < 1e-18 * np.maximum(acc, 1e-300)
+    stop[..., -1] = True
+    first = np.argmax(stop, axis=-1)[..., None]
+    return np.take_along_axis(acc, first, axis=-1)[..., 0]
 
 
 @dataclass
@@ -154,28 +179,35 @@ class WeightedSpectralData:
     bfit: dict            # mode -> (C, q): |b| <~ C * lam^q for the tail
     extra_nus: np.ndarray
 
+    def __post_init__(self):
+        # left endpoints of each mode's tail blocks past its last
+        # eigenvalue, from the Weyl fit, and the matrix-element envelope there
+        lams, coefs = [], []
+        for m in self.modes():
+            c1, c0 = self.weyl.get(m, (math.pi, 0.0))
+            C, q = self.bfit.get(m, (1.0, 0.0))
+            lam = (c1 * (len(self.pairs[m][0]) + 1 + _BLOCK_K) + c0) ** 2
+            lams.append(lam)
+            coefs.append(C * np.maximum(lam, 1.0) ** q)
+        self._tail_lam = np.reshape(lams, (-1, len(_BLOCK_K)))
+        self._tail_coef = np.reshape(coefs, (-1, len(_BLOCK_K)))
+
     def modes(self):
         return sorted(self.pairs)
 
     def heat_value(self, t):
         val = 0.0
-        tail = 0.0
         for m in self.modes():
             lams, bs = self.pairs[m]
             val += float(np.sum(bs * np.exp(-t * lams)))
-            tail += self._tail(m, lambda L: math.exp(-t * L))
-        tail += self._mode_tail(lambda L: math.exp(-t * L))
-        return val, tail
+        return val, self._tail(lambda L: np.exp(-t * L))
 
     def resolvent_power_value(self, lam, N):
         val = 0.0 + 0.0j
-        tail = 0.0
         for m in self.modes():
             lams, bs = self.pairs[m]
             val += np.sum(bs * (lams - lam) ** (-float(N)))
-            tail += self._tail(m, lambda L: abs((L - lam)) ** (-float(N)))
-        tail += self._mode_tail(lambda L: abs((L - lam)) ** (-float(N)))
-        return val, tail
+        return val, self._tail(lambda L: abs((L - lam)) ** (-float(N)))
 
     def _b_cap(self):
         # matrix elements of boundary-concentrated weights fall off with the
@@ -190,26 +222,11 @@ class WeightedSpectralData:
         top = [v for m, v in per_mode.items() if abs(m) >= 0.75 * mmax]
         return 4.0 * max(max(top), 1e-300)
 
-    def _block_sum(self, f, k0, lam_of_k, coef):
-        # left-endpoint block bound: the summand is decreasing past the edge
-        acc = 0.0
-        k = k0
-        while True:
-            stride = max(1, (k - k0) // 8)
-            term = coef(lam_of_k(k)) * f(lam_of_k(k)) * stride
-            acc += term
-            if term < 1e-18 * max(acc, 1e-300) or k > k0 + 300000:
-                break
-            k += stride
-        return acc
-
-    def _tail(self, m, f):
-        c1, c0 = self.weyl.get(m, (math.pi, 0.0))
-        C, q = self.bfit.get(m, (1.0, 0.0))
-        lams, _ = self.pairs[m]
-        return self._block_sum(f, len(lams) + 1,
-                               lambda k: (c1 * k + c0) ** 2,
-                               lambda L: C * max(L, 1.0) ** q)
+    def _tail(self, f):
+        """Bound on sum f(lam) b over the eigenvalues beyond the materialized
+        ones: past each mode's last eigenvalue, then the unmaterialized modes."""
+        terms = self._tail_coef * f(self._tail_lam) * _BLOCK_STRIDE
+        return float(np.sum(_block_sums(terms))) + self._mode_tail(f)
 
     def _mode_tail(self, f):
         if len(self.extra_nus) == 0:
@@ -220,8 +237,8 @@ class WeightedSpectralData:
             first = cap * f(nu * nu)
             if first < 1e-18 * max(total, 1e-300):
                 break
-            total += self._block_sum(f, 0, lambda k: (math.pi * k + nu) ** 2,
-                                     lambda L: cap)
+            total += float(_block_sums(
+                cap * f((math.pi * _BLOCK_K + nu) ** 2) * _BLOCK_STRIDE))
         return total
 
 
@@ -341,18 +358,30 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
 def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     """Heat trace by contour quadrature of the N-th resolvent power.
 
-    Evaluates the Cauchy integral of exp(-t lam) against Tr (A - lam)^(-N)
+    Evaluates the Cauchy integral of exp(-t lam) against Tr B (A - lam)^(-N)
     after N-1 integrations by parts, on the contour lam = -1 + u e^(+-i pi/4),
-    u >= 0.  The trace of the resolvent power is obtained from the
-    tridiagonal diagonal-of-inverse recursions plus a small Cauchy circle
-    for the (N-1)-st derivative, so each quadrature node costs O(grid size)
-    per mode.  The result must agree with the eigenvalue sum; a last-panel
-    contribution above 1e-8 of the value raises.
+    u >= 0.  The resolvent power trace at each quadrature node is the
+    eps^(N-1) Taylor coefficient of Tr[B (K - (lam + eps) W)^(-1) W],
+    computed exactly from power series of the tridiagonal pivots
+    (``pencil.trace_weighted_resolvent``), with every mode and node as a
+    lane of one pivot sweep; a node costs O(grid size * N^2) per mode.
+
+    The contour must enclose the whole spectrum: one Sturm count per mode
+    at the vertex lam = -1 raises if any eigenvalue lies to its left, and a
+    non-finite trace raises.  The result must agree with the eigenvalue
+    sum; a last-panel contribution above 1e-8 of the value raises.
     """
-    N = int(N)
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ConfigurationError("contour power must be an integer",
+                                 N=N) from None
     if N < 2:
         raise ConfigurationError("need N >= 2 for an integrable contour", N=N)
     t = float(t)
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigurationError("contour heat trace needs a finite t > 0",
+                                 t=t)
     delta = math.pi / 4
     u_max = 46.0 / (t * math.cos(delta))
     # 24-point Gauss-Legendre on 14 geometrically growing panels
@@ -361,23 +390,27 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     e_dir = complex(math.cos(delta), math.sin(delta))
     lam_nodes = -1.0 + nodes * e_dir
 
-    # derivative circles around each node
-    M = 8
-    dist = np.abs(lam_nodes.imag)
-    dist = np.where(lam_nodes.real > 0, dist, np.abs(lam_nodes))
-    radius = 0.35 * np.maximum(dist, 1e-3)
-    circle = np.exp(2j * math.pi * np.arange(M) / M)
-    all_shifts = (lam_nodes[:, None] + radius[:, None] * circle[None, :]).ravel()
-
-    tr1 = np.zeros(len(all_shifts), dtype=complex)
+    # modes share the subdiagonal unless the leading coefficient depends on
+    # the mode, and each group of them is one sweep; equal diagonals (m and
+    # -m of a circle-symmetric operator) are swept once and counted twice
+    groups = {}
     for m in disc.mode_list():
         d, e = disc.matrix(m)
-        tr1 += pencil.trace_weighted_resolvent(d, e, disc.w, all_shifts,
-                                               bdiag=bdiag)
-    tr1 = tr1.reshape(len(lam_nodes), M)
-    # (N-1)-st Taylor coefficient of Tr(A - lam)^(-1) = Tr(A - lam)^(-N)
-    phase = np.exp(-2j * math.pi * (N - 1) * np.arange(M) / M)
-    tr_n = (tr1 * phase[None, :]).mean(axis=1) / radius ** (N - 1)
+        modes, ds = groups.setdefault(e.tobytes(), (e, [], []))[1:]
+        modes.append(m)
+        ds.append(d)
+    tr_n = np.zeros(len(lam_nodes), dtype=complex)
+    for e, modes, ds in groups.values():
+        ds, row, mult = np.unique(np.array(ds), axis=0, return_inverse=True,
+                                  return_counts=True)
+        below = pencil.inertia(ds, e, disc.w, [-1.0])[row, 0]
+        if np.any(below):
+            raise NumericalError(
+                "spectrum extends left of the contour vertex -1",
+                modes=[m for m, k in zip(modes, below) if k],
+                count=int(np.sum(below)))
+        tr_n += mult @ pencil.trace_weighted_resolvent(
+            ds, e, disc.w, lam_nodes, bdiag=bdiag, N=N)
 
     integrand = np.exp(-t * lam_nodes) * tr_n * e_dir
     upper = np.sum(weights * integrand)
@@ -390,6 +423,8 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     last = abs(np.sum(lastw * lasti))
     # the constant is pinned by the one-eigenvalue residue computation
     value = (1j / (2 * math.pi)) * math.factorial(N - 1) * t ** (-(N - 1)) * total
+    if not np.isfinite(value):
+        raise NumericalError("contour trace is not finite", value=complex(value))
     if last > 1e-8 * max(abs(value), 1e-300):
         raise NumericalError("contour quadrature not converged",
                              last_panel=float(last), value=complex(value))

@@ -30,9 +30,9 @@ def test_lapack_values_outside_the_pencil_count_are_refused(monkeypatch):
 
 
 @st.composite
-def graded_pencils(draw):
+def graded_pencils(draw, max_n=12):
     """Diagonally dominant SPD tridiagonal K, e < 0, weights in [1e-12, 1]."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_n))
     unit = st.floats(0.01, 1.0)
     e = -np.array(draw(st.lists(unit, min_size=n - 1, max_size=n - 1)))
     d = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
@@ -71,3 +71,26 @@ def test_eig_pencil_matches_mpmath_on_graded_weights(case):
     lam_max = np.sqrt(edges[k] * edges[k + 1])
     assume(np.min(np.abs(ref - lam_max) / ref) > 1e-6)
     assert len(pencil.eig_pencil(d, e, w, lam_max=lam_max)) == k
+
+
+@st.composite
+def shifted_pencils(draw):
+    """Graded pencil, a diagonal multiplier B and a complex shift."""
+    d, e, w, _ = draw(graded_pencils(max_n=16))
+    n = len(d)
+    b = np.array(draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)))
+    lam = complex(draw(st.floats(-10.0, 10.0)),
+                  draw(st.floats(0.1, 10.0)) * draw(st.sampled_from((-1, 1))))
+    return d, e, w, b, lam
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shifted_pencils(), st.integers(1, 4))
+def test_trace_weighted_resolvent_matches_dense_power(case, N):
+    d, e, w, b, lam = case
+    K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    R = np.linalg.solve(K - lam * np.diag(w), np.diag(w))  # (A - lam)^(-1)
+    ref = np.sum(b * np.diag(np.linalg.matrix_power(R, N)))
+    got = pencil.trace_weighted_resolvent(d, e, w, [lam], bdiag=b, N=N)
+    assert got.shape == (1,)
+    assert abs(got[0] - ref) <= 1e-12 * abs(ref)

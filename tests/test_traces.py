@@ -5,7 +5,9 @@ import pytest
 
 from conespec.coneop import (ConeOperator, discretize, grid_spectral_data,
                              laplace_type, oracle_spectral_data)
-from conespec.errors import ConfigurationError, InsufficientSpectrumError
+from conespec.errors import (ConfigurationError, InsufficientSpectrumError,
+                             NumericalError)
+from conespec.opfile import parse_operator
 from conespec.traces import (WeightOperator, complex_power_sum, heat_trace,
                              heat_trace_contour, identity_weight,
                              resolvent_power_trace,
@@ -108,6 +110,41 @@ def test_contour_requires_integrable_power(small_disc):
         heat_trace_contour(small_disc, 0.01, N=1)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_contour_equals_eigen_sums_to_roundoff(small_disc, N):
+    # the resolvent power comes from exact pivot series, so only the
+    # quadrature and rounding stand between the contour and the sums
+    t = 0.02
+    eig_val, _ = grid_spectral_data(small_disc, 6000.0).heat_sum(t)
+    assert abs(heat_trace_contour(small_disc, t, N=N) - eig_val) <= 1e-10 * eig_val
+    B = WeightOperator(beta=0.5)
+    w_val, _ = weighted_spectral_data(small_disc, B, 6000.0).heat_value(t)
+    con = heat_trace_contour(small_disc, t, N=N, bdiag=B.multiplier(small_disc.x))
+    assert abs(con - w_val) <= 1e-10 * w_val
+
+
+@pytest.mark.parametrize("t", [0.0, -0.01, math.nan, math.inf])
+def test_contour_rejects_bad_time(small_disc, t):
+    with pytest.raises(ConfigurationError):
+        heat_trace_contour(small_disc, t)
+
+
+def test_contour_rejects_fractional_power(small_disc):
+    with pytest.raises(ConfigurationError):
+        heat_trace_contour(small_disc, 0.02, N=2.5)
+
+
+def test_contour_refuses_spectrum_left_of_its_vertex(tmp_path):
+    # modes -1, 0, 1 have eigenvalues down to -3.3e4, left of lam = -1
+    path = tmp_path / "negative.op"
+    path.write_text("mu = 2\nalpha = 1\nmodes = -2..2\nbc = dirichlet\n"
+                    "coeff[0] = m^2 - 4\ncoeff[2] = 1\n")
+    disc = discretize(parse_operator(path), -6.0, 150)
+    with pytest.raises(NumericalError) as err:
+        heat_trace_contour(disc, 0.05)
+    assert err.value.payload["modes"] == [-1, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # weighted traces
 
@@ -119,6 +156,53 @@ def test_identity_weight_reduces_to_heat_trace(small_disc):
     sd = grid_spectral_data(small_disc, 3000.0)
     hs = heat_trace(sd, ts)
     assert np.max(np.abs(whs.values - hs.values) / hs.values) < 1e-12
+
+
+def _stride_loop_block_sum(f, k0, lam_of_k, coef):
+    # the block-by-block loop that the array evaluation replaced
+    acc = 0.0
+    k = k0
+    while True:
+        stride = max(1, (k - k0) // 8)
+        term = coef(lam_of_k(k)) * f(lam_of_k(k)) * stride
+        acc += term
+        if term < 1e-18 * max(acc, 1e-300) or k > k0 + 300000:
+            return acc
+        k += stride
+
+
+def _stride_loop_tail(wsd, f):
+    tail = 0.0
+    for m in wsd.modes():
+        c1, c0 = wsd.weyl[m]
+        C, q = wsd.bfit[m]
+        tail += _stride_loop_block_sum(
+            f, len(wsd.pairs[m][0]) + 1, lambda k: (c1 * k + c0) ** 2,
+            lambda L: C * max(L, 1.0) ** q)
+    cap = wsd._b_cap()
+    total = 0.0
+    for nu in wsd.extra_nus:
+        if cap * f(nu * nu) < 1e-18 * max(total, 1e-300):
+            break
+        total += _stride_loop_block_sum(f, 0, lambda k: (math.pi * k + nu) ** 2,
+                                        lambda L: cap)
+    return tail + total
+
+
+def test_tail_block_sums_match_stride_loop():
+    # modes beyond |m| ~ 30 have no eigenvalue below the cap: mode tails too
+    disc = discretize(laplace_type(1.5, mode_cap=40), -6.0, 150)
+    wsd = weighted_spectral_data(disc, WeightOperator(beta=1.0), 900.0)
+    assert len(wsd.extra_nus) > 0
+    for t in np.geomspace(1e-4, 1.0, 9):
+        _, tail = wsd.heat_value(t)
+        ref = _stride_loop_tail(wsd, lambda L: math.exp(-t * L))
+        assert abs(tail - ref) <= 1e-12 * ref
+    for N in (2, 3):
+        for lam in (-1.0, -100.0, 3.0 + 4.0j):
+            _, tail = wsd.resolvent_power_value(lam, N)
+            ref = _stride_loop_tail(wsd, lambda L: abs(L - lam) ** -N)
+            assert abs(tail - ref) <= 1e-12 * ref
 
 
 def test_nonnegative_weight_gives_positive_trace(small_disc):
