@@ -348,12 +348,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     config_path = Path(args.config)
-    if not config_path.exists():
-        print(f"error: config not found: {config_path}", file=sys.stderr)
-        return EXIT_INVALID
-    provenance = f"config={config_digest(config_path)} seed={args.seed}"
-    runner = Runner(args.out, provenance)
+    found = config_path.exists()
+    digest = config_digest(config_path) if found else "missing"
+    runner = Runner(args.out, f"config={digest} seed={args.seed}")
     try:
+        if not found:
+            raise ConfigurationError("config not found", path=str(config_path))
         kv = read_kv(config_path)
         code = SUBCOMMANDS[args.subcommand](kv, runner, args)
     except ConespecError as exc:

@@ -20,11 +20,11 @@ norm is the weighted grid norm used throughout.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfc, jv
 
 from . import pencil
@@ -411,57 +411,147 @@ def kappa_scale(u, rho, s_grid):
 # Bessel oracle
 
 
-def bessel_zeros(nu, count=None, j_max=None):
-    """Positive zeros of J_nu by vectorized scan plus bracketed refinement.
+_ZERO_STEP = 1.5       # scan step, under half the least zero spacing 3.07
+_SCAN_BLOCK = 2 ** 16  # scan points per jv call
+_HALLEY_ITERATIONS = 40
 
-    Returns the first ``count`` zeros, or all zeros at most ``j_max``.
-    Scanning uses a step well below the minimal zero spacing (about pi),
-    so a sign change brackets exactly one zero; brentq refines each
-    bracket to machine-level accuracy.  The scan runs in blocks of 512
-    steps; with ``j_max`` the block that reaches it is cut one step past
-    ``j_max`` and the scan stops there.  Its points are a prefix of the
-    full block's, so the brackets, and every zero at most ``j_max``, are
-    the same as those of a full-block scan.
+
+def bessel_zeros(nu, count=None, j_max=None):
+    """Positive zeros of J_nu for one order, or for a 1-D array of orders.
+
+    Returns the first ``count`` zeros, or all zeros at most ``j_max``: one
+    array for a scalar ``nu``, a list with one array per order otherwise.
+    An order's zeros do not depend on the other orders of the call.
+
+    Scan.  Order nu is sampled at start + step i, i = 0, 1, ..., with
+    start = max(nu, 1e-6) and step = 1.5; all orders form one flat (order,
+    point) array, evaluated in blocks of at most 2^16 points per ``jv``
+    call.  Each sign change brackets exactly one zero, and none is missed:
+
+    * J_nu has no zero in (0, nu], since j_(nu,1) > nu.
+    * u = sqrt(x) J_nu solves u'' + q u = 0 with q = 1 - (nu^2 - 1/4)/x^2.
+      Past the first zero, x >= j_(nu,1) >= j_(0,1), so q <= Q = 1 +
+      1/(4 j_(0,1)^2) for every nu >= 0.  By Sturm comparison with
+      v'' + Q v = 0, consecutive zeros are at least pi / sqrt(Q) = 3.07
+      apart.  A step of 1.5 thus never holds two zeros, and the zeros are
+      simple, so each one flips the sign.
+
+    With ``j_max`` an order is sampled up to one step past
+    start + step ceil((j_max - start) / step), and orders nu >= j_max give
+    no zeros.  With ``count`` the same grid runs up to 2 nu + 3.7 count + 1,
+    which lies past the count-th zero: from X = max(2 nu, start) on,
+    q >= 3/4, so every interval of length pi / sqrt(3/4) = 3.63 holds a zero
+    (Sturm comparison again).  Both paths share the grid formula, hence the
+    brackets and the zeros.
+
+    Refinement.  The brackets of a block are refined together by Halley's
+    iteration on J_nu, with J_nu' = J_(nu-1) - (nu/x) J_nu and J_nu'' from
+    Bessel's equation, each started at its bracket's secant point.  Every
+    iterate shrinks its bracket, and a step that leaves the bracket is
+    replaced by bisection.  A zero is accepted once its last step is at
+    most 1e-13 + 8.9e-16 |z| (brentq's xtol and rtol) or J_nu vanishes
+    there, and drops out of the active set.  A bracket still active after
+    40 iterations raises RootFindingError with its order and interval.
     """
-    if nu < 0:
-        raise ConfigurationError("order nu must be nonnegative", nu=nu)
-    if count is None and j_max is None:
-        raise ConfigurationError("need count or j_max")
-    if j_max is not None and not math.isfinite(j_max):
-        raise ConfigurationError("j_max must be finite", j_max=j_max)
-    step = 0.45
-    start = max(nu, 1e-6)
-    found = []
-    lo = start
-    block = 512
-    guard = 0
-    while True:
-        n = block
-        if j_max is not None:
-            n = min(block, max(1, math.ceil((j_max - lo) / step) + 1))
-        grid = lo + step * np.arange(n + 1)
-        vals = jv(nu, grid)
-        sign = np.sign(vals)
-        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        for i in flips:
-            a, b = grid[i], grid[i + 1]
-            try:
-                z = brentq(lambda t: jv(nu, t), a, b, xtol=1e-13, rtol=8.9e-16)
-            except ValueError as exc:
-                raise RootFindingError("bracketing failed", nu=nu,
-                                       interval=(float(a), float(b))) from exc
-            found.append(z)
-            if count is not None and len(found) >= count:
-                return np.asarray(found)
-            if j_max is not None and z > j_max:
-                return np.asarray([z0 for z0 in found if z0 <= j_max])
-        if j_max is not None and grid[-1] > j_max:
-            return np.asarray([z0 for z0 in found if z0 <= j_max])
-        lo = grid[-1]
-        guard += 1
-        if guard > 4000:
-            raise RootFindingError("zero scan did not terminate", nu=nu,
-                                   interval=(float(start), float(lo)))
+    orders = np.asarray(nu, dtype=float)
+    if orders.ndim > 1:
+        raise ConfigurationError("orders must be a scalar or a 1-D array",
+                                 shape=orders.shape)
+    flat = np.atleast_1d(orders)
+    if not np.all(np.isfinite(flat)):
+        raise ConfigurationError("order nu must be finite",
+                                 nu=float(flat[~np.isfinite(flat)][0]))
+    if np.any(flat < 0):
+        raise ConfigurationError("order nu must be nonnegative",
+                                 nu=float(flat[flat < 0][0]))
+    if (count is None) == (j_max is None):
+        raise ConfigurationError("need exactly one of count and j_max")
+    if count is not None:
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise ConfigurationError("count must be an integer",
+                                     count=count) from None
+        if count < 1:
+            raise ConfigurationError("count must be positive", count=count)
+        limit = 2.0 * flat + 3.7 * count + 1.0
+    else:
+        if not math.isfinite(j_max):
+            raise ConfigurationError("j_max must be finite", j_max=j_max)
+        limit = np.full(len(flat), float(j_max))
+    lanes, zeros = _scan_zeros(flat, limit)
+    counts = np.bincount(lanes, minlength=len(flat))
+    per_order = [zeros[end - k:end]
+                 for k, end in zip(counts, np.cumsum(counts))]
+    if count is not None:
+        if np.any(counts < count):
+            raise RootFindingError("zero scan ended short of count",
+                                   nu=float(flat[counts < count][0]),
+                                   count=count)
+        per_order = [z[:count] for z in per_order]
+    else:
+        per_order = [z[z <= j_max] for z in per_order]
+    return per_order[0] if orders.ndim == 0 else per_order
+
+
+def _scan_zeros(orders, limit):
+    """Zeros of J_nu bracketed on start + step i up to one step past each
+    order's limit, as (order index, zero) arrays in scan order."""
+    start = np.maximum(orders, 1e-6)
+    points = np.where(start < limit, np.ceil((limit - start) / _ZERO_STEP) + 2,
+                      0).astype(np.int64)
+    ends = np.cumsum(points)
+    total = int(ends[-1]) if len(ends) else 0
+    lanes, zeros = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for p0 in range(0, total - 1, _SCAN_BLOCK):
+        # the block's last point is the next block's first: every adjacent
+        # pair of points is tested once
+        p = np.arange(p0, min(p0 + _SCAN_BLOCK + 1, total))
+        lane = np.searchsorted(ends, p, side="right")
+        x = start[lane] + _ZERO_STEP * (p - (ends[lane] - points[lane]))
+        f = jv(orders[lane], x)
+        i = np.flatnonzero((lane[:-1] == lane[1:])
+                           & (np.signbit(f[:-1]) != np.signbit(f[1:]))
+                           & (x[:-1] <= limit[lane[:-1]]))
+        lanes.append(lane[i])
+        zeros.append(_halley_zeros(orders[lane[i]], x[i], x[i + 1],
+                                   f[i], f[i + 1]))
+    return np.concatenate(lanes), np.concatenate(zeros)
+
+
+def _halley_zeros(nu, a, b, fa, fb):
+    """The zero of J_nu in each bracket [a, b] with J_nu(a) = fa and
+    J_nu(b) = fb of opposite signs, by bracketed Halley iteration."""
+    a, b = a.copy(), b.copy()
+    left_sign = np.signbit(fa)
+    x = a - fa * (b - a) / (fb - fa)
+    live = np.arange(len(x))
+    for _ in range(_HALLEY_ITERATIONS):
+        if not len(live):
+            return x
+        n, z = nu[live], x[live]
+        f = jv(n, z)
+        df = jv(n - 1.0, z) - n / z * f
+        d2f = -df / z - (1.0 - (n / z) ** 2) * f
+        right = np.signbit(f) == left_sign[live]  # the zero lies right of z
+        lo = np.where(right, z, a[live])
+        hi = np.where(right, b[live], z)
+        a[live], b[live] = lo, hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = z - 2.0 * f * df / (2.0 * df * df - f * d2f)
+        outside = ~((new >= lo) & (new <= hi))
+        new[outside] = 0.5 * (lo[outside] + hi[outside])
+        hit = f == 0.0
+        new[hit] = z[hit]
+        x[live] = new
+        done = hit | (np.abs(new - z) <= 1e-13 + 8.9e-16 * np.abs(new))
+        live = live[~done]
+    if len(live):
+        k = live[0]
+        raise RootFindingError("Halley iteration did not converge",
+                               nu=float(nu[k]),
+                               interval=(float(a[k]), float(b[k])))
+    return x
 
 
 def bessel_oracle(nu, count):
@@ -632,28 +722,29 @@ def oracle_spectral_data(op, lam_max, *, meta=None):
     if abs(op.mu - 2.0) > 1e-12:
         raise ConfigurationError("oracle spectra require mu = 2", mu=op.mu)
     _check_degree2(op)
-    jmax = math.sqrt(lam_max)
+    nus = {m: _frozen_nu(op, m) for m in op.mode_list()}
+    # modes whose orders agree to 12 digits share the first one's zeros,
+    # found for all distinct orders in one call, and its Weyl fit
+    distinct = {}
+    for nu in nus.values():
+        distinct.setdefault(round(nu, 12), nu)
+    lams = {key: z * z for key, z in
+            zip(distinct, bessel_zeros(list(distinct.values()),
+                                       j_max=math.sqrt(lam_max)))}
+    fits = {key: _weyl_fit(lam) for key, lam in lams.items() if len(lam)}
     eigs = {}
     weyl = {}
-    cache = {}
-    for m in op.mode_list():
-        nu = _frozen_nu(op, m)
+    extra = []
+    for m, nu in nus.items():
         key = round(nu, 12)
-        if key not in cache:
-            if nu >= jmax:
-                cache[key] = np.empty(0)
-            else:
-                zeros = bessel_zeros(nu, j_max=jmax)
-                cache[key] = zeros * zeros
-        lam = cache[key]
-        eigs[m] = lam.copy()
-        if len(lam):
-            weyl[m] = _weyl_fit(lam)
-    # modes of the operator that carry no materialized eigenvalue still
-    # contribute to traces from lam >= nu^2 up; record their nu values
-    extra = sorted(_frozen_nu(op, m) for m in op.mode_list()
-                   if m not in eigs or len(eigs[m]) == 0)
-    eigs = {m: v for m, v in eigs.items() if len(v)}
+        if key in fits:
+            eigs[m] = lams[key].copy()
+            weyl[m] = fits[key]
+        else:
+            # modes without a materialized eigenvalue still contribute to
+            # traces from lam >= nu^2 up; record their nu values
+            extra.append(nu)
+    extra.sort()
     base_meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label}
     if meta:
         base_meta.update(meta)

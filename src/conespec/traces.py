@@ -37,17 +37,49 @@ def _block_offsets():
 
 
 _BLOCK_K, _BLOCK_STRIDE = _block_offsets()
+# k - k0 of the first index past the last block
+_BLOCK_END = int(_BLOCK_K[-1] + _BLOCK_STRIDE[-1])
 
 
 def _block_sums(terms):
     """Left-endpoint block bounds of decreasing tails (blocks on the last
     axis), summed left to right up to the first block below 1e-18 of the
-    running sum, or up to the last block."""
+    running sum, or up to the last block; and whether each row reached the
+    last block without meeting that cut."""
     acc = np.cumsum(terms, axis=-1)
     stop = terms < 1e-18 * np.maximum(acc, 1e-300)
+    capped = ~stop[..., -1]
     stop[..., -1] = True
     first = np.argmax(stop, axis=-1)[..., None]
-    return np.take_along_axis(acc, first, axis=-1)[..., 0]
+    capped &= first[..., 0] == stop.shape[-1] - 1
+    return np.take_along_axis(acc, first, axis=-1)[..., 0], capped
+
+
+def _remainder(C, q, c1, y0, bmax, envelope):
+    """Bound on the tail rows' sums past their last block.
+
+    A row's matrix elements are at most min(C y^(2q), bmax) at index k,
+    y = c1 k + c0, and ``envelope(L0)`` gives (F, p) with f(L) <= F L^(-p)
+    for L >= L0.  Let y0 = c1 (k_end - 1) + c0 for the first index k_end
+    past the blocks.  Each of C F y^(2q - 2p) and bmax F y^(-2p) decreases
+    in k, so the rest is at most its integral from k_end - 1:
+    C F y0^(2q - 2p + 1) / (c1 (2p - 2q - 1)) where 2p - 2q > 1, and
+    bmax F y0^(1 - 2p) / (c1 (2p - 1)) where 2p > 1.  A row takes the
+    smaller; one with neither finite is refused.
+    """
+    F, p = envelope(y0 ** 2)
+    rest = np.full(np.shape(y0), np.inf)
+    with np.errstate(invalid="ignore"):  # 0 * inf is nan, refused below
+        for coef, growth in ((C, q), (bmax, 0.0)):
+            d = 2 * p - 2 * growth - 1
+            rest = np.fmin(rest, np.divide(
+                coef * F * y0 ** (-d), c1 * d,
+                out=np.full(np.shape(y0), np.inf), where=d > 0))
+    if not np.all(np.isfinite(rest)):
+        raise InsufficientSpectrumError(
+            "tail envelope is not summable past the last block",
+            growth=float(np.max(q)), decay=float(np.min(p)))
+    return float(np.sum(rest))
 
 
 @dataclass
@@ -177,37 +209,51 @@ class WeightedSpectralData:
     meta: dict
     weyl: dict
     bfit: dict            # mode -> (C, q): |b| <~ C * lam^q for the tail
+    bmax: dict            # mode -> bound on every |b| of the mode
     extra_nus: np.ndarray
 
     def __post_init__(self):
         # left endpoints of each mode's tail blocks past its last
-        # eigenvalue, from the Weyl fit, and the matrix-element envelope there
-        lams, coefs = [], []
+        # eigenvalue, from the Weyl fit, the matrix-element envelope there,
+        # and the (C, q, c1, y0, bmax) of _remainder for the rest of the row
+        lams, coefs, rows = [], [], []
         for m in self.modes():
             c1, c0 = self.weyl.get(m, (math.pi, 0.0))
             C, q = self.bfit.get(m, (1.0, 0.0))
-            lam = (c1 * (len(self.pairs[m][0]) + 1 + _BLOCK_K) + c0) ** 2
+            k0 = len(self.pairs[m][0]) + 1
+            lam = (c1 * (k0 + _BLOCK_K) + c0) ** 2
             lams.append(lam)
             coefs.append(C * np.maximum(lam, 1.0) ** q)
+            rows.append((C, q, c1, c1 * (k0 + _BLOCK_END - 1) + c0,
+                         self.bmax.get(m, math.inf)))
         self._tail_lam = np.reshape(lams, (-1, len(_BLOCK_K)))
         self._tail_coef = np.reshape(coefs, (-1, len(_BLOCK_K)))
+        self._tail_rows = np.reshape(rows, (-1, 5)).T
 
     def modes(self):
         return sorted(self.pairs)
 
     def heat_value(self, t):
+        if not t > 0:
+            raise ConfigurationError("heat value needs t > 0", t=float(t))
         val = 0.0
         for m in self.modes():
             lams, bs = self.pairs[m]
             val += float(np.sum(bs * np.exp(-t * lams)))
-        return val, self._tail(lambda L: np.exp(-t * L))
+        # exp(-t L) <= (p / (e t))^p L^(-p) for every p > 0; p = 5/2 outgrows
+        # every matrix-element exponent q <= 3/2 by more than 1/2
+        return val, self._tail(lambda L: np.exp(-t * L),
+                               lambda L0: ((2.5 / (math.e * t)) ** 2.5, 2.5))
 
     def resolvent_power_value(self, lam, N):
         val = 0.0 + 0.0j
         for m in self.modes():
             lams, bs = self.pairs[m]
             val += np.sum(bs * (lams - lam) ** (-float(N)))
-        return val, self._tail(lambda L: abs((L - lam)) ** (-float(N)))
+        # |L - lam| >= L / 2 once L >= 2 |lam|
+        return val, self._tail(
+            lambda L: abs((L - lam)) ** (-float(N)),
+            lambda L0: (np.where(L0 >= 2.0 * abs(lam), 2.0 ** N, np.inf), N))
 
     def _b_cap(self):
         # matrix elements of boundary-concentrated weights fall off with the
@@ -222,13 +268,19 @@ class WeightedSpectralData:
         top = [v for m, v in per_mode.items() if abs(m) >= 0.75 * mmax]
         return 4.0 * max(max(top), 1e-300)
 
-    def _tail(self, f):
+    def _tail(self, f, envelope):
         """Bound on sum f(lam) b over the eigenvalues beyond the materialized
-        ones: past each mode's last eigenvalue, then the unmaterialized modes."""
+        ones: past each mode's last eigenvalue, then the unmaterialized modes.
+        A row that reaches its last block adds the closed-form bound on the
+        rest (``_remainder``, with ``envelope`` bounding f there)."""
         terms = self._tail_coef * f(self._tail_lam) * _BLOCK_STRIDE
-        return float(np.sum(_block_sums(terms))) + self._mode_tail(f)
+        sums, capped = _block_sums(terms)
+        tail = float(np.sum(sums)) + self._mode_tail(f, envelope)
+        if capped.any():
+            tail += _remainder(*self._tail_rows[:, capped], envelope)
+        return tail
 
-    def _mode_tail(self, f):
+    def _mode_tail(self, f, envelope):
         if len(self.extra_nus) == 0:
             return 0.0
         cap = self._b_cap()
@@ -237,8 +289,13 @@ class WeightedSpectralData:
             first = cap * f(nu * nu)
             if first < 1e-18 * max(total, 1e-300):
                 break
-            total += float(_block_sums(
-                cap * f((math.pi * _BLOCK_K + nu) ** 2) * _BLOCK_STRIDE))
+            sums, capped = _block_sums(
+                cap * f((math.pi * _BLOCK_K + nu) ** 2) * _BLOCK_STRIDE)
+            total += float(sums)
+            if capped:
+                total += _remainder(cap, 0.0, math.pi,
+                                    math.pi * (_BLOCK_END - 1) + nu, math.inf,
+                                    envelope)
         return total
 
 
@@ -249,6 +306,7 @@ def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
     pairs = {}
     weyl = {}
     bfit = {}
+    bmax = {}
     for m in disc.mode_list():
         vals, vecs = eigenvalues(disc, m, lam_max=lam_cap, vectors=True)
         if len(vals) == 0:
@@ -257,6 +315,8 @@ def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
         bs = rho * disc.h * np.einsum("ij,i->j", np.abs(vecs) ** 2,
                                       mult * disc.w)
         pairs[m] = (vals, bs)
+        # W-normalized u: |<B u, u>| <= rho max|mult| for every eigenpair
+        bmax[m] = rho * float(np.max(np.abs(mult)))
         weyl[m] = _weyl_fit(vals)
         # matrix-element growth fit on the top half for tail extrapolation;
         # the exponent is clamped to [0, 1.5] (bounded weights grow slower)
@@ -272,7 +332,8 @@ def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
     from .coneop import _mode_nu_floor
     extra = np.asarray(sorted(_mode_nu_floor(op, m) for m in op.mode_list()
                               if m not in pairs))
-    return WeightedSpectralData(pairs, float(lam_cap), meta, weyl, bfit, extra)
+    return WeightedSpectralData(pairs, float(lam_cap), meta, weyl, bfit, bmax,
+                                extra)
 
 
 def weighted_heat_trace(wsd: WeightedSpectralData, B: WeightOperator, t_grid):

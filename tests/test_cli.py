@@ -122,6 +122,18 @@ def test_missing_config_exits_invalid(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "verify"])
+def test_missing_config_writes_incomplete_manifest(tmp_path, sub):
+    missing = tmp_path / "missing.cfg"
+    code = main([sub, "--config", str(missing), "--seed", "3",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
+    assert lines[0] == "# provenance: config=missing seed=3"
+    assert lines[1] == "status: incomplete: config not found"
+    assert f"note: path={missing}" in lines
+
+
 def test_bad_operator_reference_exits_invalid(tmp_path):
     cfg = write_cfg(tmp_path / "h.cfg", "operator = missing.op\n")
     code = main(["heat", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -4,15 +4,18 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import jv
 
-from conespec.coneop import (ConeOperator, bessel_oracle, bessel_zeros,
-                             boundary_spectrum, check_parameter_ellipticity,
+from conespec import coneop
+from conespec.coneop import (ConeOperator, _weyl_fit, bessel_oracle,
+                             bessel_zeros, boundary_spectrum,
+                             check_parameter_ellipticity,
                              conormal_symbol, discretize, discretize_halfline,
                              eigenvalues, grid_spectral_data,
                              injectivity_constant, kappa_scale, laplace_type,
                              oracle_spectral_data, perturbed_laplace,
                              resolvent_norm, resolvent_solve)
-from conespec.errors import ConfigurationError
+from conespec.errors import ConfigurationError, RootFindingError
 from conespec.symbols import LEFT_HALF_PLANE, Sector
 
 JREF_32 = 4.4934094579090641753  # first positive root of tan x = x
@@ -206,6 +209,85 @@ def test_bessel_zeros_j_max_scan_matches_count_scan(nu):
     assert len(bessel_zeros(nu, j_max=0.5 * nu)) == 0
     with pytest.raises(ConfigurationError):
         bessel_zeros(nu, j_max=math.inf)
+
+
+@pytest.mark.parametrize("nu", [100.0, 200.25, 347.5])
+def test_bessel_zeros_match_mpmath_at_large_order(nu):
+    # the orders of the laplace_sd spectrum reach 348
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besseljzero(nu, k))
+                        for k in range(1, 21)])
+    z = bessel_zeros(nu, count=20)
+    assert np.max(np.abs(z - ref) / ref) < 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 2.25])
+def test_bessel_zeros_converge_to_roundoff(nu):
+    # a Halley iterate that lands on the zero must stop there; replacing
+    # its step by bisection leaves errors near 1.5e-14
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besseljzero(nu, k))
+                        for k in range(1, 31)])
+    z = bessel_zeros(nu, count=30)
+    assert np.max(np.abs(z - ref) / ref) < 2e-15
+
+
+def test_bessel_zeros_array_call_equals_scalar_calls():
+    nus = np.array([0.0, 0.5, 1.5, 2.25, 40.0, 110.0, 150.0, 347.5])
+    for j_max in (60.0, 151.0, 346.4):
+        batch = bessel_zeros(nus, j_max=j_max)
+        assert len(batch) == len(nus)
+        for nu, z in zip(nus, batch):
+            assert np.array_equal(z, bessel_zeros(nu, j_max=j_max))
+            if nu >= j_max:
+                assert z.shape == (0,)
+    for nu, z in zip(nus, bessel_zeros(nus, count=7)):
+        assert np.array_equal(z, bessel_zeros(nu, count=7))
+    assert bessel_zeros([], j_max=10.0) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("limit", [{"j_max": 50.0}, {"count": 3}])
+def test_bessel_zeros_rejects_nonfinite_order(bad, limit):
+    with pytest.raises(ConfigurationError):
+        bessel_zeros(bad, **limit)
+    with pytest.raises(ConfigurationError):
+        bessel_zeros([1.0, bad], **limit)
+
+
+@pytest.mark.parametrize("count", [0, -2, 2.5])
+def test_bessel_zeros_rejects_bad_count(count):
+    with pytest.raises(ConfigurationError):
+        bessel_zeros(1.5, count=count)
+
+
+def test_bessel_zeros_reports_nonconvergence(monkeypatch):
+    # the sign of J_nu keeps every bracket but no step ever settles
+    monkeypatch.setattr(coneop, "jv", lambda nu, x: np.sign(jv(nu, x)))
+    with pytest.raises(RootFindingError) as info:
+        bessel_zeros(np.array([0.5, 3.0]), j_max=20.0)
+    lo, hi = info.value.payload["interval"]
+    assert info.value.payload["nu"] == 0.5 and lo < math.pi < hi
+
+
+def test_oracle_spectral_data_matches_per_mode_zeros():
+    # one batched zero search per spectrum; each mode's eigenvalues, Weyl
+    # fit and the orders without eigenvalues are those of per-mode calls
+    op = laplace_type(1.5, mode_cap=40)
+    lam_max = 1500.0
+    sd = oracle_spectral_data(op, lam_max)
+    extra = []
+    for m in op.mode_list():
+        nu = math.sqrt(m * m + 2.25)
+        z = bessel_zeros(nu, j_max=math.sqrt(lam_max))
+        if len(z) == 0:
+            extra.append(nu)
+            assert m not in sd.eigs
+            continue
+        assert np.array_equal(sd.eigs[m], z * z)
+        assert sd.weyl[m] == _weyl_fit(z * z)
+    assert np.array_equal(sd.extra_nus, sorted(extra))
+    assert not np.shares_memory(sd.eigs[3], sd.eigs[-3])
 
 
 def test_mcmahon_asymptotics():

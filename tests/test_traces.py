@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +9,8 @@ from conespec.coneop import (ConeOperator, discretize, grid_spectral_data,
 from conespec.errors import (ConfigurationError, InsufficientSpectrumError,
                              NumericalError)
 from conespec.opfile import parse_operator
-from conespec.traces import (WeightOperator, complex_power_sum, heat_trace,
-                             heat_trace_contour, identity_weight,
+from conespec.traces import (WeightOperator, _remainder, complex_power_sum,
+                             heat_trace, heat_trace_contour, identity_weight,
                              resolvent_power_trace,
                              resolvent_power_trace_spectral,
                              weighted_heat_trace, weighted_spectral_data)
@@ -158,51 +159,126 @@ def test_identity_weight_reduces_to_heat_trace(small_disc):
     assert np.max(np.abs(whs.values - hs.values) / hs.values) < 1e-12
 
 
-def _stride_loop_block_sum(f, k0, lam_of_k, coef):
-    # the block-by-block loop that the array evaluation replaced
+def _stride_loop_block_sum(f, k0, lam_of_k, coef, rest):
+    # the block-by-block loop that the array evaluation replaced, as (block
+    # sum, rest): a row that reaches the last block has rest(k), its bound
+    # from index k on
     acc = 0.0
     k = k0
     while True:
         stride = max(1, (k - k0) // 8)
         term = coef(lam_of_k(k)) * f(lam_of_k(k)) * stride
         acc += term
-        if term < 1e-18 * max(acc, 1e-300) or k > k0 + 300000:
-            return acc
+        if term < 1e-18 * max(acc, 1e-300):
+            return acc, 0.0
+        if k > k0 + 300000:
+            return acc, rest(k + stride)
         k += stride
 
 
-def _stride_loop_tail(wsd, f):
-    tail = 0.0
+def _stride_loop_tail(wsd, f, F, p):
+    # (block sums, rest) over all rows; past the blocks f(L) <= F L^(-p), and
+    # the rest of a row from index k on is at most the integral over j >= k - 1
+    # of C F (c1 j + c0)^(2q - 2p), if that is finite, and of
+    # bmax F (c1 j + c0)^(-2p)
+    def rest(C, q, c1, c0, bmax):
+        def from_k(k):
+            y = c1 * (k - 1) + c0
+            bounds = [bmax * F * y ** (1 - 2 * p) / (c1 * (2 * p - 1))]
+            if 2 * p - 2 * q > 1:
+                bounds.append(C * F * y ** (2 * q - 2 * p + 1)
+                              / (c1 * (2 * p - 2 * q - 1)))
+            return min(bounds)
+        return from_k
+
+    rows = []
     for m in wsd.modes():
         c1, c0 = wsd.weyl[m]
         C, q = wsd.bfit[m]
-        tail += _stride_loop_block_sum(
+        rows.append(_stride_loop_block_sum(
             f, len(wsd.pairs[m][0]) + 1, lambda k: (c1 * k + c0) ** 2,
-            lambda L: C * max(L, 1.0) ** q)
+            lambda L: C * max(L, 1.0) ** q, rest(C, q, c1, c0, wsd.bmax[m])))
     cap = wsd._b_cap()
     total = 0.0
     for nu in wsd.extra_nus:
         if cap * f(nu * nu) < 1e-18 * max(total, 1e-300):
             break
-        total += _stride_loop_block_sum(f, 0, lambda k: (math.pi * k + nu) ** 2,
-                                        lambda L: cap)
-    return tail + total
+        rows.append(_stride_loop_block_sum(
+            f, 0, lambda k: (math.pi * k + nu) ** 2, lambda L: cap,
+            rest(cap, 0.0, math.pi, nu, math.inf)))
+        total += sum(rows[-1])
+    blocks, rests = zip(*rows)
+    return sum(blocks), sum(rests)
+
+
+def _found_repro_wsd():
+    # modes beyond |m| ~ 30 have no eigenvalue below the cap: mode tails too
+    disc = discretize(laplace_type(1.5, mode_cap=40), -6.0, 150)
+    return weighted_spectral_data(disc, WeightOperator(beta=1.0), 900.0)
 
 
 def test_tail_block_sums_match_stride_loop():
-    # modes beyond |m| ~ 30 have no eigenvalue below the cap: mode tails too
-    disc = discretize(laplace_type(1.5, mode_cap=40), -6.0, 150)
-    wsd = weighted_spectral_data(disc, WeightOperator(beta=1.0), 900.0)
+    wsd = _found_repro_wsd()
     assert len(wsd.extra_nus) > 0
     for t in np.geomspace(1e-4, 1.0, 9):
         _, tail = wsd.heat_value(t)
-        ref = _stride_loop_tail(wsd, lambda L: math.exp(-t * L))
+        ref = sum(_stride_loop_tail(wsd, lambda L: math.exp(-t * L),
+                                    (2.5 / (math.e * t)) ** 2.5, 2.5))
         assert abs(tail - ref) <= 1e-12 * ref
     for N in (2, 3):
         for lam in (-1.0, -100.0, 3.0 + 4.0j):
             _, tail = wsd.resolvent_power_value(lam, N)
-            ref = _stride_loop_tail(wsd, lambda L: abs(L - lam) ** -N)
+            ref = sum(_stride_loop_tail(wsd, lambda L: abs(L - lam) ** -N,
+                                        2.0 ** N, N))
             assert abs(tail - ref) <= 1e-12 * ref
+
+
+def test_weighted_tail_bounds_the_rest_past_the_last_block():
+    # the top modes' matrix elements are fitted as C lam^(3/2), so the
+    # envelope C lam^(3/2) |lam + 1|^(-2) is not summable and every mode row
+    # runs to the last block; the tail used to stop there, and now adds the
+    # rest, bounded through |b| <= bmax where the fit is not summable
+    wsd = _found_repro_wsd()
+    assert max(q for _, q in wsd.bfit.values()) == 1.5
+    _, tail = wsd.resolvent_power_value(-1.0, 2)
+    blocks, rest = _stride_loop_tail(wsd, lambda L: abs(L + 1.0) ** -2, 4.0, 2)
+    assert rest > 0
+    assert abs((tail - blocks) - rest) <= 1e-2 * rest
+
+
+def test_tail_remainder_bounds_the_envelope_past_the_blocks():
+    # one row from the first index past the blocks on, k_end: the closed-form
+    # rest bounds the exact sum of its envelope
+    c1, c0, k_end, lam, N = math.pi, 0.7, 300000, -1.0, 3
+    y0 = np.array([c1 * (k_end - 1) + c0])
+    resolvent = lambda L0: (np.where(L0 >= 2.0, 2.0 ** N, np.inf), N)
+    y = lambda k: c1 * k + c0
+
+    def exact(b):
+        # Euler-Maclaurin on the summand scaled to 1 at k_end
+        g = lambda k: b(k) * (y(k) ** 2 - lam) ** -N
+        with mpmath.workdps(30):
+            g0 = g(mpmath.mpf(k_end))
+            return float(g0 * mpmath.nsum(lambda k: g(k) / g0,
+                                          [k_end, mpmath.inf],
+                                          method="euler-maclaurin"))
+
+    # matrix elements growing like C lam^q
+    C, q = 2.0, 1.2
+    rest = _remainder(C, q, c1, y0, math.inf, resolvent)
+    ref = exact(lambda k: C * y(k) ** (2 * q))
+    assert ref <= rest <= 2.0 ** N * 1.01 * ref
+    # like C lam^(5/2), summable only through the bound bmax on every |b|
+    rest = _remainder(C, 2.5, c1, y0, 5.0, resolvent)
+    ref = exact(lambda k: 5.0)
+    assert ref <= rest <= 2.0 ** N * 1.01 * ref
+    # the heat envelope with exp(-t lam) = 0.4 at k_end, below 1e-80 past
+    # 4 k_end
+    t = 1e-12
+    rest = _remainder(C, q, c1, y0, math.inf,
+                      lambda L0: ((2.5 / (math.e * t)) ** 2.5, 2.5))
+    L = y(np.arange(k_end, 4 * k_end, dtype=float)) ** 2
+    assert np.sum(C * L ** q * np.exp(-t * L)) <= rest
 
 
 def test_nonnegative_weight_gives_positive_trace(small_disc):
@@ -210,6 +286,14 @@ def test_nonnegative_weight_gives_positive_trace(small_disc):
     wsd = weighted_spectral_data(small_disc, B, 3000.0)
     series = weighted_heat_trace(wsd, B, np.geomspace(0.02, 0.5, 9))
     assert np.all(series.values > 0)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.01, math.nan])
+def test_weighted_heat_trace_rejects_bad_time(small_disc, t):
+    B = WeightOperator(beta=0.5, mu_prime=0.0)
+    wsd = weighted_spectral_data(small_disc, B, 3000.0)
+    with pytest.raises(ConfigurationError):
+        weighted_heat_trace(wsd, B, np.array([0.05, t]))
 
 
 # ---------------------------------------------------------------------------
