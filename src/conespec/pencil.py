@@ -17,7 +17,11 @@ high relative accuracy (Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).
 itself (``inertia``), which picks the indices of the wanted eigenvalues,
 computes those by LAPACK bisection (dstebz) on T with an explicit tiny
 tolerance, and polishes each on the pencil by inverse iteration
-(``refine_pair``), which also gives the eigenvectors.
+(``refine_pair``), which also gives the eigenvectors.  The Sturm count is
+one float recursion per lane, a lane being one (mode, shift) pair: a solve
+counts at one or two shifts, and numpy's dispatch on arrays that small
+costs far more than the three flops of a pivot step.  The polish solves go
+straight to LAPACK gtsv.
 ``trace_weighted_resolvent`` takes traces of resolvent powers from power
 series of the pivots of K - lambda W, for many pencils and shifts at once.
 
@@ -25,10 +29,12 @@ All public functions take the tridiagonal data as (d, e, w): diagonal,
 subdiagonal (length n-1) and weight.
 """
 
+import math
 import operator
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError, NumericalError
 
@@ -45,22 +51,40 @@ _LANE_BUDGET = 2688
 def inertia(d, e, w, shifts):
     """Number of eigenvalues of (K, W) strictly below each shift.
 
-    Vectorized over shifts via the LDL^T pivot recursion on K - shift*W.
-    A diagonal of shape (modes, n), pencils sharing e and w, gives counts
-    of shape (modes, len(shifts)).
+    Counts the negative pivots of the LDL^T recursion on K - shift*W, with
+    one float recursion per lane: a lane is one (mode, shift) pair, and its
+    n steps run on Python floats over list copies of d, e^2 and w.  Each
+    step is three flops and a compare, so a numpy call per step (on arrays
+    of the one or two lanes a solve asks for) would cost about 20 times
+    the arithmetic it dispatches.  A diagonal of shape (modes, n), pencils
+    sharing e and w, gives counts of shape (modes, len(shifts)).
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    if np.ndim(d) == 2:
-        d = np.asarray(d, dtype=float).T[:, :, None]  # row i: (modes, 1)
-    n = len(d)
-    e2 = np.square(e)
-    piv = d[0] - shifts * w[0]
-    piv = np.where(np.abs(piv) < _PIVMIN, -_PIVMIN, piv)
-    count = (piv < 0).astype(np.int64)
-    for i in range(1, n):
-        piv = d[i] - shifts * w[i] - e2[i - 1] / piv
-        piv = np.where(np.abs(piv) < _PIVMIN, -_PIVMIN, piv)
-        count += piv < 0
+    if not np.all(np.isfinite(shifts)):
+        raise ConfigurationError("Sturm count shifts must be finite",
+                                 shift=float(shifts[~np.isfinite(shifts)][0]))
+    rows = np.atleast_2d(np.asarray(d, dtype=float))
+    # a zero coupling ahead of row 0 lets one loop take every row: the
+    # first pivot is then (d_0 - s w_0) - 0/1, which is d_0 - s w_0 exactly
+    e2 = [0.0] + np.square(e).tolist()
+    w = np.asarray(w, dtype=float).tolist()
+    count = np.array([[_count_below(row, e2, w, s) for s in shifts.tolist()]
+                      for row in rows.tolist()],
+                     dtype=np.int64).reshape(len(rows), len(shifts))
+    return count if np.ndim(d) == 2 else count[0]
+
+
+def _count_below(d, e2, w, shift):
+    # the operations and their order are those of the numpy recursion that
+    # the tests keep as reference, so the counts agree bitwise
+    piv = 1.0
+    count = 0
+    for d_i, w_i, c in zip(d, w, e2):
+        piv = d_i - shift * w_i - c / piv
+        if abs(piv) < _PIVMIN:
+            piv = -_PIVMIN
+        if piv < 0:
+            count += 1
     return count
 
 
@@ -73,12 +97,20 @@ def lower_bound(d, e, w):
 
 
 def _solve_shifted(d, e, w, shift, rhs):
-    n = len(d)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = e
-    ab[1, :] = d - shift * w
-    ab[2, :-1] = e
-    return solve_banded((1, 1), ab, rhs)
+    """(K - shift*W)^(-1) rhs by LAPACK gtsv, the call that ``solve_banded``
+    ends in; called straight, it skips input checks that cost more than the
+    solve.  Non-finite input and a singular matrix still raise.
+    """
+    diag = d - shift * w
+    if not (np.isfinite(diag).all() and np.isfinite(e).all()
+            and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(diag) == 1:  # the wrapper takes no empty off-diagonals
+        return rhs / diag
+    x, info = dgtsv(e, diag, e, rhs, overwrite_d=1)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def refine_pair(d, e, w, lam):
@@ -129,6 +161,16 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
     w = np.asarray(w, dtype=float)
     if lam_max is None and count is None:
         raise NumericalError("need lam_max or count")
+    if lam_max is not None and not math.isfinite(lam_max):
+        raise ConfigurationError("lam_max must be finite", lam_max=lam_max)
+    if count is not None:
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise ConfigurationError("count must be an integer",
+                                     count=count) from None
+        if count < 1:
+            raise ConfigurationError("count must be positive", count=count)
     n = len(d)
     lo = lower_bound(d, e, w)
     if lam_max is None:

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from conespec import pencil
 from conespec.coneop import discretize, eigenvalues, laplace_type
-from conespec.errors import NumericalError
+from conespec.errors import ConfigurationError, NumericalError
 
 # first eigenvalue of the ACCEPT-01 problem as the hand-rolled pencil
 # bisection computed it; LAPACK bisection at its default abstol gives 20.2092
@@ -94,3 +95,139 @@ def test_trace_weighted_resolvent_matches_dense_power(case, N):
     got = pencil.trace_weighted_resolvent(d, e, w, [lam], bdiag=b, N=N)
     assert got.shape == (1,)
     assert abs(got[0] - ref) <= 1e-12 * abs(ref)
+
+
+def _inertia_reference(d, e, w, shifts):
+    """The pivot recursion vectorized over lanes, one numpy step per row."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    if np.ndim(d) == 2:
+        d = np.asarray(d, dtype=float).T[:, :, None]  # row i: (modes, 1)
+    n = len(d)
+    e2 = np.square(e)
+    piv = d[0] - shifts * w[0]
+    piv = np.where(np.abs(piv) < pencil._PIVMIN, -pencil._PIVMIN, piv)
+    count = (piv < 0).astype(np.int64)
+    for i in range(1, n):
+        piv = d[i] - shifts * w[i] - e2[i - 1] / piv
+        piv = np.where(np.abs(piv) < pencil._PIVMIN, -pencil._PIVMIN, piv)
+        count += piv < 0
+    return count
+
+
+@st.composite
+def sturm_cases(draw):
+    """Graded pencils, their (modes, n) stack and shifts at and between
+    eigenvalues; optionally a first pivot that is exactly zero."""
+    d, e, w, _ = draw(graded_pencils(max_n=40))
+    s = np.sqrt(w)
+    vals = eigh_tridiagonal(d / w, e / (s[:-1] * s[1:]), eigvals_only=True)
+    shifts = list(vals) + [10.0 ** x for x in draw(
+        st.lists(st.floats(-3.0, 13.0), min_size=1, max_size=4))] + [-1.0]
+    if draw(st.booleans()):
+        zero = 10.0 ** draw(st.floats(-3.0, 3.0))
+        d[0] = zero * w[0]  # so that d_0 - zero * w_0 == 0
+        shifts.append(zero)
+    offsets = draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4))
+    ds = d[None, :] + np.array(offsets)[:, None] * w[None, :]
+    return d, e, w, ds, np.array(shifts)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sturm_cases())
+def test_inertia_equals_vectorized_recursion(case):
+    d, e, w, ds, shifts = case
+    got = pencil.inertia(d, e, w, shifts)
+    assert got.dtype == np.int64 and got.shape == (len(shifts),)
+    assert np.array_equal(got, _inertia_reference(d, e, w, shifts))
+    got = pencil.inertia(ds, e, w, shifts)
+    assert got.dtype == np.int64 and got.shape == (len(ds), len(shifts))
+    assert np.array_equal(got, _inertia_reference(ds, e, w, shifts))
+
+
+def test_inertia_clamps_an_exact_zero_pivot():
+    # d_0 - 2 w_0 = 0 is clamped to -_PIVMIN and counted, the next pivot is
+    # then 1 - 1/(-1e-300) = 1e300 and the last 2 - 1e-300 > 0
+    d, e, w = np.array([2.0, 3.0, 4.0]), np.full(2, -1.0), np.ones(3)
+    assert pencil.inertia(d, e, w, [2.0]).tolist() == [1]
+    assert _inertia_reference(d, e, w, [2.0]).tolist() == [1]
+
+
+def _solve_banded_polish(d, e, w, shift, rhs):
+    n = len(d)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = e
+    ab[1, :] = d - shift * w
+    ab[2, :-1] = e
+    return solve_banded((1, 1), ab, rhs)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(graded_pencils(max_n=40))
+def test_eig_pencil_polish_equals_solve_banded(case):
+    d, e, w, _ = case
+    vals, vecs = pencil.eig_pencil(d, e, w, count=len(d), vectors=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil, "_solve_shifted", _solve_banded_polish)
+        ref_vals, ref_vecs = pencil.eig_pencil(d, e, w, count=len(d),
+                                               vectors=True)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def test_eig_pencil_of_one_row():
+    vals, vecs = pencil.eig_pencil([2.0], [], [4.0], count=1, vectors=True)
+    assert vals.tolist() == [0.5]
+    assert vecs.tolist() == [[0.5]]
+
+
+def test_refine_pair_retries_a_singular_solve(monkeypatch):
+    disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
+    d, e = disc.matrix(0)
+    w = disc.w
+    lam = pencil.eig_pencil(d, e, w, count=3)[2]
+    real = pencil.dgtsv
+    diags = []
+
+    def singular_once(dl, diag, du, rhs, **kwargs):
+        diags.append(diag.copy())
+        out = real(dl, diag, du, rhs, **kwargs)
+        return out[:4] + ((1,) if len(diags) == 1 else out[4:])
+
+    monkeypatch.setattr(pencil, "dgtsv", singular_once)
+    lam_p, v = pencil.refine_pair(d, e, w, lam)
+    assert np.array_equal(diags[0], d - (lam * (1.0 + 1e-11) + 1e-300) * w)
+    assert np.array_equal(diags[1], d - lam * (1.0 + 1e-8) * w)
+    assert len(diags) == 4
+    assert abs(v @ (w * v) - 1.0) <= 1e-12
+    assert abs(lam_p - lam) <= 1e-10 * lam
+
+
+def test_polish_solve_refuses_non_finite_input():
+    disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
+    d, e = disc.matrix(0)
+    rhs = np.ones(len(d))
+    rhs[7] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pencil._solve_shifted(d, e, disc.w, 30.0, rhs)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pencil.refine_pair(d, e, disc.w, np.inf)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lam_max": np.nan}, {"lam_max": np.inf}, {"lam_max": -np.inf},
+    {"count": 0}, {"count": -3}, {"count": 2.5},
+    {"lam_max": 100.0, "count": 0},
+])
+def test_eig_pencil_rejects_bad_cutoffs(kwargs):
+    disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
+    d, e = disc.matrix(0)
+    with pytest.raises(ConfigurationError):
+        pencil.eig_pencil(d, e, disc.w, **kwargs)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+def test_inertia_rejects_non_finite_shifts(shift):
+    disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
+    d, e = disc.matrix(0)
+    with pytest.raises(ConfigurationError):
+        pencil.inertia(d, e, disc.w, [1.0, shift])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conespec import symbols
 from conespec.errors import ConfigurationError, SymbolRejection
 from conespec.symbols import (LEFT_HALF_PLANE, ChiCutoff, ParamSymbol, Sector,
                               resolvent_symbol, homog_expand,
@@ -109,6 +110,36 @@ def test_non_finite_evaluator_is_rejected():
     bad = ParamSymbol(bad_fn, (0.0, 0.0, 2.0), sector=SEC)
     with pytest.raises(SymbolRejection):
         seminorm_check(bad, 0, 0, pts_per_decade=8)
+
+
+@pytest.mark.parametrize("orders, alpha, beta", [
+    ((-2.0, -2.0, 2.0), 2, 2), ((-3.0, -2.0, 2.0), 0, 0)])
+def test_row_blocked_sweeps_match_one_block(monkeypatch, orders, alpha, beta):
+    q = laplace_symbol().with_orders(orders)
+    rep = seminorm_check(q, alpha, beta, pts_per_decade=20)
+    monkeypatch.setattr(symbols, "_ROW_BLOCK", 10 ** 6)
+    ref = seminorm_check(q, alpha, beta, pts_per_decade=20)
+    assert rep.rows == ref.rows and rep.passed == ref.passed
+
+
+def test_row_blocked_sweeps_report_the_first_non_finite_point(monkeypatch):
+    # non-finite on a band of |xi| whose first row (41 of 203) lies in the
+    # second row block and whose last lies in a later one, on the lam points
+    # of one ray only
+    def holes(xi, lam):
+        xi, lam = np.broadcast_arrays(np.asarray(xi), np.asarray(lam))
+        out = 1.0 / (xi ** 2 - lam)
+        out[(np.abs(xi) > 0.5) & (np.abs(xi) < 10.0) & (lam.imag > 0)] = np.nan
+        return out
+
+    q = ParamSymbol(holes, (-2.0, -2.0, 2.0), sector=SEC)
+    with pytest.raises(SymbolRejection) as got:
+        seminorm_check(q, 1, 0, pts_per_decade=20)
+    monkeypatch.setattr(symbols, "_ROW_BLOCK", 10 ** 6)
+    with pytest.raises(SymbolRejection) as ref:
+        seminorm_check(q, 1, 0, pts_per_decade=20)
+    assert got.value.payload == ref.value.payload
+    assert got.value.payload["xi"] < -0.5
 
 
 # ---------------------------------------------------------------------------
