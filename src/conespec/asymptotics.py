@@ -21,10 +21,12 @@ for the frequency integrals: the panel count doubles until every grid
 point changes by at most ``_QUAD_TOL`` relative, that change is the
 point's error estimate, and a rule that does not get there raises.  The
 right-hand side of the component integral's Euler identity stays on
-QUADPACK, so that identity compares two independent rules.  The fits carry
-two probe columns ``_PROBE_OFFSET`` = 0.37 either side of the leading
-predicted exponent, off the quarter-integer lattices in use: a detected
-probe flags a term outside the prediction.
+QUADPACK, so that identity compares two independent rules.  The eta
+integral of ``index`` runs QUADPACK's 21-point Gauss-Kronrod rule
+adaptively on all pending intervals at once (``adaptive_gk21``).  The
+fits carry two probe columns ``_PROBE_OFFSET`` = 0.37 either side of the
+leading predicted exponent, off the quarter-integer lattices in use: a
+detected probe flags a term outside the prediction.
 """
 
 import cmath
@@ -406,6 +408,87 @@ def _composite_gauss(f, lo, hi, *params):
         panels *= 2
     raise NumericalError("composite Gauss quadrature did not converge",
                          panels=_MAX_PANELS, error=float(np.max(err)))
+
+
+# QUADPACK qk21 (Piessens et al. 1983): the 21 Kronrod nodes on [-1, 1]
+# from +1 down, their weights, and the weights of the 10-point Gauss rule
+# on the nodes of odd index
+_GK21_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK21_NODES = np.concatenate([_GK21_NODES, -_GK21_NODES[-2::-1]])
+_GK21_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077748109213339, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK21_WEIGHTS = np.concatenate([_GK21_WEIGHTS, _GK21_WEIGHTS[-2::-1]])
+_G10_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_G10_WEIGHTS = np.concatenate([_G10_WEIGHTS, _G10_WEIGHTS[::-1]])
+_GK_MAX_INTERVALS = 10000
+
+
+def _gk21(f, lo, hi):
+    """qk21 on each interval [lo_i, hi_i], from one call of ``f`` on an
+    (intervals, 21) node array: values, QUADPACK error estimates, and
+    whether each estimate is the roundoff floor."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = f(c[:, None] + h[:, None] * _GK21_NODES)
+    kron = fv @ _GK21_WEIGHTS
+    gauss = fv[:, 1::2] @ _G10_WEIGHTS
+    # the spread of f about its mean scales the raw |K - G| as in QUADPACK
+    dabs = h * (np.abs(fv - 0.5 * kron[:, None]) @ _GK21_WEIGHTS)
+    err = h * np.abs(kron - gauss)
+    scale = (dabs != 0) & (err != 0)
+    err[scale] = dabs[scale] * np.minimum(
+        1.0, (200.0 * err[scale] / dabs[scale]) ** 1.5)
+    # roundoff floor: 50 eps times the integral of |f|
+    floor = 50.0 * np.finfo(float).eps * h * (np.abs(fv) @ _GK21_WEIGHTS)
+    return h * kron, np.maximum(err, floor), err <= floor
+
+
+def adaptive_gk21(f, a, b, tol):
+    """int_a^b f by adaptive 21-point Gauss-Kronrod, level by level.
+
+    ``f`` takes an array of nodes and returns values of the same shape.
+    Every round evaluates the rule on all pending intervals in one call of
+    ``f``; the error of an interval is QUADPACK's estimate (as in scipy's
+    ``quad_vec``).  It stops when the summed error is at most
+    max(tol, tol |value|), and otherwise bisects every interval whose
+    error exceeds its length share of that budget, unless that error is
+    the roundoff floor: bisection does not lower the summed floor, and
+    near a sharp peak it would keep halving every interval in reach.  When
+    no interval is left to bisect, or a round would pass
+    ``_GK_MAX_INTERVALS`` intervals, the value is returned with the error
+    reached: as with ``quad_vec``'s limit, the caller judges it.  Returns
+    (value, error estimate).
+    """
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    vals, errs, floored = _gk21(f, lo, hi)
+    while True:
+        val, err = vals.sum(), float(errs.sum())
+        budget = max(tol, tol * abs(val))
+        split = (errs > budget * (hi - lo) / (b - a)) & ~floored
+        n_split = np.count_nonzero(split)
+        # a non-finite error splits nothing and ends the loop too
+        if err <= budget or not n_split or len(lo) + n_split > _GK_MAX_INTERVALS:
+            return val, err
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = (np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
+        keep = ~split
+        lo, hi, vals, errs, floored = (
+            np.concatenate([kept[keep], added]) for kept, added in
+            zip((lo, hi, vals, errs, floored), halves + _gk21(f, *halves)))
 
 
 def pushforward_fund2(u, E_lb, E_rb, x_grid):

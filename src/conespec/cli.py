@@ -91,6 +91,15 @@ def _positive(kv, key, default):
     return value
 
 
+def _size(kv, key, default):
+    """A matrix dimension: a nonnegative integer."""
+    value = _i(kv, key, default)
+    if value < 0:
+        raise ConfigurationError("config value must be nonnegative", key=key,
+                                 got=kv[key])
+    return value
+
+
 def _operator(kv, config_path):
     op_path = Path(kv["operator"])
     if not op_path.is_absolute():
@@ -235,7 +244,7 @@ def run_index(kv, runner, args):
     eps_list = [parse_value("eps_list", s)
                 for s in kv.get("eps_list", "0,0.1,0.3").split(",")]
     kind = kv.get("b_kind", "gaussian")
-    rows_n, cols_n = _i(kv, "b_rows", 40), _i(kv, "b_cols", 60)
+    rows_n, cols_n = _size(kv, "b_rows", 40), _size(kv, "b_cols", 60)
     if kind == "gaussian":
         B = rng.standard_normal((rows_n, cols_n))
     elif kind == "symmetric":

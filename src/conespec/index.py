@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .asymptotics import fit_expansion
+from .asymptotics import adaptive_gk21, fit_expansion
 from .errors import ConfigurationError, NumericalError
 from .traces import TraceSeries
 
@@ -35,9 +35,9 @@ class MellinPerturbation:
     Poles must avoid the integration line Im sigma = -weight; the rational
     form enforces O(|Re sigma|^(-2)) decay.  1 + H(sigma) must be
     invertible on the line (checked by determinant sampling at build time).
-    ``H(sigma)`` and ``det1p`` take a scalar or an array of sigma; an
-    array gives the matrices stacked along its shape, and ``det1p`` one
-    batched determinant per point.
+    ``H(sigma)``, ``dsigma`` and ``det1p`` take a scalar or an array of
+    sigma; an array gives the matrices stacked along its shape, and
+    ``det1p`` one batched determinant per point.
     """
 
     def __init__(self, terms, weight, *, check_line=True):
@@ -76,7 +76,8 @@ class MellinPerturbation:
         return out
 
     def dsigma(self, sigma):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        sigma = np.asarray(sigma, dtype=complex)[..., None, None]
+        out = np.zeros(sigma.shape[:-2] + (self.dim, self.dim), dtype=complex)
         for E, p, q in self.terms:
             denom = (sigma - p) * (sigma - q)
             out += -E * (2.0 * sigma - p - q) / (denom * denom)
@@ -86,8 +87,16 @@ class MellinPerturbation:
         det = np.linalg.det(np.eye(self.dim) + self(sigma))
         return complex(det) if np.ndim(det) == 0 else det
 
-    def pole_radius(self):
-        r = 1.0
+    def zero_pole_radius(self):
+        """r >= 1 such that every pole lies in |sigma| <= r and every zero
+        of det(1 + H) in |sigma| <= 2r.
+
+        Where |sigma| >= 2 max |p|, |q| each factor |sigma - p| is at least
+        |sigma| / 2, so ||H(sigma)|| <= 4 sum ||E_i|| / |sigma|^2 (Frobenius
+        norms, which bound the operator norm), and 1 + H is invertible once
+        that is below 1, that is once |sigma| > 2 sqrt(sum ||E_i||).
+        """
+        r = max(1.0, math.sqrt(sum(np.linalg.norm(E) for E, _, _ in self.terms)))
         for _, p, q in self.terms:
             r = max(r, abs(p), abs(q))
         return r
@@ -117,11 +126,12 @@ def lorentzian_perturbation(c, b, weight):
 def eta_term(H: MellinPerturbation, *, R_max=80.0):
     """Logarithmic-derivative integral of det(1+H) along Im sigma = -weight.
 
-    The finite segment |Re sigma| <= R_max is integrated adaptively to
-    1e-11; the two tails are added exactly as boundary values of
-    log det(1 + H), which is single valued there because H decays.  The
-    orientation is chosen so the result counts zeros minus poles below the
-    line.
+    The finite segment |Re sigma| <= R_max is integrated to 1e-11 by
+    adaptive 21-point Gauss-Kronrod (``asymptotics.adaptive_gk21``), each
+    round one batched solve of (1 + H) M = H' over all its nodes; the two
+    tails are added exactly as boundary values of log det(1 + H), which is
+    single valued there because H decays.  The orientation is chosen so the
+    result counts zeros minus poles below the line.
     """
     tol = 1e-11
     line = -1j * H.weight
@@ -129,10 +139,10 @@ def eta_term(H: MellinPerturbation, *, R_max=80.0):
     def g(u):
         sigma = u + line
         M = np.linalg.solve(np.eye(H.dim) + H(sigma), H.dsigma(sigma))
-        return np.trace(M)
+        return np.trace(M, axis1=-2, axis2=-1)
 
-    val, err = quad_vec(g, -R_max, R_max, epsabs=tol, epsrel=tol)
-    if err > 100 * tol * max(1.0, abs(val)):
+    val, err = adaptive_gk21(g, -R_max, R_max, tol)
+    if not err <= 100 * tol * max(1.0, abs(val)):
         raise NumericalError("eta quadrature did not converge", error=float(err))
     # exact tails: the integrand is d/dsigma log det(1+H)
     tail = -cmath.log(H.det1p(R_max + line)) + cmath.log(H.det1p(-R_max + line))
@@ -143,44 +153,60 @@ def eta_term(H: MellinPerturbation, *, R_max=80.0):
     return float(eta.real)
 
 
-def _winding(values):
-    phases = np.angle(values)
-    d = np.diff(phases)
-    d = (d + math.pi) % (2 * math.pi) - math.pi
-    if np.max(np.abs(d)) > math.pi / 2:
-        raise NumericalError("contour sampling too coarse for phase tracking")
-    return float(np.sum(d)) / (2 * math.pi)
+# the point budget of the winding walk: 64000 points on each of the four
+# sides, corners shared
+_MAX_CONTOUR_POINTS = 4 * 64000 - 3
+# a step of the first walk halved 45 times is below double resolution
+_MAX_HALVINGS = 60
+
+
+def _phase_steps(values):
+    """Phase changes between consecutive values, wrapped to [-pi, pi)."""
+    d = np.diff(np.angle(values))
+    return (d + math.pi) % (2 * math.pi) - math.pi
 
 
 def argument_principle_count(H: MellinPerturbation):
     """Zeros minus poles of det(1+H) strictly below the line, by winding.
 
     Walks the counterclockwise boundary of the box below Im sigma = -weight
-    with half-width 4 (pole radius + |weight|), which contains every finite
-    zero and pole, tracking the phase of the determinant; the sampling
-    starts at 2000 points per side and is doubled until adjacent phase
-    steps are small.
+    with half-width 4 (r + |weight|), r from ``H.zero_pole_radius()``,
+    which contains every zero and pole, tracking the phase of the
+    determinant.  The sampling starts at 2000 points per side; a midpoint
+    is inserted into every step whose phase change exceeds pi/2, until none
+    does, so a zero close to the contour refines the walk near it only.
+    Past ``_MAX_CONTOUR_POINTS`` points or ``_MAX_HALVINGS`` rounds the
+    count is refused.
     """
-    R = 4.0 * H.pole_radius() + abs(H.weight) * 4.0
+    R = 4.0 * H.zero_pole_radius() + abs(H.weight) * 4.0
     y_top = -H.weight
     y_bot = -R
-    for attempt in range(6):
-        n = 2000 * 2 ** attempt
-        top = np.linspace(R, -R, n) + 1j * y_top       # right to left
-        left = -R + 1j * np.linspace(y_top, y_bot, n)  # downward
-        bot = np.linspace(-R, R, n) + 1j * y_bot       # left to right
-        right = R + 1j * np.linspace(y_bot, y_top, n)  # upward
-        contour = np.concatenate([top, left[1:], bot[1:], right[1:]])
-        vals = H.det1p(contour)
-        try:
-            wind = _winding(np.append(vals, vals[0]))
-        except NumericalError:
-            continue
-        count = round(wind)
-        if abs(wind - count) > 1e-6:
-            continue
-        return int(count)
-    raise NumericalError("winding count did not stabilize")
+    n = 2000
+    top = np.linspace(R, -R, n) + 1j * y_top       # right to left
+    left = -R + 1j * np.linspace(y_top, y_bot, n)  # downward
+    bot = np.linspace(-R, R, n) + 1j * y_bot       # left to right
+    right = R + 1j * np.linspace(y_bot, y_top, n)  # upward
+    # a closed walk: the right side ends where the top side starts
+    contour = np.concatenate([top, left[1:], bot[1:], right[1:]])
+    vals = H.det1p(contour)
+    steps = _phase_steps(vals)
+    for _ in range(_MAX_HALVINGS):
+        coarse = np.flatnonzero(np.abs(steps) > math.pi / 2)
+        if not len(coarse) or len(contour) + len(coarse) > _MAX_CONTOUR_POINTS:
+            break
+        # every step lies on one side of the box, so its midpoint does too
+        mid = 0.5 * (contour[coarse] + contour[coarse + 1])
+        contour = np.insert(contour, coarse + 1, mid)
+        vals = np.insert(vals, coarse + 1, H.det1p(mid))
+        steps = _phase_steps(vals)
+    if np.max(np.abs(steps)) > math.pi / 2:
+        raise NumericalError("winding count did not stabilize",
+                             points=len(contour))
+    wind = float(np.sum(steps)) / (2 * math.pi)
+    count = round(wind)
+    if abs(wind - count) > 1e-6:
+        raise NumericalError("winding count did not stabilize", winding=wind)
+    return int(count)
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +345,19 @@ def invariance_red_to_const(disc, tau_list):
             2 * math.pi * (disc.s - disc.s_min) / (disc.s_max - disc.s_min))
         tests.append(u)
     m0 = 0  # the reduction acts mode by mode; mode zero exercises it fully
+    # (A - A_0) u and the graph norm of u do not depend on tau
+    gaps, denoms = [], []
+    for u in tests:
+        au = disc.apply(m0, u)
+        gaps.append(au - disc0.apply(m0, u))
+        denoms.append(max(disc.norm_w(u) + disc.norm_w(au), 1e-300))
     ratios = []
     taus = np.asarray(sorted(tau_list, reverse=True), dtype=float)
     for tau in taus:
         phi_tau = 1.0 - smoothstep(disc.x / tau - 1.0)
         worst = 0.0
-        for u in tests:
-            au = disc.apply(m0, u)
-            a0u = disc0.apply(m0, u)
-            diff = phi_tau * (au - a0u)
-            denom = disc.norm_w(u) + disc.norm_w(au)
-            worst = max(worst, disc.norm_w(diff) / max(denom, 1e-300))
+        for gap, denom in zip(gaps, denoms):
+            worst = max(worst, disc.norm_w(phi_tau * gap) / denom)
         ratios.append(worst)
     ratios = np.asarray(ratios)
     ok = ratios > 1e-14
@@ -362,7 +390,9 @@ def invariance_red_to_sobolev(disc, eps_list):
 
     On the truncated grid the factor x^eps is an invertible diagonal, so
     the dimensions are read from the singular values of the polynomial
-    part: those below 1e-8 of the largest count as kernel, and those
+    part.  That part is symmetric tridiagonal, so they are the absolute
+    values of its eigenvalues (LAPACK on the tridiagonal; no dense matrix
+    is built): those below 1e-8 of the largest count as kernel, and those
     within a further factor 10 give an UNDECIDED (None) dimension rather
     than a count.  An eps is flagged as a crossing when shifting the
     weight by eps moves a boundary-spectrum pole (searched in
@@ -380,10 +410,8 @@ def invariance_red_to_sobolev(disc, eps_list):
     ims = [p.sigma.imag for p in bspec.poles]
     total, undecided = 0, False
     for m in disc.mode_list():
-        d, e = disc.matrix(m)
-        K = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        sv = np.linalg.svd(K, compute_uv=False)
-        top = sv[0]
+        sv = np.abs(eigvalsh_tridiagonal(*disc.matrix(m)))
+        top = np.max(sv)
         small = sv < 1e-8 * top
         amb = (~small) & (sv < 10 * 1e-8 * top)
         if np.any(amb):

@@ -29,6 +29,7 @@ All public functions take the tridiagonal data as (d, e, w): diagonal,
 subdiagonal (length n-1) and weight.
 """
 
+import functools
 import math
 import operator
 
@@ -118,10 +119,8 @@ def refine_pair(d, e, w, lam):
 
     Returns (lam, v) with v normalized so that v^T W v = 1.
     """
-    n = len(d)
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v /= np.sqrt(v @ (w * v))
+    s = _start_vector(len(d))
+    v = s / np.sqrt(s @ (w * s))
     lam = float(lam)
     for _ in range(3):
         shift = lam * (1.0 + 1e-11) + 1e-300
@@ -137,6 +136,14 @@ def refine_pair(d, e, w, lam):
         kv = _tridiag_matvec(d, e, v)
         lam = float(v @ kv)  # v^T K v with v^T W v = 1
     return lam, v
+
+
+@functools.lru_cache(maxsize=64)
+def _start_vector(n):
+    """The seeded inverse-iteration start vector of length n, read-only."""
+    s = np.random.default_rng(12345).standard_normal(n)
+    s.flags.writeable = False
+    return s
 
 
 def _tridiag_matvec(d, e, v):

@@ -314,6 +314,39 @@ def test_quadrature_refuses_a_jump():
         _quad_complex(lambda xi: (xi < 0.3) + 0j, 0.0, 1.0, 3)
 
 
+def test_gk21_constants_are_the_kronrod_extension_of_gauss10():
+    x = asymptotics._GK21_NODES
+    wk, wg = asymptotics._GK21_WEIGHTS, asymptotics._G10_WEIGHTS
+    assert np.allclose(np.sort(x[1::2]), np.polynomial.legendre.leggauss(10)[0],
+                       rtol=0.0, atol=1e-15)
+
+    def moment(k):
+        return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+    # 21 Kronrod nodes: exact through degree 31; the 10 Gauss nodes: 19
+    for k in range(32):
+        assert abs(wk @ x ** k - moment(k)) <= 2e-15
+    for k in range(20):
+        assert abs(wg @ x[1::2] ** k - moment(k)) <= 2e-15
+    assert abs(wk @ x ** 32 - moment(32)) > 1e-12
+    assert abs(wg @ x[1::2] ** 20 - moment(20)) > 1e-6
+
+
+def test_adaptive_gk21_resolves_a_narrow_peak():
+    delta = 1e-4
+    val, err = asymptotics.adaptive_gk21(
+        lambda x: delta / (x * x + delta * delta), -1.0, 1.0, 1e-11)
+    exact = 2.0 * math.atan(1.0 / delta)
+    assert err <= 1e-11 * exact
+    assert abs(val - exact) <= max(err, 4e-16 * exact)
+
+
+def test_adaptive_gk21_stops_on_a_non_finite_integrand():
+    val, err = asymptotics.adaptive_gk21(lambda x: np.full_like(x, np.nan),
+                                         -1.0, 1.0, 1e-11)
+    assert math.isnan(val) and math.isnan(err)
+
+
 # ---------------------------------------------------------------------------
 # Mellin pieces and the continuation
 

@@ -209,9 +209,13 @@ eps_list = 0,x
 npoints = 120
 eps_list = 0,nan
 """, "eps_list"),
+    ("index", "b_rows = -3\n", "b_rows"),
+    ("index", "b_kind = gaussian\nb_rows = 4\nb_cols = -1\n", "b_cols"),
+    ("index", "b_kind = symmetric\nb_rows = -2\n", "b_rows"),
 ], ids=["t_min", "eps_list", "t_min_nan", "t_min_zero", "t_min_negative",
         "lam_max_inf", "t_count_fractional", "t_max_zero", "t0_zero",
-        "lam_max_spec_negative", "eps_list_nan"])
+        "lam_max_spec_negative", "eps_list_nan", "b_rows_negative",
+        "b_cols_negative", "b_rows_negative_symmetric"])
 def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])

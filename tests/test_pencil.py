@@ -202,6 +202,41 @@ def test_refine_pair_retries_a_singular_solve(monkeypatch):
     assert abs(lam_p - lam) <= 1e-10 * lam
 
 
+def _refine_pair_fresh_start(d, e, w, lam):
+    # refine_pair as it was before the start vector was cached: a fresh
+    # seeded draw on every call, normalized in place
+    v = np.random.default_rng(12345).standard_normal(len(d))
+    v /= np.sqrt(v @ (w * v))
+    lam = float(lam)
+    for _ in range(3):
+        try:
+            v_new = pencil._solve_shifted(d, e, w, lam * (1.0 + 1e-11) + 1e-300,
+                                          w * v)
+        except np.linalg.LinAlgError:
+            v_new = pencil._solve_shifted(d, e, w, lam * (1.0 + 1e-8), w * v)
+        nrm = np.sqrt(v_new @ (w * v_new))
+        if not np.isfinite(nrm) or nrm == 0.0:
+            break
+        v = v_new / nrm
+        lam = float(v @ pencil._tridiag_matvec(d, e, v))
+    return lam, v
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graded_pencils(max_n=40))
+def test_refine_pair_cached_start_equals_a_fresh_draw(case):
+    d, e, w, _ = case
+    for lam in pencil.eig_pencil(d, e, w, count=len(d))[:3]:
+        lam_p, v = pencil.refine_pair(d, e, w, lam)
+        ref_lam, ref_v = _refine_pair_fresh_start(d, e, w, lam)
+        assert lam_p == ref_lam
+        assert np.array_equal(v, ref_v)
+    start = pencil._start_vector(len(d))
+    assert not start.flags.writeable
+    assert np.array_equal(
+        start, np.random.default_rng(12345).standard_normal(len(d)))
+
+
 def test_polish_solve_refuses_non_finite_input():
     disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
     d, e = disc.matrix(0)
