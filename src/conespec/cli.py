@@ -33,6 +33,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
 
+# most index-set law cases one verify run takes: at about 0.6 ms a case,
+# a minute of work
+MAX_VERIFY_CASES = 100_000
+
 
 class Runner:
     """Output collector: CSV files plus a MANIFEST with digests."""
@@ -293,6 +297,9 @@ def run_verify(kv, runner, args):
 
     # index set laws against brute-force enumeration
     cases = _i(kv, "cases", 2000)
+    if not 1 <= cases <= MAX_VERIFY_CASES:
+        raise ConfigurationError(f"cases must lie in [1, {MAX_VERIFY_CASES}]",
+                                 key="cases", got=kv["cases"])
     bad = 0
     for _ in range(cases):
         E = oracles.random_index_set(rng)

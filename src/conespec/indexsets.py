@@ -16,6 +16,13 @@ Exponents are compared after rounding real and imaginary parts to 12
 decimal places.  Inputs that are exact in binary (integers, halves,
 quarters, ...) are therefore compared exactly; general floats are
 compared with an effective tolerance of 1e-12.
+
+Each set keeps the integer keys of its exponents with their largest log
+power, and ``index_sum``, ``extended_union``, ``cinf_close`` and
+``max_logpow`` work on those keys: an exponent is quantized once, when it
+enters through the constructor.  Adding keys is exact.  For |z| below
+about 1e3 it equals the key of the float sum of the rounded exponents;
+beyond that the float sum would lose the 1e-12 resolution.
 """
 
 from dataclasses import dataclass
@@ -51,21 +58,36 @@ class IndexSet:
         the cutoff, and record that the set continues past it.
     """
 
-    __slots__ = ("entries", "re_cutoff", "cinf_step")
+    __slots__ = ("entries", "re_cutoff", "cinf_step", "_logpow")
 
     def __init__(self, pairs, re_cutoff, cinf_step=False):
         re_cutoff = float(re_cutoff)
-        cut_key = int(round((re_cutoff + _CUTOFF_TOL) * _SCALE))
         best = {}
         for z, k in pairs:
             k = int(k)
             if k < 0:
                 raise IndexSetError("log power must be nonnegative", entry=(z, k))
             key = _zkey(z)
-            if key[0] > cut_key:
-                continue
-            if key not in best or best[key] < k:
+            if best.get(key, -1) < k:
                 best[key] = k
+        self._settle(best, re_cutoff, cinf_step)
+
+    @classmethod
+    def _from_keys(cls, best, re_cutoff, cinf_step=False):
+        """The set with largest log power ``best[key]`` at each exponent key.
+
+        Takes ownership of ``best``.  Bypasses ``__init__``: the keys are
+        already quantized, so no exponent is keyed again.
+        """
+        out = object.__new__(cls)
+        out._settle(best, float(re_cutoff), cinf_step)
+        return out
+
+    def _settle(self, best, re_cutoff, cinf_step):
+        # truncate, close under z -> z + 1 if tagged, and materialize
+        cut_key = int(round((re_cutoff + _CUTOFF_TOL) * _SCALE))
+        for key in [key for key in best if key[0] > cut_key]:
+            del best[key]
         if cinf_step:
             extra = {}
             for (re, im), k in best.items():
@@ -78,15 +100,16 @@ class IndexSet:
             for key, k in extra.items():
                 if best.get(key, -1) < k:
                     best[key] = k
+        # _zsnap is monotone, so key order is (Re z, Im z) order
         out = []
-        for key, kmax in best.items():
+        for key in sorted(best):
             z = _zsnap(key)
-            for k in range(kmax + 1):
+            for k in range(best[key] + 1):
                 out.append((z, k))
-        out.sort(key=lambda e: (e[0].real, e[0].imag, e[1]))
         object.__setattr__(self, "entries", tuple(out))
         object.__setattr__(self, "re_cutoff", re_cutoff)
         object.__setattr__(self, "cinf_step", bool(cinf_step))
+        object.__setattr__(self, "_logpow", best)
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexSet is immutable")
@@ -108,12 +131,7 @@ class IndexSet:
 
     def max_logpow(self, z):
         """Largest log power attached to exponent z, or -1 if z is absent."""
-        key = _zkey(z)
-        best = -1
-        for w, k in self.entries:
-            if _zkey(w) == key and k > best:
-                best = k
-        return best
+        return self._logpow.get(_zkey(z), -1)
 
     def __eq__(self, other):
         if not isinstance(other, IndexSet):
@@ -198,40 +216,36 @@ def extended_union(E, F):
     maximal log powers.
     """
     cut = _check_cutoffs(E, F)
-    pairs = list(E.entries) + list(F.entries)
-    fmax = {}
-    for z, k in F.entries:
-        key = _zkey(z)
-        if fmax.get(key, -1) < k:
-            fmax[key] = k
-    seen = set()
-    for z, k in E.entries:
-        key = _zkey(z)
-        if key in seen or key not in fmax:
-            continue
-        seen.add(key)
-        pairs.append((z, E.max_logpow(z) + fmax[key] + 1))
-    return IndexSet(pairs, cut, cinf_step=E.cinf_step and F.cinf_step)
+    best = dict(E._logpow)
+    for key, l in F._logpow.items():
+        k = best.get(key)
+        best[key] = l if k is None else k + l + 1
+    return IndexSet._from_keys(best, cut, E.cinf_step and F.cinf_step)
 
 
 def index_sum(E, F):
     """Pairwise sums {(z + w, k + l)}, truncated at the common cutoff.
 
     A sum with an empty operand is empty (the sum ranges over pairs).
+    Both operands are log-downward closed, so summing the largest log
+    powers of each pair of exponents suffices.
     """
     cut = _check_cutoffs(E, F)
     if not E or not F:
         return IndexSet((), cut)
-    pairs = []
-    for z, k in E.entries:
-        for w, l in F.entries:
-            pairs.append((z + w, k + l))
-    return IndexSet(pairs, cut, cinf_step=E.cinf_step and F.cinf_step)
+    best = {}
+    right = list(F._logpow.items())
+    for (re, im), k in E._logpow.items():
+        for (re2, im2), l in right:
+            key = (re + re2, im + im2)
+            if best.get(key, -1) < k + l:
+                best[key] = k + l
+    return IndexSet._from_keys(best, cut, E.cinf_step and F.cinf_step)
 
 
 def cinf_close(E):
     """Close E under z -> z + 1 and tag it as generated that way."""
-    return IndexSet(E.entries, E.re_cutoff, cinf_step=True)
+    return IndexSet._from_keys(dict(E._logpow), E.re_cutoff, cinf_step=True)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ grids; membership claims are tested for |lam| >= 1 only.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,14 +292,13 @@ class SeminormReport:
 
 def _xi_axis(pts_per_decade):
     # |xi| geometric over the five decades [1e-2, 1e3], both signs, and 0
-    n = max(2, int(round(5 * pts_per_decade)) + 1)
-    pos = np.geomspace(1e-2, 1e3, n)
+    pos = np.geomspace(1e-2, 1e3, 5 * pts_per_decade + 1)
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
 def _lam_axis(sector, d, pts_per_decade):
     # |lam|^(1/d) geometric in [1, 1e3] along three rays of the sector
-    n = max(2, int(round(3 * pts_per_decade)) + 1)
+    n = 3 * pts_per_decade + 1
     r = np.geomspace(1.0, 1e3, n)
     lam = []
     dirs = []
@@ -309,9 +309,11 @@ def _lam_axis(sector, d, pts_per_decade):
     return np.concatenate(lam), np.concatenate(dirs)
 
 
-# xi rows per block of the seminorm sweeps: a fine sweep then holds
-# 32 x 723 complex values per temporary, not 803 x 723
-_ROW_BLOCK = 32
+# rows of the doubled xi grid per block of the sweep: a temporary then holds
+# 16 x 723 complex values at 40 points per decade, not 803 x 723.  A level
+# keeps up to three pairs' sums and amplitudes, three lam offsets and the
+# centre values at once, so 32 rows doubled the peak memory of the sweep
+_ROW_BLOCK = 16
 
 _STENCILS = {
     0: ((0, 1.0),),
@@ -320,34 +322,24 @@ _STENCILS = {
 }
 
 
-def _fd_derivative(fn, XI, LAM, DIR, a, b, d):
-    """d_xi^a d_lam^b fn sampled on the grid XI x LAM (outer product).
+def _step_levels(max_alpha, max_beta):
+    """Derivative pairs grouped by total order a + b, which fixes the steps.
 
-    Step sizes are scale aware and grow with the total derivative order
-    (the optimal step for a k-th difference balances truncation against
-    cancellation at roughly eps^(1/(k+2))).  The xi step is relative to
-    max(1, |xi|); the lam step is relative to the anisotropic scale
-    (1+|xi|+|lam|^(1/d))^d on which the symbol varies.
+    Each level lists its distinct stencil points (oi, oj) in lexicographic
+    order, each with the (pair, weight) terms that use it.  Every pair's
+    own points then come in the order of its nested stencil loops.
     """
-    rel = max(1e-5, np.finfo(float).eps ** (1.0 / (a + b + 2)))
-    hxi = (rel * np.maximum(1.0, np.abs(XI)))[:, None]
-    absxi = np.abs(XI)[:, None]
-    hlam = rel * (1.0 + absxi + np.abs(LAM)[None, :] ** (1.0 / d)) ** d
-    u = DIR[None, :]
-    acc = 0.0
-    amp = 0.0
-    for oi, wi in _STENCILS[a]:
-        for oj, wj in _STENCILS[b]:
-            vals = fn(XI[:, None] + oi * hxi, LAM[None, :] + oj * hlam * u)
-            acc = acc + (wi * wj) * vals
-            amp = np.maximum(amp, np.abs(vals))
-    scale_xi = hxi ** a
-    scale_lam = (hlam * u) ** b
-    deriv = acc / (scale_xi * scale_lam)
-    # cancellation noise floor of the stencil; values below it are not
-    # distinguishable from zero and must not enter sup ratios
-    noise = 64.0 * np.finfo(float).eps * amp / (scale_xi * np.abs(scale_lam))
-    return deriv, noise
+    levels = []
+    for s in range(max_alpha + max_beta + 1):
+        pairs = [(a, s - a) for a in range(max_alpha + 1) if 0 <= s - a <= max_beta]
+        terms = {}
+        for a, b in pairs:
+            for oi, wi in _STENCILS[a]:
+                for oj, wj in _STENCILS[b]:
+                    terms.setdefault((oi, oj), []).append(((a, b), wi * wj))
+        rel = max(1e-5, np.finfo(float).eps ** (1.0 / (s + 2)))
+        levels.append((rel, pairs, sorted(terms.items())))
+    return levels
 
 
 def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
@@ -361,46 +353,110 @@ def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
     in |xi| stays at or below 0.3.  Raises SymbolRejection if the
     evaluator returns a non-finite value, reporting the offending grid
     point.
+
+    Derivatives are centered finite differences.  Step sizes are scale
+    aware and grow with the total derivative order (the optimal step for a
+    k-th difference balances truncation against cancellation at roughly
+    eps^(1/(k+2))).  The xi step is relative to max(1, |xi|); the lam step
+    is relative to the anisotropic scale (1+|xi|+|lam|^(1/d))^d on which
+    the symbol varies, along the sampled ray.
+
+    Only the doubled grid is swept.  The grid at ``pts_per_decade`` is an
+    exact subgrid of it (every other point of each geometric half axis and
+    of each ray, plus xi = 0), and every step, value and ratio is
+    pointwise, so the base grid's ratios are read off the doubled sweep.
+    Pairs with equal a + b share their steps, so each distinct stencil
+    point of a level is evaluated once and added into every pair that uses
+    it, in the order of that pair's own stencil loops.
     """
     sector = sym.sector
     if sector is None:
         raise ConfigurationError("a sector is required for the lambda grid")
+    if not isinstance(pts_per_decade, numbers.Integral) or pts_per_decade < 1:
+        # the grids nest only for an integer density
+        raise ConfigurationError("pts_per_decade must be a positive integer",
+                                 pts_per_decade=pts_per_decade)
     mu, p, d = sym.orders
+    XI = _xi_axis(2 * pts_per_decade)
+    LAM, DIR = _lam_axis(sector, d, 2 * pts_per_decade)
+    n_pos = len(XI) // 2
+    n_ray = len(LAM) // len(sector.rays())
+    # base rows: even offsets of the negative half, 0, even offsets of the
+    # positive half; base columns: even offsets of each ray
+    base_rows = np.r_[0:n_pos:2, n_pos, n_pos + 1:2 * n_pos + 1:2]
+    u = DIR[None, :]
+    lam_root = np.abs(LAM)[None, :] ** (1.0 / d)
+    tiny = 64.0 * np.finfo(float).eps
+    levels = _step_levels(max_alpha, max_beta)
+    env_fine = {pair: np.empty(len(XI)) for _, pairs, _ in levels for pair in pairs}
+    env_base = {pair: np.empty(len(XI)) for pair in env_fine}
 
-    def sweep(ppd):
-        XI = _xi_axis(ppd)
-        LAM, DIR = _lam_axis(sector, d, ppd)
-        out = {}
-        for a in range(max_alpha + 1):
-            for b in range(max_beta + 1):
-                env = []
-                # row blocks bound the (xi, lam) temporaries; every step is
-                # pointwise or a max, so for an evaluator that acts pointwise
-                # the blocks change no value
-                for lo in range(0, len(XI), _ROW_BLOCK):
-                    xi = XI[lo:lo + _ROW_BLOCK]
-                    deriv, noise = _fd_derivative(sym.fn, xi, LAM, DIR, a, b, d)
-                    if not np.all(np.isfinite(deriv)):
-                        i, j = np.argwhere(~np.isfinite(deriv))[0]
-                        raise SymbolRejection("symbol evaluator returned a non-finite value",
-                                              xi=float(xi[i]), lam=complex(LAM[j]),
-                                              alpha=a, beta=b)
-                    absxi = np.abs(xi)[:, None]
-                    bound = ((1.0 + absxi) ** (mu - p - a)
-                             * (1.0 + absxi + np.abs(LAM)[None, :] ** (1.0 / d)) ** (p - d * b))
-                    ratio = np.where(np.abs(deriv) > noise, np.abs(deriv), 0.0) / bound
-                    env.append(np.max(ratio, axis=1))
-                env = np.concatenate(env)
-                out[(a, b)] = (float(np.max(env)), np.abs(XI), env)
-        return out
+    # row blocks bound the (xi, lam) temporaries; every step is pointwise or
+    # a max, so for an evaluator that acts pointwise the blocks change no
+    # value
+    for lo in range(0, len(XI), _ROW_BLOCK):
+        xi = XI[lo:lo + _ROW_BLOCK]
+        absxi = np.abs(xi)[:, None]
+        scale = 1.0 + absxi + lam_root
+        scale_d = scale ** d
+        bound_xi = [(1.0 + absxi) ** (mu - p - a) for a in range(max_alpha + 1)]
+        bound_lam = [scale ** (p - d * b) for b in range(max_beta + 1)]
+        centre = None
+        bad = []
+        for rel, pairs, terms in levels:
+            hxi = (rel * np.maximum(1.0, np.abs(xi)))[:, None]
+            hlam = rel * scale_d
+            xi_at = {o: xi[:, None] + o * hxi for o in (-1, 0, 1)}
+            lam_at = {}
+            acc = dict.fromkeys(pairs, 0.0)
+            amp = dict.fromkeys(pairs, 0.0)
+            for (oi, oj), uses in terms:
+                if (oi, oj) == (0, 0) and centre is not None:
+                    vals, mag = centre
+                else:
+                    if oj not in lam_at:
+                        lam_at[oj] = LAM[None, :] + oj * hlam * u
+                    vals = sym.fn(xi_at[oi], lam_at[oj])
+                    mag = np.abs(vals)
+                    if (oi, oj) == (0, 0):
+                        centre = (vals, mag)
+                for pair, w in uses:
+                    acc[pair] = acc[pair] + w * vals
+                    amp[pair] = np.maximum(amp[pair], mag)
+            for a, b in pairs:
+                scale_xi = hxi ** a
+                scale_lam = (hlam * u) ** b
+                deriv = acc[a, b] / (scale_xi * scale_lam)
+                finite = np.isfinite(deriv)
+                if not np.all(finite):
+                    i, j = np.argwhere(~finite)[0]
+                    bad.append((i, a, b, j))
+                    continue
+                # cancellation noise floor of the stencil; values below it
+                # are not distinguishable from zero and must not enter sup
+                # ratios
+                noise = tiny * amp[a, b] / (scale_xi * np.abs(scale_lam))
+                size = np.abs(deriv)
+                ratio = (np.where(size > noise, size, 0.0)
+                         / (bound_xi[a] * bound_lam[b]))
+                env_fine[a, b][lo:lo + len(xi)] = np.max(ratio, axis=1)
+                env_base[a, b][lo:lo + len(xi)] = np.max(
+                    ratio.reshape(len(xi), -1, n_ray)[:, :, ::2], axis=(1, 2))
+        if bad:
+            # the first sampled row with a non-finite derivative, then the
+            # first pair and the first lam there
+            i, a, b, j = min(bad)
+            raise SymbolRejection("symbol evaluator returned a non-finite value",
+                                  xi=float(xi[i]), lam=complex(LAM[j]),
+                                  alpha=a, beta=b)
 
-    base = sweep(pts_per_decade)
-    fine = sweep(2 * pts_per_decade)
-
+    absxi = np.abs(XI[base_rows])
     rows = []
     ok_all = True
-    for (a, b), (worst, absxi, env) in sorted(base.items()):
-        refined = fine[(a, b)][0]
+    for (a, b) in sorted(env_base):
+        env = env_base[a, b][base_rows]
+        worst = float(np.max(env))
+        refined = float(np.max(env_fine[a, b]))
         # growth slope of the ratio envelope over the top |xi| decades
         mask = (absxi >= 10.0) & (env > 1e-290)
         if worst <= 1e-290 or mask.sum() < 4:

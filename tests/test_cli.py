@@ -117,6 +117,14 @@ def test_verify_run_is_deterministic(tmp_path):
     assert da == db
 
 
+def test_verify_runs_a_single_case(tmp_path):
+    # the smallest case count allowed; zero and negative counts exit 2
+    cfg = write_cfg(tmp_path / "v.cfg", "cases = 1\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    checks = (tmp_path / "o" / "checks.csv").read_text()
+    assert "indexset_laws,pass,1/1" in checks
+
+
 def test_missing_config_exits_invalid(tmp_path):
     assert main(["heat", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2
@@ -212,10 +220,15 @@ eps_list = 0,nan
     ("index", "b_rows = -3\n", "b_rows"),
     ("index", "b_kind = gaussian\nb_rows = 4\nb_cols = -1\n", "b_cols"),
     ("index", "b_kind = symmetric\nb_rows = -2\n", "b_rows"),
+    ("verify", "cases = 0\n", "cases"),
+    ("verify", "cases = -5\n", "cases"),
+    ("verify", "cases = 100001\n", "cases"),
+    ("verify", "cases = 1e9\n", "cases"),
 ], ids=["t_min", "eps_list", "t_min_nan", "t_min_zero", "t_min_negative",
         "lam_max_inf", "t_count_fractional", "t_max_zero", "t0_zero",
         "lam_max_spec_negative", "eps_list_nan", "b_rows_negative",
-        "b_cols_negative", "b_rows_negative_symmetric"])
+        "b_cols_negative", "b_rows_negative_symmetric", "cases_zero",
+        "cases_negative", "cases_above_cap", "cases_1e9"])
 def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])

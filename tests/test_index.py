@@ -381,3 +381,45 @@ def test_red_to_sobolev_flags_crossing():
     rep = invariance_red_to_sobolev(disc, [0.1, 0.25, 0.5])
     flags = [row.crossing for row in rep.rows]
     assert flags == [False, True, True]
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(d, e):
+        calls.append(len(d))
+        return eigvalsh_tridiagonal(d, e)
+
+    monkeypatch.setattr(indexmod, "eigvalsh_tridiagonal", counted)
+    return calls
+
+
+def test_red_to_sobolev_solves_m_and_minus_m_once(monkeypatch):
+    # the shipped index study: modes -4..4 depend on m^2, so 5 solves
+    op = parse_operator(CONFIGS / "laplace_perturbed.op")
+    disc = discretize(op, -10.0, 600)
+    total, undecided = 0, False
+    for m in disc.mode_list():
+        count, amb = _kernel_census(np.abs(eigvalsh_tridiagonal(*disc.matrix(m))))
+        total, undecided = total + count, undecided or amb
+    calls = _count_solves(monkeypatch)
+    eps = [0.0, 0.1, 0.3]
+    rep = invariance_red_to_sobolev(disc, eps)
+    assert len(calls) == 5
+    dim = None if undecided else total
+    assert [(r.eps, r.dim_kernel, r.dim_cokernel) for r in rep.rows] == \
+        [(e, dim, dim) for e in eps]
+
+
+def test_red_to_sobolev_solves_every_mode_of_an_operator_odd_in_m(
+        monkeypatch, tmp_path):
+    base = (CONFIGS / "laplace_a1.5.op").read_text()
+    text = base.replace("coeff[0] = m^2 + 2.25", "coeff[0] = m^2 + 2.25 + 0.5*m")
+    assert text != base
+    (tmp_path / "odd.op").write_text(text)
+    op = parse_operator(tmp_path / "odd.op")
+    disc = discretize(op, -6.0, 120)
+    calls = _count_solves(monkeypatch)
+    rep = invariance_red_to_sobolev(disc, [0.0])
+    assert len(calls) == len(disc.mode_list()) == 17
+    assert rep.rows[0].dim_kernel == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespec.errors import IndexSetError
-from conespec.indexsets import (IndexFamily4, IndexSet, build_E_alpha,
+from conespec.indexsets import (IndexFamily4, IndexSet, _zkey, build_E_alpha,
                                 build_hat_E, cinf_close, compose_family,
                                 compose_power, extended_union, index_sum,
                                 naturals, naturals0)
@@ -75,6 +75,88 @@ def test_extended_union_commutative_and_monotone(E, F):
 @settings(max_examples=80, deadline=None)
 def test_index_sum_matches_brute_force(E, F):
     assert set(index_sum(E, F).entries) == brute_sum(E, F)
+
+
+# ---------------------------------------------------------------------------
+# the float-key algebra the integer-key algebra replaced, kept as the
+# reference it must reproduce: every operand exponent is keyed again, and
+# sums are formed as floats before they are keyed
+
+
+def _ref_max_logpow(S, z):
+    key = _zkey(z)
+    return max((k for w, k in S.entries if _zkey(w) == key), default=-1)
+
+
+def _ref_extended_union(E, F):
+    pairs = list(E.entries) + list(F.entries)
+    fmax = {}
+    for z, k in F.entries:
+        key = _zkey(z)
+        if fmax.get(key, -1) < k:
+            fmax[key] = k
+    seen = set()
+    for z, k in E.entries:
+        key = _zkey(z)
+        if key in seen or key not in fmax:
+            continue
+        seen.add(key)
+        pairs.append((z, _ref_max_logpow(E, z) + fmax[key] + 1))
+    return IndexSet(pairs, E.re_cutoff, cinf_step=E.cinf_step and F.cinf_step)
+
+
+def _ref_index_sum(E, F):
+    if not E or not F:
+        return IndexSet((), E.re_cutoff)
+    pairs = [(z + w, k + l) for z, k in E.entries for w, l in F.entries]
+    return IndexSet(pairs, E.re_cutoff, cinf_step=E.cinf_step and F.cinf_step)
+
+
+def _float_order(S):
+    return tuple(sorted(S.entries, key=lambda e: (e[0].real, e[0].imag, e[1])))
+
+
+# half-integers, multiples of 0.1 (inexact in binary) and complex exponents
+# with general imaginary parts; real parts reach 5, so sums cross cutoff 6
+mixed_z = st.one_of(
+    st.builds(lambda r, i: complex(r * 0.5, i * 0.5),
+              st.integers(-4, 10), st.integers(-2, 2)),
+    st.builds(lambda r, i: complex(r * 0.1, i * 0.1),
+              st.integers(-30, 50), st.integers(-10, 10)),
+    st.builds(complex, st.floats(-3.0, 5.0), st.floats(-2.0, 2.0)))
+mixed_sets = st.builds(
+    lambda ps, cinf, cut: IndexSet(ps, cut, cinf_step=cinf),
+    st.lists(st.tuples(mixed_z, st.integers(0, 2)), max_size=4),
+    st.booleans(), st.just(CUT))
+
+
+def _same_set(got, ref):
+    assert got.entries == ref.entries == _float_order(got)
+    assert got.re_cutoff == ref.re_cutoff and got.cinf_step == ref.cinf_step
+    for z in {z for z, _ in got.entries}:
+        kmax = _ref_max_logpow(ref, z)
+        assert got.max_logpow(z) == kmax
+        assert (z, kmax) in got and (z, kmax + 1) not in got
+
+
+@given(mixed_sets, mixed_sets, mixed_z)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_key_algebra_matches_float_key_reference(E, F, probe):
+    for got, ref in ((extended_union(E, F), _ref_extended_union(E, F)),
+                     (index_sum(E, F), _ref_index_sum(E, F)),
+                     (cinf_close(E), IndexSet(E.entries, CUT, cinf_step=True))):
+        _same_set(got, ref)
+        assert got.max_logpow(probe) == _ref_max_logpow(ref, probe)
+    for S in (E, F):
+        assert S.max_logpow(probe) == _ref_max_logpow(S, probe)
+
+
+def test_key_algebra_keeps_cinf_sums_across_the_cutoff():
+    E = IndexSet([(0.1 + 0.3j, 1), (2.5, 0)], CUT, cinf_step=True)
+    F = IndexSet([(3.7 - 0.3j, 2), (4.5, 1)], CUT, cinf_step=True)
+    got, ref = index_sum(E, F), _ref_index_sum(E, F)
+    _same_set(got, ref)
+    assert got.cinf_step and (5.8 + 0j, 3) in got and (6.8 + 0j, 0) not in got
 
 
 # ---------------------------------------------------------------------------

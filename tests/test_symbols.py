@@ -122,16 +122,17 @@ def test_row_blocked_sweeps_match_one_block(monkeypatch, orders, alpha, beta):
     assert rep.rows == ref.rows and rep.passed == ref.passed
 
 
-def test_row_blocked_sweeps_report_the_first_non_finite_point(monkeypatch):
-    # non-finite on a band of |xi| whose first row (41 of 203) lies in the
-    # second row block and whose last lies in a later one, on the lam points
-    # of one ray only
-    def holes(xi, lam):
-        xi, lam = np.broadcast_arrays(np.asarray(xi), np.asarray(lam))
-        out = 1.0 / (xi ** 2 - lam)
-        out[(np.abs(xi) > 0.5) & (np.abs(xi) < 10.0) & (lam.imag > 0)] = np.nan
-        return out
+def holes(xi, lam):
+    # non-finite on a band 0.5 < |xi| < 10 of the upper ray; at 20 points
+    # per decade the doubled grid's first row inside it is 81 of 403, and
+    # the row of xi = -10 before it sees the band through its xi stencil
+    xi, lam = np.broadcast_arrays(np.asarray(xi), np.asarray(lam))
+    out = 1.0 / (xi ** 2 - lam)
+    out[(np.abs(xi) > 0.5) & (np.abs(xi) < 10.0) & (lam.imag > 0)] = np.nan
+    return out
 
+
+def test_row_blocked_sweeps_report_the_first_non_finite_point(monkeypatch):
     q = ParamSymbol(holes, (-2.0, -2.0, 2.0), sector=SEC)
     with pytest.raises(SymbolRejection) as got:
         seminorm_check(q, 1, 0, pts_per_decade=20)
@@ -140,6 +141,196 @@ def test_row_blocked_sweeps_report_the_first_non_finite_point(monkeypatch):
         seminorm_check(q, 1, 0, pts_per_decade=20)
     assert got.value.payload == ref.value.payload
     assert got.value.payload["xi"] < -0.5
+
+
+@pytest.mark.parametrize("block", [1, 7, 80, 81])
+def test_non_finite_witness_is_the_first_row_whatever_the_blocks(monkeypatch,
+                                                                 block):
+    # rows 80 (xi = -10) and 81 (the first xi in the band) share a block
+    # at 7 and 80 and fall in different blocks at 1 and 81
+    monkeypatch.setattr(symbols, "_ROW_BLOCK", block)
+    q = ParamSymbol(holes, (-2.0, -2.0, 2.0), sector=SEC)
+    with pytest.raises(SymbolRejection) as got:
+        seminorm_check(q, 1, 0, pts_per_decade=20)
+    w = got.value.payload
+    assert (w["xi"], w["alpha"], w["beta"]) == (-10.0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the two-sweep seminorm check the single doubled-grid sweep replaced, kept
+# as the reference it must reproduce bitwise
+
+
+def _ref_xi_axis(pts_per_decade):
+    n = max(2, int(round(5 * pts_per_decade)) + 1)
+    pos = np.geomspace(1e-2, 1e3, n)
+    return np.concatenate([-pos[::-1], [0.0], pos])
+
+
+def _ref_lam_axis(sector, d, pts_per_decade):
+    n = max(2, int(round(3 * pts_per_decade)) + 1)
+    r = np.geomspace(1.0, 1e3, n)
+    lam, dirs = [], []
+    for theta in sector.rays():
+        u = complex(math.cos(theta), math.sin(theta))
+        lam.append((r ** d) * u)
+        dirs.append(np.full(n, u))
+    return np.concatenate(lam), np.concatenate(dirs)
+
+
+_REF_STENCILS = {
+    0: ((0, 1.0),),
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+}
+
+
+def _ref_fd_derivative(fn, XI, LAM, DIR, a, b, d):
+    rel = max(1e-5, np.finfo(float).eps ** (1.0 / (a + b + 2)))
+    hxi = (rel * np.maximum(1.0, np.abs(XI)))[:, None]
+    absxi = np.abs(XI)[:, None]
+    hlam = rel * (1.0 + absxi + np.abs(LAM)[None, :] ** (1.0 / d)) ** d
+    u = DIR[None, :]
+    acc = 0.0
+    amp = 0.0
+    for oi, wi in _REF_STENCILS[a]:
+        for oj, wj in _REF_STENCILS[b]:
+            vals = fn(XI[:, None] + oi * hxi, LAM[None, :] + oj * hlam * u)
+            acc = acc + (wi * wj) * vals
+            amp = np.maximum(amp, np.abs(vals))
+    scale_xi = hxi ** a
+    scale_lam = (hlam * u) ** b
+    deriv = acc / (scale_xi * scale_lam)
+    noise = 64.0 * np.finfo(float).eps * amp / (scale_xi * np.abs(scale_lam))
+    return deriv, noise
+
+
+def _ref_seminorm_check(sym, max_alpha, max_beta, pts_per_decade):
+    mu, p, d = sym.orders
+
+    def sweep(ppd):
+        XI = _ref_xi_axis(ppd)
+        LAM, DIR = _ref_lam_axis(sym.sector, d, ppd)
+        out = {}
+        for a in range(max_alpha + 1):
+            for b in range(max_beta + 1):
+                env = []
+                for lo in range(0, len(XI), 32):
+                    xi = XI[lo:lo + 32]
+                    deriv, noise = _ref_fd_derivative(sym.fn, xi, LAM, DIR, a, b, d)
+                    if not np.all(np.isfinite(deriv)):
+                        i, j = np.argwhere(~np.isfinite(deriv))[0]
+                        raise SymbolRejection("symbol evaluator returned a non-finite value",
+                                              xi=float(xi[i]), lam=complex(LAM[j]),
+                                              alpha=a, beta=b)
+                    absxi = np.abs(xi)[:, None]
+                    bound = ((1.0 + absxi) ** (mu - p - a)
+                             * (1.0 + absxi + np.abs(LAM)[None, :] ** (1.0 / d)) ** (p - d * b))
+                    ratio = np.where(np.abs(deriv) > noise, np.abs(deriv), 0.0) / bound
+                    env.append(np.max(ratio, axis=1))
+                env = np.concatenate(env)
+                out[(a, b)] = (float(np.max(env)), np.abs(XI), env)
+        return out
+
+    base = sweep(pts_per_decade)
+    fine = sweep(2 * pts_per_decade)
+    rows = []
+    ok_all = True
+    for (a, b), (worst, absxi, env) in sorted(base.items()):
+        refined = fine[(a, b)][0]
+        mask = (absxi >= 10.0) & (env > 1e-290)
+        if worst <= 1e-290 or mask.sum() < 4:
+            slope = float("-inf") if worst <= 1e-290 else 0.0
+        else:
+            slope = float(np.polyfit(np.log(1.0 + absxi[mask]), np.log(env[mask]), 1)[0])
+        if worst <= 1e-290:
+            ok = True
+        else:
+            ok = (np.isfinite(worst) and np.isfinite(refined)
+                  and refined <= 1.1 * worst and slope <= 0.3)
+        rows.append(symbols.SeminormRow(a, b, worst, refined, slope, bool(ok)))
+        ok_all = ok_all and ok
+    return symbols.SeminormReport(rows, bool(ok_all), {})
+
+
+def _pinned_cases():
+    q = laplace_symbol()
+    pm = parametrix_leading(model_a, 2.0, SEC, 1.0)
+    return {
+        # ACCEPT-15: membership and the misdeclared orders
+        "accept15": (q, 2, 2, 40),
+        "accept15-misdeclared": (q.with_orders((-3.0, -2.0, 2.0)), 0, 0, 40),
+        "laplace": (q, 1, 1, 20),
+        "parametrix": (pm.at_x(0.5), 1, 1, 10),
+        "fails": (q.with_orders((-2.5, -2.0, 2.0)), 1, 1, 20),
+    }
+
+
+@pytest.mark.parametrize("name", ["accept15", "accept15-misdeclared", "laplace",
+                                  "parametrix", "fails"])
+def test_one_sweep_matches_two_sweep_reference(name):
+    sym, alpha, beta, ppd = _pinned_cases()[name]
+    rep = seminorm_check(sym, alpha, beta, pts_per_decade=ppd)
+    ref = _ref_seminorm_check(sym, alpha, beta, ppd)
+    assert rep.rows == ref.rows and rep.passed == ref.passed
+    assert rep.passed == (name != "fails" and name != "accept15-misdeclared")
+
+
+@pytest.mark.parametrize("block", [1, 7, 32, 10 ** 6])
+def test_one_sweep_matches_reference_at_every_row_block(monkeypatch, block):
+    q = laplace_symbol()
+    ref = _ref_seminorm_check(q, 2, 2, 10)
+    monkeypatch.setattr(symbols, "_ROW_BLOCK", block)
+    rep = seminorm_check(q, 2, 2, pts_per_decade=10)
+    assert rep.rows == ref.rows and rep.passed == ref.passed
+
+
+def test_remainder_verdict_matches_reference():
+    # the remainder's circle averages test convergence over a whole block,
+    # so its values may depend on the blocking; only the verdict is pinned
+    chi = ChiCutoff(1.0)
+
+    def core(xi, lam):
+        return 1.0 / (np.asarray(xi) ** 2 + np.asarray(xi) - lam)
+
+    s = ParamSymbol(lambda xi, lam: chi(xi) * core(xi, lam),
+                    (-2.0, -2.0, 2.0), core=core, chi_clear_radius=1.0,
+                    sector=SEC)
+    _, rem = homog_expand(s, 1)
+    rep = seminorm_check(rem, 0, 0, pts_per_decade=10)
+    assert rep.passed == _ref_seminorm_check(rem, 0, 0, 10).passed
+
+
+def nan_at_origin(xi, lam):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.asarray(xi) / np.asarray(xi) + 0.0 * np.asarray(lam)
+
+
+@pytest.mark.parametrize("fn, alpha, beta, ppd", [
+    (nan_at_origin, 0, 0, 8), (nan_at_origin, 2, 1, 8), (holes, 1, 0, 20),
+    (holes, 2, 2, 5)])
+def test_rejections_name_a_non_finite_sample(fn, alpha, beta, ppd):
+    q = ParamSymbol(fn, (-2.0, -2.0, 2.0), sector=SEC)
+    with pytest.raises(SymbolRejection):
+        _ref_seminorm_check(q, alpha, beta, ppd)
+    with pytest.raises(SymbolRejection) as got:
+        seminorm_check(q, alpha, beta, pts_per_decade=ppd)
+    w = got.value.payload
+    assert w["alpha"] <= alpha and w["beta"] <= beta
+    # a point of the doubled grid, whose derivative there is non-finite
+    XI = _ref_xi_axis(2 * ppd)
+    LAM, DIR = _ref_lam_axis(SEC, 2.0, 2 * ppd)
+    assert w["xi"] in XI
+    j = int(np.flatnonzero(LAM == w["lam"])[0])
+    deriv, _ = _ref_fd_derivative(fn, np.array([w["xi"]]), LAM[j:j + 1],
+                                  DIR[j:j + 1], w["alpha"], w["beta"], 2.0)
+    assert not np.isfinite(deriv[0, 0])
+
+
+@pytest.mark.parametrize("ppd", [0, -3, 2.5, 40.0])
+def test_density_must_be_a_positive_integer(ppd):
+    with pytest.raises(ConfigurationError):
+        seminorm_check(laplace_symbol(), 0, 0, pts_per_decade=ppd)
 
 
 # ---------------------------------------------------------------------------
