@@ -11,7 +11,8 @@ verify      property suite (index-set laws, seminorms, integral oracles),
             run through the oracles the tests share (``oracles``)
 
 Every run writes CSV files (header row plus a provenance comment carrying
-the config digest and seed) and a MANIFEST listing outputs with digests.
+the digests of the config and of the operator file it names, the seed and
+the conespec version) and a MANIFEST listing outputs with digests.
 Exit codes: 0 success, 2 validation failure, 3 undecided verdicts.
 """
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, coneop, traces
+from . import __version__, asymptotics, coneop, traces
 from . import index as indextools
 from . import oracles
 from .errors import ConespecError, ConfigurationError
@@ -104,10 +105,15 @@ def _size(kv, key, default):
     return value
 
 
-def _operator(kv, config_path):
+def _operator_path(kv, config_path):
     op_path = Path(kv["operator"])
     if not op_path.is_absolute():
         op_path = Path(config_path).parent / op_path
+    return op_path
+
+
+def _operator(kv, config_path):
+    op_path = _operator_path(kv, config_path)
     if not op_path.exists():
         raise ConfigurationError("operator file not found", path=str(op_path))
     return parse_operator(op_path)
@@ -371,6 +377,11 @@ def main(argv=None):
         if not found:
             raise ConfigurationError("config not found", path=str(config_path))
         kv = read_kv(config_path)
+        if "operator" in kv:
+            op_path = _operator_path(kv, config_path)
+            op_digest = config_digest(op_path) if op_path.is_file() else "missing"
+            runner.provenance += f" operator={op_digest}"
+        runner.provenance += f" conespec={__version__}"
         code = SUBCOMMANDS[args.subcommand](kv, runner, args)
     except ConespecError as exc:
         runner.status = f"incomplete: {exc}"

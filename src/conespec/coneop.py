@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, jv
+from scipy.special import erfc
 
 from . import pencil
 from .errors import (ConfigurationError, InsufficientSpectrumError,
@@ -412,8 +412,11 @@ def kappa_scale(u, rho, s_grid):
 
 
 _ZERO_STEP = 1.5       # scan step, under half the least zero spacing 3.07
-_SCAN_BLOCK = 2 ** 16  # scan points per jv call
+_SCAN_BLOCK = 2 ** 16  # scan points per block of sweeps
 _HALLEY_ITERATIONS = 40
+# sweeps and Halley solves over at most this many lanes run one float loop
+# per lane: numpy's per-step dispatch pays only over more lanes than that
+_SCALAR_LANES = 32
 
 
 def bessel_zeros(nu, count=None, j_max=None):
@@ -423,18 +426,51 @@ def bessel_zeros(nu, count=None, j_max=None):
     array for a scalar ``nu``, a list with one array per order otherwise.
     An order's zeros do not depend on the other orders of the call.
 
+    No Bessel function is evaluated.  At a point x the ratios
+    R_k = J_(nu+k)(x) / J_(nu+k-1)(x), k = K, ..., 1, come from one
+    backward sweep R_k = 1 / (2 (nu + k) / x - R_(k+1)) started from
+    R_(K+1) = 0 (Gautschi, SIAM Review 9, 1967).  The sweep gives the Sturm
+    count N(nu, x), the number of zeros of J_nu below x, as the number of
+    k with R_k <= 0, and through R_1 the Halley step at x.
+
+    Count identity.  For x not a zero, sign J_nu(x) = (-1)^N(nu, x), the
+    zeros being simple.  The interlacing j_(nu,k) < j_(nu+1,k) < j_(nu,k+1)
+    (Watson, Treatise, 15.22) gives N(nu+1, x) = N(nu, x) or N(nu, x) - 1,
+    and J_mu(x) > 0 for mu >= x, since j_(mu,1) > mu.  So from the start
+    order down to nu the count grows by one exactly where J changes sign,
+    that is where R_k < 0.  An exact zero J_(nu+k)(x) = 0 shows as
+    R_(k+1) = inf followed by R_k = -0.0, and R_k <= 0 counts its one sign
+    change once; R_1 = inf means J_nu(x) = 0.  The truncated start adds no
+    false count: for nu + k >= x, R_(k+1) in [0, 1) gives R_k in (0, 1).
+
+    Depth.  Each lane starts at its own order nu + K >= x + T, with
+    T = 4 + 8.25 x^(1/3), so an order's zeros stay independent of the
+    other orders of a call; the iterates inside a bracket take the depth
+    of its right end, which is at least their own.  For mu >= x the true
+    ratio and the truncated one both lie in [0, e^-a(mu)], cosh a(mu) =
+    mu / x: that is the smaller fixed point of the map r -> 1 / (2 mu / x
+    - r), which the map keeps, and the true ratio is the limit of
+    truncated sweeps.  The map moves its output by R R' times the change
+    of its input, so the start error reaches the first order past x
+    damped by at least P = exp(-2 sum_(i=0..floor(T)) a(x + T - i)).  To
+    leading order P = exp(-(4 sqrt(2) / 3) T^(3/2) / sqrt(x)), and
+    P <= 2^-64 for every x (a test sums it on a grid of x).  It enters R_1
+    as a multiple eps ~ x^(1/3) P of the second solution Y_nu, which moves
+    a zero by about P relative: far below roundoff.  Doubling the depth
+    changes no bit (tested); the depth x + 10 + 3 x^(1/3) moved zeros of a
+    heat-size call by up to 1.1e-10.
+
     Scan.  Order nu is sampled at start + step i, i = 0, 1, ..., with
-    start = max(nu, 1e-6) and step = 1.5; all orders form one flat (order,
-    point) array, evaluated in blocks of at most 2^16 points per ``jv``
-    call.  Each sign change brackets exactly one zero, and none is missed:
+    start = max(nu, 1e-6) and step = 1.5.  Two adjacent samples whose
+    counts differ bracket the zero whose index is the right count.  The
+    difference is one, and any other raises RootFindingError:
 
     * J_nu has no zero in (0, nu], since j_(nu,1) > nu.
     * u = sqrt(x) J_nu solves u'' + q u = 0 with q = 1 - (nu^2 - 1/4)/x^2.
       Past the first zero, x >= j_(nu,1) >= j_(0,1), so q <= Q = 1 +
       1/(4 j_(0,1)^2) for every nu >= 0.  By Sturm comparison with
       v'' + Q v = 0, consecutive zeros are at least pi / sqrt(Q) = 3.07
-      apart.  A step of 1.5 thus never holds two zeros, and the zeros are
-      simple, so each one flips the sign.
+      apart, so a step of 1.5 never holds two zeros.
 
     With ``j_max`` an order is sampled up to one step past
     start + step ceil((j_max - start) / step), and orders nu >= j_max give
@@ -445,13 +481,25 @@ def bessel_zeros(nu, count=None, j_max=None):
     brackets and the zeros.
 
     Refinement.  The brackets of a block are refined together by Halley's
-    iteration on J_nu, with J_nu' = J_(nu-1) - (nu/x) J_nu and J_nu'' from
-    Bessel's equation, each started at its bracket's secant point.  Every
-    iterate shrinks its bracket, and a step that leaves the bracket is
-    replaced by bisection.  A zero is accepted once its last step is at
-    most 1e-13 + 8.9e-16 |z| (brentq's xtol and rtol) or J_nu vanishes
-    there, and drops out of the active set.  A bracket still active after
-    40 iterations raises RootFindingError with its order and interval.
+    iteration z -> z - u / (1 - u v / 2), with u = J_nu / J_nu' =
+    1 / (nu / z - R_1) and v = J_nu'' / J_nu' = -1/z - (1 - nu^2/z^2) u
+    from Bessel's equation.  It starts from the prediction of the bracket
+    end with the smaller |u|, taken from the scan's own R_1.  The zero of
+    index k lies right of z iff N(nu, z) < k, so every iterate shrinks its
+    bracket, and a step that leaves the bracket is replaced by bisection.
+    A zero is accepted once its last step is at most 1e-13 + 8.9e-16 |z|
+    (brentq's xtol and rtol) or R_1 = inf, and drops out of the active set.
+    A bracket still active after 40 iterations raises RootFindingError with
+    its order and interval.
+
+    Lanes.  A sweep over more than 32 (order, point) lanes runs as numpy
+    ufuncs, in place, on the lanes sorted by depth, so the lanes still
+    active form a prefix.  A smaller sweep runs one float loop per lane,
+    and a block with at most 32 brackets runs its Halley solve one float
+    loop per bracket: a small call, such as the 2-order oracle compare of
+    ``conespec spectrum``, then dispatches no numpy call per step.  Both
+    ways do the same IEEE operations in the same order and agree bitwise
+    (tested).
     """
     orders = np.asarray(nu, dtype=float)
     if orders.ndim > 1:
@@ -509,49 +557,160 @@ def _scan_zeros(orders, limit):
         p = np.arange(p0, min(p0 + _SCAN_BLOCK + 1, total))
         lane = np.searchsorted(ends, p, side="right")
         x = start[lane] + _ZERO_STEP * (p - (ends[lane] - points[lane]))
-        f = jv(orders[lane], x)
-        i = np.flatnonzero((lane[:-1] == lane[1:])
-                           & (np.signbit(f[:-1]) != np.signbit(f[1:]))
+        nu = orders[lane]
+        depth = _sweep_depth(nu, x)
+        n, r1 = _ratio_sweep(nu, x, depth)
+        jump = n[1:] - n[:-1]
+        i = np.flatnonzero((lane[:-1] == lane[1:]) & (jump != 0)
                            & (x[:-1] <= limit[lane[:-1]]))
+        bad = i[jump[i] != 1]
+        if len(bad):
+            k = bad[0]
+            raise RootFindingError("Sturm counts of one scan step differ by "
+                                   "other than one", nu=float(nu[k]),
+                                   interval=(float(x[k]), float(x[k + 1])),
+                                   counts=(int(n[k]), int(n[k + 1])))
         lanes.append(lane[i])
-        zeros.append(_halley_zeros(orders[lane[i]], x[i], x[i + 1],
-                                   f[i], f[i + 1]))
+        # a bracket's iterates take the depth of its right end
+        zeros.append(_halley_zeros(nu[i], n[i + 1], x[i], x[i + 1],
+                                   r1[i], r1[i + 1], depth[i + 1]))
     return np.concatenate(lanes), np.concatenate(zeros)
 
 
-def _halley_zeros(nu, a, b, fa, fb):
-    """The zero of J_nu in each bracket [a, b] with J_nu(a) = fa and
-    J_nu(b) = fb of opposite signs, by bracketed Halley iteration."""
+def _sweep_depth(nu, x):
+    """Sweep length K per lane, with start order nu + K >= x + T(x) and
+    T(x) = 4 + 8.25 x^(1/3); K >= 4, since x >= nu."""
+    return np.ceil(x + 4.0 + 8.25 * np.cbrt(x) - nu).astype(np.int64)
+
+
+def _ratio_sweep(nu, x, depth):
+    """Sturm counts N(nu, x) and first ratios R_1 = J_(nu+1)(x) / J_nu(x),
+    one lane per (nu, x, depth); R_1 = inf where J_nu(x) = 0 in floating
+    point."""
+    half = 0.5 * x
+    if len(nu) <= _SCALAR_LANES:
+        swept = [_float_sweep(*lane) for lane in
+                 zip(nu.tolist(), half.tolist(), depth.tolist())]
+        return (np.array([c for c, _ in swept], dtype=np.int64),
+                np.array([r for _, r in swept], dtype=float))
+    order = np.argsort(-depth, kind="stable")
+    nu, half, depth = nu[order], half[order], depth[order]
+    # the lanes with depth >= k are the first width[k - 1]
+    width = np.searchsorted(-depth, -np.arange(1, depth[0] + 1), side="right")
+    r = np.zeros(len(nu))
+    c = np.empty(len(nu))
+    neg = np.zeros(len(nu), dtype=np.int64)
+    sign = np.empty(len(nu), dtype=bool)
+    with np.errstate(divide="ignore"):  # 1 / +0.0 = inf: an exact zero
+        for k in range(int(depth[0]), 0, -1):
+            w = width[k - 1]
+            ck, rk = c[:w], r[:w]
+            np.add(nu[:w], k, out=ck)
+            np.divide(ck, half[:w], out=ck)
+            np.subtract(ck, rk, out=rk)
+            np.divide(1.0, rk, out=rk)
+            np.less_equal(rk, 0.0, out=sign[:w])
+            neg[:w] += sign[:w]
+    counts, r1 = np.empty_like(neg), np.empty_like(r)
+    counts[order], r1[order] = neg, r
+    return counts, r1
+
+
+def _float_sweep(nu, half, depth):
+    """One lane of ``_ratio_sweep`` on Python floats: (count, R_1)."""
+    r, count = 0.0, 0
+    for k in range(depth, 0, -1):
+        d = (nu + k) / half - r
+        r = 1.0 / d if d else math.inf  # d = +0.0: an exact zero
+        if r <= 0.0:
+            count += 1
+    return count, r
+
+
+def _halley_step(nu, x, r1):
+    """Halley's next iterate for J_nu at x from R_1, and u = J_nu / J_nu'."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = nu / x
+        u = 1.0 / (q - r1)
+        v = -1.0 / x - (1.0 - q * q) * u
+        return x - u / (1.0 - 0.5 * u * v), u
+
+
+def _halley_zeros(nu, k, a, b, ra, rb, depth):
+    """The k-th zero of J_nu in each bracket [a, b], with R_1 = ra at a and
+    rb at b, by bracketed Halley iteration."""
+    if len(nu) <= _SCALAR_LANES:
+        return np.array([_halley_float(*bracket) for bracket in
+                         zip(nu.tolist(), k.tolist(), a.tolist(), b.tolist(),
+                             ra.tolist(), rb.tolist(), depth.tolist())],
+                        dtype=float)
     a, b = a.copy(), b.copy()
-    left_sign = np.signbit(fa)
-    x = a - fa * (b - a) / (fb - fa)
+    from_a, ua = _halley_step(nu, a, ra)
+    from_b, ub = _halley_step(nu, b, rb)
+    x = np.where(np.abs(ua) <= np.abs(ub), from_a, from_b)
+    outside = ~((x >= a) & (x <= b))
+    x[outside] = 0.5 * (a[outside] + b[outside])
     live = np.arange(len(x))
     for _ in range(_HALLEY_ITERATIONS):
         if not len(live):
             return x
         n, z = nu[live], x[live]
-        f = jv(n, z)
-        df = jv(n - 1.0, z) - n / z * f
-        d2f = -df / z - (1.0 - (n / z) ** 2) * f
-        right = np.signbit(f) == left_sign[live]  # the zero lies right of z
+        count, r1 = _ratio_sweep(n, z, depth[live])
+        right = count < k[live]  # the zero lies right of z
         lo = np.where(right, z, a[live])
         hi = np.where(right, b[live], z)
         a[live], b[live] = lo, hi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = z - 2.0 * f * df / (2.0 * df * df - f * d2f)
+        new, _ = _halley_step(n, z, r1)
         outside = ~((new >= lo) & (new <= hi))
         new[outside] = 0.5 * (lo[outside] + hi[outside])
-        hit = f == 0.0
+        hit = r1 == math.inf  # J_nu(z) = 0 in floating point
         new[hit] = z[hit]
         x[live] = new
         done = hit | (np.abs(new - z) <= 1e-13 + 8.9e-16 * np.abs(new))
         live = live[~done]
     if len(live):
-        k = live[0]
+        i = live[0]
         raise RootFindingError("Halley iteration did not converge",
-                               nu=float(nu[k]),
-                               interval=(float(a[k]), float(b[k])))
+                               nu=float(nu[i]),
+                               interval=(float(a[i]), float(b[i])))
     return x
+
+
+def _halley_float(nu, k, a, b, ra, rb, depth):
+    """One bracket of ``_halley_zeros`` on Python floats."""
+    from_a, ua = _float_step(nu, a, ra)
+    from_b, ub = _float_step(nu, b, rb)
+    x = from_a if abs(ua) <= abs(ub) else from_b
+    if not a <= x <= b:
+        x = 0.5 * (a + b)
+    for _ in range(_HALLEY_ITERATIONS):
+        count, r1 = _float_sweep(nu, 0.5 * x, depth)
+        if count < k:
+            a = x
+        else:
+            b = x
+        if r1 == math.inf:
+            return x
+        new = _float_step(nu, x, r1)[0]
+        if not a <= new <= b:
+            new = 0.5 * (a + b)
+        if abs(new - x) <= 1e-13 + 8.9e-16 * abs(new):
+            return new
+        x = new
+    raise RootFindingError("Halley iteration did not converge", nu=nu,
+                           interval=(a, b))
+
+
+def _float_step(nu, x, r1):
+    """``_halley_step`` on Python floats.  Where numpy divides by zero, its
+    step leaves the bracket; so does the nan returned here."""
+    q = nu / x
+    if q == r1:  # J_nu' = 0
+        return math.nan, math.inf
+    u = 1.0 / (q - r1)
+    v = -1.0 / x - (1.0 - q * q) * u
+    den = 1.0 - 0.5 * u * v
+    return (x - u / den if den else math.nan), u
 
 
 def bessel_oracle(nu, count):

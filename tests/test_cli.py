@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conespec
 from conespec.cli import main
 from conespec.errors import ConfigurationError
 from conespec.exprs import compile_expr
-from conespec.opfile import parse_operator
+from conespec.opfile import config_digest, parse_operator
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -86,6 +87,31 @@ npoints = 1600
     assert worst < 1e-3
     manifest = (tmp_path / "out" / "MANIFEST").read_text()
     assert "status: complete" in manifest and "sha256:" in manifest
+
+
+def test_provenance_follows_the_operator_file(tmp_path):
+    # editing the operator changes the outputs, so it must change the
+    # provenance too; the config and the seed stay the same
+    op = tmp_path / "model.op"
+    text = (CONFIGS / "laplace_a1.5.op").read_text()
+    cfg = write_cfg(tmp_path / "s.cfg", """
+operator = model.op
+strip = 6
+lam_max = 60
+s_min = -8
+npoints = 400
+""")
+    lines = []
+    for a2 in ("2.25", "2.5"):
+        op.write_text(text.replace("m^2 + 2.25", f"m^2 + {a2}"))
+        out = tmp_path / a2
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        lines.append((out / "spectral.csv").read_text().splitlines()[0])
+        assert lines[-1] == (
+            f"# provenance: config={config_digest(cfg)} seed=0 "
+            f"operator={config_digest(op)} conespec={conespec.__version__}")
+        assert (out / "MANIFEST").read_text().splitlines()[0] == lines[-1]
+    assert lines[0] != lines[1]
 
 
 def test_zeta_run_reports_leading_pole(tmp_path):

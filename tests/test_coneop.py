@@ -211,12 +211,39 @@ def test_bessel_zeros_j_max_scan_matches_count_scan(nu):
         bessel_zeros(nu, j_max=math.inf)
 
 
+# mpmath.besseljzero(347.5, 1) at mpmath.workdps(30).  The call takes about
+# 20 s: for the low zeros of a high order, besseljzero first isolates every
+# zero up to the k-th on a grid that starts at x = 2.4, where J_347.5 is
+# slow to sum, and caches the intervals; whichever k comes first pays.
+J_347_5_FIRST = "360.693798189928342451128339439952"
+
+
+def _mpmath_zeros_after(nu, first, count):
+    # besseljzero's own isolation and illinois refinement on mpmath's
+    # besselj, on a grid of step 1.5 from the first zero: consecutive
+    # zeros lie at least 3.07 apart, so a step holds at most one
+    zeros, x = [], first + 1.5
+    fx = mpmath.besselj(nu, x)
+    while len(zeros) < count:
+        y = x + 1.5
+        fy = mpmath.besselj(nu, y)
+        if fx * fy < 0:
+            zeros.append(mpmath.findroot(lambda t: mpmath.besselj(nu, t),
+                                         (x, y), solver="illinois"))
+        x, fx = y, fy
+    return zeros
+
+
 @pytest.mark.parametrize("nu", [100.0, 200.25, 347.5])
 def test_bessel_zeros_match_mpmath_at_large_order(nu):
     # the orders of the laplace_sd spectrum reach 348
     with mpmath.workdps(30):
-        ref = np.array([float(mpmath.besseljzero(nu, k))
-                        for k in range(1, 21)])
+        if nu == 347.5:
+            first = mpmath.mpf(J_347_5_FIRST)
+            ref = [first] + _mpmath_zeros_after(nu, first, 19)
+        else:
+            ref = [mpmath.besseljzero(nu, k) for k in range(1, 21)]
+        ref = np.array([float(z) for z in ref])
     z = bessel_zeros(nu, count=20)
     assert np.max(np.abs(z - ref) / ref) < 1e-13
 
@@ -261,13 +288,229 @@ def test_bessel_zeros_rejects_bad_count(count):
         bessel_zeros(1.5, count=count)
 
 
+def _nan_ratios(monkeypatch):
+    # the sweeps keep their true Sturm counts, hence every bracket, but
+    # return R_1 = nan: every Halley step fails, and bisection alone needs
+    # 43 halvings of a 1.5-wide bracket, more than the 40 iterations
+    float_sweep, ratio_sweep = coneop._float_sweep, coneop._ratio_sweep
+    monkeypatch.setattr(coneop, "_float_sweep",
+                        lambda *lane: (float_sweep(*lane)[0], math.nan))
+    monkeypatch.setattr(coneop, "_ratio_sweep", lambda nu, x, depth: (
+        ratio_sweep(nu, x, depth)[0], np.full(len(nu), math.nan)))
+
+
 def test_bessel_zeros_reports_nonconvergence(monkeypatch):
-    # the sign of J_nu keeps every bracket but no step ever settles
-    monkeypatch.setattr(coneop, "jv", lambda nu, x: np.sign(jv(nu, x)))
+    _nan_ratios(monkeypatch)
     with pytest.raises(RootFindingError) as info:
         bessel_zeros(np.array([0.5, 3.0]), j_max=20.0)
     lo, hi = info.value.payload["interval"]
     assert info.value.payload["nu"] == 0.5 and lo < math.pi < hi
+
+
+def test_bessel_zeros_refuses_a_count_jump_of_two(monkeypatch):
+    # a 1.5 step never holds two zeros, so a count that jumps by two (here
+    # the first count past pi, doubled) is a fault, reported with its step
+    ratio_sweep = coneop._ratio_sweep
+
+    def doubled(nu, x, depth):
+        count, r1 = ratio_sweep(nu, x, depth)
+        return np.where(x > math.pi, 2 * count, count), r1
+
+    monkeypatch.setattr(coneop, "_ratio_sweep", doubled)
+    with pytest.raises(RootFindingError) as info:
+        bessel_zeros(0.5, j_max=20.0)
+    lo, hi = info.value.payload["interval"]
+    assert lo < math.pi < hi and info.value.payload["counts"] == (0, 2)
+
+
+def test_bessel_zeros_reports_nonconvergence_on_vector_lanes(monkeypatch):
+    monkeypatch.setattr(coneop, "_SCALAR_LANES", 0)
+    _nan_ratios(monkeypatch)
+    with pytest.raises(RootFindingError) as info:
+        bessel_zeros(np.array([0.5, 3.0]), j_max=20.0)
+    lo, hi = info.value.payload["interval"]
+    assert info.value.payload["nu"] == 0.5 and lo < math.pi < hi
+
+
+# reference: the sign scan and Halley solve on scipy's jv that the ratio
+# sweep replaced, kept to cross-check it
+
+
+def _jv_scan_zeros(orders, limit):
+    start = np.maximum(orders, 1e-6)
+    points = np.where(start < limit, np.ceil((limit - start) / 1.5) + 2,
+                      0).astype(np.int64)
+    ends = np.cumsum(points)
+    total = int(ends[-1]) if len(ends) else 0
+    lanes, zeros = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for p0 in range(0, total - 1, 2 ** 16):
+        p = np.arange(p0, min(p0 + 2 ** 16 + 1, total))
+        lane = np.searchsorted(ends, p, side="right")
+        x = start[lane] + 1.5 * (p - (ends[lane] - points[lane]))
+        f = jv(orders[lane], x)
+        i = np.flatnonzero((lane[:-1] == lane[1:])
+                           & (np.signbit(f[:-1]) != np.signbit(f[1:]))
+                           & (x[:-1] <= limit[lane[:-1]]))
+        lanes.append(lane[i])
+        zeros.append(_jv_halley_zeros(orders[lane[i]], x[i], x[i + 1],
+                                      f[i], f[i + 1]))
+    return np.concatenate(lanes), np.concatenate(zeros)
+
+
+def _jv_halley_zeros(nu, a, b, fa, fb):
+    a, b = a.copy(), b.copy()
+    left_sign = np.signbit(fa)
+    x = a - fa * (b - a) / (fb - fa)
+    live = np.arange(len(x))
+    for _ in range(40):
+        if not len(live):
+            return x
+        n, z = nu[live], x[live]
+        f = jv(n, z)
+        df = jv(n - 1.0, z) - n / z * f
+        d2f = -df / z - (1.0 - (n / z) ** 2) * f
+        right = np.signbit(f) == left_sign[live]
+        lo = np.where(right, z, a[live])
+        hi = np.where(right, b[live], z)
+        a[live], b[live] = lo, hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = z - 2.0 * f * df / (2.0 * df * df - f * d2f)
+        outside = ~((new >= lo) & (new <= hi))
+        new[outside] = 0.5 * (lo[outside] + hi[outside])
+        hit = f == 0.0
+        new[hit] = z[hit]
+        x[live] = new
+        done = hit | (np.abs(new - z) <= 1e-13 + 8.9e-16 * np.abs(new))
+        live = live[~done]
+    raise AssertionError("reference Halley iteration did not converge")
+
+
+def _jv_bessel_zeros(orders, j_max):
+    lanes, zeros = _jv_scan_zeros(orders, np.full(len(orders), j_max))
+    return [zeros[(lanes == i) & (zeros <= j_max)] for i in range(len(orders))]
+
+
+# the orders and cutoff of a heat study: nu_m^2 = m^2 + 1.45^2 up to
+# lam_max = 13750
+HEAT_ORDERS = np.sqrt(np.arange(120.0) ** 2 + 1.45 ** 2)
+HEAT_J_MAX = math.sqrt(13750.0)
+
+
+@pytest.fixture(scope="module")
+def heat_zeros():
+    return (bessel_zeros(HEAT_ORDERS, j_max=HEAT_J_MAX),
+            _jv_bessel_zeros(HEAT_ORDERS, HEAT_J_MAX))
+
+
+def test_ratio_sweep_zeros_match_jv_reference(heat_zeros):
+    zeros, ref = heat_zeros
+    assert [len(z) for z in zeros] == [len(z) for z in ref]
+    assert sum(len(z) for z in zeros) == 1704
+    rel = np.concatenate([np.abs(z - r) / r for z, r in zip(zeros, ref)])
+    assert np.max(rel) <= 1.2e-15
+
+
+def test_ratio_sweep_zeros_match_mpmath_where_they_differ_from_jv(heat_zeros):
+    # the 40 zeros where the two solvers differ most, against mpmath's
+    # besseljzero at 40 digits; jv's zeros are off by up to about 1e-15
+    zeros, ref = heat_zeros
+    rows = sorted(((abs(z - r) / r, nu, k, z)
+                   for nu, zs, rs in zip(HEAT_ORDERS, zeros, ref)
+                   for k, (z, r) in enumerate(zip(zs, rs), start=1)),
+                  reverse=True)[:40]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _, nu, k, z in rows:
+            exact = mpmath.besseljzero(mpmath.mpf(float(nu)), k)
+            worst = max(worst, float(abs(mpmath.mpf(float(z)) - exact) / exact))
+    assert worst <= 2.5e-16
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.45, 7.3, 40.2])
+def test_sturm_count_matches_mpmath_zero_count(nu):
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besseljzero(nu, k)) for k in range(1, 16)])
+    x = np.linspace(max(nu, 1e-6), ref[-1] + 2.0, 401)
+    x = x[np.min(np.abs(x[:, None] - ref[None, :]), axis=1) > 1e-9]
+    for lanes in (slice(None), slice(0, 20)):  # vector and float lanes
+        xs = x[lanes]
+        nus = np.full(len(xs), nu)
+        count, r1 = coneop._ratio_sweep(nus, xs, coneop._sweep_depth(nus, xs))
+        assert np.array_equal(count, np.searchsorted(ref, xs))
+        # R_1 = J_(nu+1) / J_nu, away from the zeros of J_nu (the ratio
+        # crosses zero where J_(nu+1) does, so the error is not relative)
+        far = np.min(np.abs(xs[:, None] - ref[None, :]), axis=1) > 0.1
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.besselj(nu + 1, t) / mpmath.besselj(nu, t))
+                             for t in xs[far]])
+        assert np.max(np.abs(r1[far] - want) / (1.0 + np.abs(want))) < 1e-13
+
+
+def test_sturm_count_across_an_exact_zero_of_a_higher_order(monkeypatch):
+    # the first zero of J_1 lands on a floating-point zero (R_1 = inf).
+    # Sweeping J_0 there with one more step repeats the same arithmetic one
+    # order up, so J_1(x) = 0 shows as R_2 = inf and R_1 = -0.0, and the
+    # count must still see the one zero of J_0 below x
+    x = bessel_zeros(1.0, count=1)
+    depth = coneop._sweep_depth(np.array([1.0]), x)
+    for lanes in (coneop._SCALAR_LANES, 0):  # float lanes, numpy lanes
+        monkeypatch.setattr(coneop, "_SCALAR_LANES", lanes)
+        count, r1 = coneop._ratio_sweep(np.array([1.0]), x, depth)
+        assert r1[0] == math.inf and count[0] == 0
+        count, r1 = coneop._ratio_sweep(np.array([0.0]), x, depth + 1)
+        assert r1[0] == 0.0 and np.signbit(r1[0]) and count[0] == 1
+
+
+def test_sweep_depth_damps_the_start_below_2_to_minus_64():
+    # past x both the true and the truncated ratio lie in [0, e^-a(mu)],
+    # cosh a(mu) = mu / x, so the start error reaches the first order past
+    # x damped by exp(-2 sum_i a(x + T - i)), i = 0, ..., floor(T)
+    x = np.geomspace(1e-6, 1e5, 300)
+    t = 4.0 + 8.25 * np.cbrt(x)
+    for frac in (0.0, 0.3, 0.999, 1.0):
+        nu = frac * x
+        assert np.all(coneop._sweep_depth(nu, x) + nu - x >= t - 1e-9 * x)
+    for xi, ti in zip(x, t):
+        i = np.arange(math.floor(ti) + 1)
+        assert 2.0 * np.sum(np.arccosh(1.0 + (ti - i) / xi)) >= 64 * math.log(2)
+
+
+# nu = 1 and 2.5 land a Halley iterate on a floating-point zero
+# (R_1 = inf), nu = 0 and 347.5 are the ends of the tested orders
+BITWISE_ORDERS = np.array([0.0, 0.5, 1.0, 1.5, math.sqrt(3.25), 2.5,
+                           40.0, 110.0, 150.0, 347.5])
+
+
+@pytest.mark.parametrize("limit", [{"j_max": 14.0}, {"j_max": 151.0},
+                                   {"count": 9}])
+def test_bessel_zeros_float_lanes_equal_vector_lanes(monkeypatch, limit):
+    runs = []
+    for lanes in (0, 10 ** 9):  # every sweep on numpy lanes, then on floats
+        monkeypatch.setattr(coneop, "_SCALAR_LANES", lanes)
+        runs.append(bessel_zeros(BITWISE_ORDERS, **limit))
+    for vector, floats in zip(*runs):
+        assert np.array_equal(vector, floats)
+
+
+def test_bessel_zeros_batch_equals_scalar_with_exact_zero_hits():
+    for limit in ({"j_max": 60.0}, {"count": 12}):
+        batch = bessel_zeros(BITWISE_ORDERS, **limit)
+        for nu, z in zip(BITWISE_ORDERS, batch):
+            assert np.array_equal(z, bessel_zeros(nu, **limit))
+
+
+def test_bessel_zeros_unchanged_by_doubled_depth(monkeypatch):
+    before = bessel_zeros(np.append(HEAT_ORDERS, BITWISE_ORDERS),
+                          j_max=HEAT_J_MAX)
+    counted = bessel_zeros(BITWISE_ORDERS, count=20)
+    depth = coneop._sweep_depth
+    monkeypatch.setattr(coneop, "_sweep_depth",
+                        lambda nu, x: 2 * depth(nu, x))
+    after = bessel_zeros(np.append(HEAT_ORDERS, BITWISE_ORDERS),
+                         j_max=HEAT_J_MAX)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(counted, bessel_zeros(BITWISE_ORDERS, count=20)))
 
 
 def test_oracle_spectral_data_matches_per_mode_zeros():
