@@ -97,11 +97,20 @@ def _positive(kv, key, default):
 
 
 def _size(kv, key, default):
-    """A matrix dimension: a nonnegative integer."""
+    """A nonnegative integer: a matrix dimension or an expansion order."""
     value = _i(kv, key, default)
     if value < 0:
         raise ConfigurationError("config value must be nonnegative", key=key,
                                  got=kv[key])
+    return value
+
+
+def _count(kv, key, default):
+    """A positive integer: a number of samples."""
+    value = _i(kv, key, default)
+    if value < 1:
+        raise ConfigurationError("config value must be a positive integer",
+                                 key=key, got=kv[key])
     return value
 
 
@@ -137,9 +146,9 @@ def _spectral(kv, op, lam_max):
 def run_spectrum(kv, runner, args):
     op = _operator(kv, args.config)
     strip = _f(kv, "strip", 8.0)
+    lam_max = _positive(kv, "lam_max", 500.0)
     bspec = coneop.boundary_spectrum(op, strip)
     runner.write_csv("boundary_spectrum.csv", bspec.to_csv_rows())
-    lam_max = _f(kv, "lam_max", 500.0)
     disc = coneop.discretize(op, _f(kv, "s_min", -12.0), _i(kv, "npoints", 1500))
     sd = coneop.grid_spectral_data(disc, lam_max)
     runner.write_csv("spectral.csv", sd.to_csv_rows())
@@ -164,8 +173,8 @@ def run_heat(kv, runner, args):
     op = _operator(kv, args.config)
     t_min, t_max = _positive(kv, "t_min", 1e-3), _positive(kv, "t_max", 0.12)
     lam_max = _positive(kv, "lam_max", 46.0 / t_min)
-    ts = np.geomspace(t_min, t_max, _i(kv, "t_count", 120))
-    k_max = _i(kv, "k_max", 4)
+    ts = np.geomspace(t_min, t_max, _count(kv, "t_count", 120))
+    k_max = _size(kv, "k_max", 4)
     window = (_f(kv, "window_lo", t_min), _f(kv, "window_hi", t_max))
     # the trace of the full model needs every mode with spectrum below lam_max
     op = op.with_modes(int(math.sqrt(lam_max)) + 2)
@@ -194,13 +203,13 @@ def run_heat(kv, runner, args):
 def run_resolvent(kv, runner, args):
     op = _operator(kv, args.config)
     lam_spec = _positive(kv, "lam_max_spec", 2e4)
-    mags = np.geomspace(_f(kv, "lam_min", 1e2), _f(kv, "lam_max", 1e6),
-                        _i(kv, "count", 40))
+    mags = np.geomspace(_positive(kv, "lam_min", 1e2),
+                        _positive(kv, "lam_max", 1e6), _count(kv, "count", 40))
     N = _i(kv, "N", 2)
-    lam_tr = -np.geomspace(_f(kv, "trace_lam_min", 10.0),
-                           _f(kv, "trace_lam_max", 1e3),
-                           _i(kv, "trace_count", 25))
-    k_max = _i(kv, "k_max", 4)
+    lam_tr = -np.geomspace(_positive(kv, "trace_lam_min", 10.0),
+                           _positive(kv, "trace_lam_max", 1e3),
+                           _count(kv, "trace_count", 25))
+    k_max = _size(kv, "k_max", 4)
     op = op.with_modes(int(math.sqrt(lam_spec)) + 2)
     sd = _spectral(kv, op, lam_spec)
     norms = [coneop.resolvent_norm(sd, -m) for m in mags]
@@ -227,8 +236,8 @@ def run_zeta(kv, runner, args):
     t_min = _positive(kv, "t_min", 1e-3)
     t0 = _positive(kv, "t0", 0.1)
     lam_max = _positive(kv, "lam_max", 46.0 / t_min)
-    ts = np.geomspace(t_min, 1.2 * t0, _i(kv, "t_count", 120))
-    k_max = _i(kv, "k_max", 4)
+    ts = np.geomspace(t_min, 1.2 * t0, _count(kv, "t_count", 120))
+    k_max = _size(kv, "k_max", 4)
     z_eval = [parse_value("z_eval", z, complex)
               for z in kv.get("z_eval", "-3,-2.5,-1.5").split(",")]
     op = op.with_modes(int(math.sqrt(lam_max)) + 2)

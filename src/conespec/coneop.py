@@ -36,6 +36,16 @@ from .errors import (ConfigurationError, InsufficientSpectrumError,
 # operators
 
 
+def _classes(keyed):
+    """Modes grouped by bitwise equal keys, from (mode, key) pairs in mode
+    order.  Every solver here is deterministic, so the modes of a class
+    share one solve (m and -m, when the coefficients depend on m^2)."""
+    classes = {}
+    for m, key in keyed:
+        classes.setdefault(key, []).append(m)
+    return list(classes.values())
+
+
 class ConeOperator:
     """Weighted polynomial in the dilation generator, one polynomial per mode.
 
@@ -82,6 +92,12 @@ class ConeOperator:
 
     def mode_list(self):
         return list(range(self.modes[0], self.modes[1] + 1))
+
+    def mode_classes(self):
+        """Modes with bitwise equal indicial coefficients, one list per
+        class, in mode order: each class poses one conormal problem."""
+        return _classes((m, np.asarray(self._indicial(m), complex).tobytes())
+                        for m in self.mode_list())
 
     @property
     def is_frozen(self):
@@ -201,12 +217,14 @@ def _polish_root(coeffs, z):
 def boundary_spectrum(op, strip):
     """All indicial roots sigma with |Im sigma| <= strip, with multiplicities.
 
-    Roots are found per mode by the companion method, polished by Newton
-    where simple, and clustered into multiplicities.  Nonconvergence is
-    reported with the offending mode and residual.
+    Roots are found once per mode class by the companion method, polished
+    by Newton where simple, and clustered into multiplicities; each mode of
+    the class gets its own entries.  Nonconvergence is reported with the
+    offending mode and residual.
     """
     poles = []
-    for m in op.mode_list():
+    for modes in op.mode_classes():
+        m = modes[0]
         coeffs = np.asarray(op._indicial(m), dtype=complex)
         if len(coeffs) == 1:
             continue  # constant invertible family, no roots
@@ -236,7 +254,7 @@ def boundary_spectrum(op, strip):
                 raise RootFindingError("indicial root failed to converge",
                                        mode=m, residual=resid, root=center)
             if abs(center.imag) <= strip + 1e-12:
-                poles.append(PoleEntry(center, len(group), m))
+                poles.extend(PoleEntry(center, len(group), k) for k in modes)
     poles.sort(key=lambda p: (p.mode, p.sigma.real, p.sigma.imag))
     return BoundarySpectrum(poles, float(strip))
 
@@ -268,6 +286,12 @@ class Discretization:
 
     def mode_list(self):
         return self.op.mode_list()
+
+    def mode_classes(self):
+        """Modes with bitwise equal tridiagonals (d, e), one list per class,
+        in mode order."""
+        return _classes((m, tuple(a.tobytes() for a in self.matrix(m)))
+                        for m in self.mode_list())
 
     def matrix(self, m):
         """Tridiagonal data (diagonal, subdiagonal) of the conjugated operator."""
@@ -414,8 +438,8 @@ def kappa_scale(u, rho, s_grid):
 _ZERO_STEP = 1.5       # scan step, under half the least zero spacing 3.07
 _SCAN_BLOCK = 2 ** 16  # scan points per block of sweeps
 _HALLEY_ITERATIONS = 40
-# sweeps and Halley solves over at most this many lanes run one float loop
-# per lane: numpy's per-step dispatch pays only over more lanes than that
+# sweeps over at most this many lanes run one float loop per lane: numpy's
+# per-step dispatch pays only over more lanes than that
 _SCALAR_LANES = 32
 
 
@@ -494,12 +518,11 @@ def bessel_zeros(nu, count=None, j_max=None):
 
     Lanes.  A sweep over more than 32 (order, point) lanes runs as numpy
     ufuncs, in place, on the lanes sorted by depth, so the lanes still
-    active form a prefix.  A smaller sweep runs one float loop per lane,
-    and a block with at most 32 brackets runs its Halley solve one float
-    loop per bracket: a small call, such as the 2-order oracle compare of
-    ``conespec spectrum``, then dispatches no numpy call per step.  Both
-    ways do the same IEEE operations in the same order and agree bitwise
-    (tested).
+    active form a prefix.  A smaller sweep, such as one Halley iteration
+    over a few brackets, runs one float loop per lane, so it dispatches no
+    numpy call per step of the recurrence.  Both ways do the same IEEE
+    operations in the same order and agree bitwise (tested).  The Halley
+    steps themselves always run on numpy arrays, one call per iteration.
     """
     orders = np.asarray(nu, dtype=float)
     if orders.ndim > 1:
@@ -639,11 +662,6 @@ def _halley_step(nu, x, r1):
 def _halley_zeros(nu, k, a, b, ra, rb, depth):
     """The k-th zero of J_nu in each bracket [a, b], with R_1 = ra at a and
     rb at b, by bracketed Halley iteration."""
-    if len(nu) <= _SCALAR_LANES:
-        return np.array([_halley_float(*bracket) for bracket in
-                         zip(nu.tolist(), k.tolist(), a.tolist(), b.tolist(),
-                             ra.tolist(), rb.tolist(), depth.tolist())],
-                        dtype=float)
     a, b = a.copy(), b.copy()
     from_a, ua = _halley_step(nu, a, ra)
     from_b, ub = _halley_step(nu, b, rb)
@@ -674,43 +692,6 @@ def _halley_zeros(nu, k, a, b, ra, rb, depth):
                                nu=float(nu[i]),
                                interval=(float(a[i]), float(b[i])))
     return x
-
-
-def _halley_float(nu, k, a, b, ra, rb, depth):
-    """One bracket of ``_halley_zeros`` on Python floats."""
-    from_a, ua = _float_step(nu, a, ra)
-    from_b, ub = _float_step(nu, b, rb)
-    x = from_a if abs(ua) <= abs(ub) else from_b
-    if not a <= x <= b:
-        x = 0.5 * (a + b)
-    for _ in range(_HALLEY_ITERATIONS):
-        count, r1 = _float_sweep(nu, 0.5 * x, depth)
-        if count < k:
-            a = x
-        else:
-            b = x
-        if r1 == math.inf:
-            return x
-        new = _float_step(nu, x, r1)[0]
-        if not a <= new <= b:
-            new = 0.5 * (a + b)
-        if abs(new - x) <= 1e-13 + 8.9e-16 * abs(new):
-            return new
-        x = new
-    raise RootFindingError("Halley iteration did not converge", nu=nu,
-                           interval=(a, b))
-
-
-def _float_step(nu, x, r1):
-    """``_halley_step`` on Python floats.  Where numpy divides by zero, its
-    step leaves the bracket; so does the nan returned here."""
-    q = nu / x
-    if q == r1:  # J_nu' = 0
-        return math.nan, math.inf
-    u = 1.0 / (q - r1)
-    v = -1.0 / x - (1.0 - q * q) * u
-    den = 1.0 - 0.5 * u * v
-    return (x - u / den if den else math.nan), u
 
 
 def bessel_oracle(nu, count):
@@ -881,28 +862,24 @@ def oracle_spectral_data(op, lam_max, *, meta=None):
     if abs(op.mu - 2.0) > 1e-12:
         raise ConfigurationError("oracle spectra require mu = 2", mu=op.mu)
     _check_degree2(op)
-    nus = {m: _frozen_nu(op, m) for m in op.mode_list()}
-    # modes whose orders agree to 12 digits share the first one's zeros,
-    # found for all distinct orders in one call, and its Weyl fit
-    distinct = {}
-    for nu in nus.values():
-        distinct.setdefault(round(nu, 12), nu)
-    lams = {key: z * z for key, z in
-            zip(distinct, bessel_zeros(list(distinct.values()),
-                                       j_max=math.sqrt(lam_max)))}
-    fits = {key: _weyl_fit(lam) for key, lam in lams.items() if len(lam)}
+    # one order per mode class; the zeros of all of them come from one call
+    classes = op.mode_classes()
+    nus = [_frozen_nu(op, modes[0]) for modes in classes]
     eigs = {}
     weyl = {}
     extra = []
-    for m, nu in nus.items():
-        key = round(nu, 12)
-        if key in fits:
-            eigs[m] = lams[key].copy()
-            weyl[m] = fits[key]
+    for modes, nu, z in zip(classes, nus,
+                            bessel_zeros(nus, j_max=math.sqrt(lam_max))):
+        if len(z):
+            lam = z * z
+            fit = _weyl_fit(lam)
+            for m in modes:
+                eigs[m] = lam.copy()
+                weyl[m] = fit
         else:
             # modes without a materialized eigenvalue still contribute to
             # traces from lam >= nu^2 up; record their nu values
-            extra.append(nu)
+            extra.extend([nu] * len(modes))
     extra.sort()
     base_meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label}
     if meta:
@@ -923,16 +900,19 @@ def _mode_nu_floor(op, m):
 
 
 def grid_spectral_data(disc, lam_max):
-    """Discretized per-mode spectra up to lam_max via pencil bisection."""
+    """Discretized per-mode spectra up to lam_max via pencil bisection, one
+    solve per mode class."""
     op = disc.op
     eigs = {}
     weyl = {}
-    for m in disc.mode_list():
-        d, e = disc.matrix(m)
+    for modes in disc.mode_classes():
+        d, e = disc.matrix(modes[0])
         vals = pencil.eig_pencil(d, e, disc.w, lam_max=lam_max)
         if len(vals):
-            eigs[m] = vals
-            weyl[m] = _weyl_fit(vals)
+            fit = _weyl_fit(vals)
+            for m in modes:
+                eigs[m] = vals.copy()
+                weyl[m] = fit
     extra = sorted(_mode_nu_floor(op, m) for m in op.mode_list()
                    if m not in eigs)
     meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label,

@@ -391,8 +391,8 @@ def invariance_red_to_sobolev(disc, eps_list):
     On the truncated grid the factor x^eps is an invertible diagonal, so
     the dimensions are read from the singular values of the polynomial
     part.  That part is symmetric tridiagonal, so they are the absolute
-    values of its eigenvalues (LAPACK on the tridiagonal, once per distinct
-    matrix; no dense matrix is built): those below 1e-8 of the largest
+    values of its eigenvalues (LAPACK on the tridiagonal, once per mode
+    class; no dense matrix is built): those below 1e-8 of the largest
     count as kernel, and those within a further factor 10 give an
     UNDECIDED (None) dimension rather than a count.  An eps is flagged as a crossing when shifting the
     weight by eps moves a boundary-spectrum pole (searched in
@@ -409,21 +409,14 @@ def invariance_red_to_sobolev(disc, eps_list):
     bspec = boundary_spectrum(op, mu + max(abs(e) for e in eps_list) + 2.0)
     ims = [p.sigma.imag for p in bspec.poles]
     total, undecided = 0, False
-    solved = {}
-    for m in disc.mode_list():
-        d, e = disc.matrix(m)
-        # modes with bitwise equal tridiagonals (m and -m when the
-        # coefficients depend on m^2) share one solve
-        key = (d.tobytes(), e.tobytes())
-        if key not in solved:
-            solved[key] = np.abs(eigvalsh_tridiagonal(d, e))
-        sv = solved[key]
+    for modes in disc.mode_classes():
+        sv = np.abs(eigvalsh_tridiagonal(*disc.matrix(modes[0])))
         top = np.max(sv)
         small = sv < 1e-8 * top
         amb = (~small) & (sv < 10 * 1e-8 * top)
         if np.any(amb):
             undecided = True
-        total += int(np.sum(small))
+        total += len(modes) * int(np.sum(small))
     dim = None if undecided else total
     rows = []
     for eps in eps_list:

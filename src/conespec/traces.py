@@ -300,33 +300,41 @@ class WeightedSpectralData:
 
 
 def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
-    """Eigenpairs up to lam_cap with matrix elements of the weight operator."""
+    """Eigenpairs up to lam_cap with matrix elements of the weight operator.
+
+    The eigenpairs and the weighted squares of the vectors are computed once
+    per mode class; each mode scales them by its own tangential factor.
+    """
     op = disc.op
     mult = B.multiplier(disc.x)
     pairs = {}
     weyl = {}
     bfit = {}
     bmax = {}
-    for m in disc.mode_list():
-        vals, vecs = eigenvalues(disc, m, lam_max=lam_cap, vectors=True)
+    for modes in disc.mode_classes():
+        vals, vecs = eigenvalues(disc, modes[0], lam_max=lam_cap, vectors=True)
         if len(vals) == 0:
             continue
-        rho = B.mode_factor(m)
-        bs = rho * disc.h * np.einsum("ij,i->j", np.abs(vecs) ** 2,
-                                      mult * disc.w)
-        pairs[m] = (vals, bs)
-        # W-normalized u: |<B u, u>| <= rho max|mult| for every eigenpair
-        bmax[m] = rho * float(np.max(np.abs(mult)))
-        weyl[m] = _weyl_fit(vals)
-        # matrix-element growth fit on the top half for tail extrapolation;
-        # the exponent is clamped to [0, 1.5] (bounded weights grow slower)
-        half = max(1, len(vals) // 2)
-        if len(vals) >= 6 and np.all(np.abs(bs[half:]) > 0):
-            q, logc = np.polyfit(np.log(vals[half:]), np.log(np.abs(bs[half:])), 1)
-            bfit[m] = (float(np.exp(logc)) * 2.0,
-                       float(min(max(q, 0.0), 1.5)))
-        else:
-            bfit[m] = (float(np.max(np.abs(bs))) * 2.0 + 1e-300, 0.0)
+        E = np.einsum("ij,i->j", np.abs(vecs) ** 2, mult * disc.w)
+        fit = _weyl_fit(vals)
+        for m in modes:
+            rho = B.mode_factor(m)
+            bs = rho * disc.h * E
+            pairs[m] = (vals.copy(), bs)
+            # W-normalized u: |<B u, u>| <= rho max|mult| for every eigenpair
+            bmax[m] = rho * float(np.max(np.abs(mult)))
+            weyl[m] = fit
+            # matrix-element growth fit on the top half for tail
+            # extrapolation; the exponent is clamped to [0, 1.5] (bounded
+            # weights grow slower)
+            half = max(1, len(vals) // 2)
+            if len(vals) >= 6 and np.all(np.abs(bs[half:]) > 0):
+                q, logc = np.polyfit(np.log(vals[half:]),
+                                     np.log(np.abs(bs[half:])), 1)
+                bfit[m] = (float(np.exp(logc)) * 2.0,
+                           float(min(max(q, 0.0), 1.5)))
+            else:
+                bfit[m] = (float(np.max(np.abs(bs))) * 2.0 + 1e-300, 0.0)
     meta = {"mu": op.mu, "n": 2, "mu_prime": B.mu_prime, "beta": B.beta,
             "operator": op.label, "weight": B.label}
     from .coneop import _mode_nu_floor
@@ -424,10 +432,11 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     u >= 0.  The resolvent power trace at each quadrature node is the
     eps^(N-1) Taylor coefficient of Tr[B (K - (lam + eps) W)^(-1) W],
     computed exactly from power series of the tridiagonal pivots
-    (``pencil.trace_weighted_resolvent``), with every mode and node as a
-    lane of one pivot sweep; a node costs O(grid size * N^2) per mode.
+    (``pencil.trace_weighted_resolvent``), with every mode class and node
+    as a lane of one pivot sweep, each class weighted by its size; a node
+    costs O(grid size * N^2) per class.
 
-    The contour must enclose the whole spectrum: one Sturm count per mode
+    The contour must enclose the whole spectrum: one Sturm count per class
     at the vertex lam = -1 raises if any eigenvalue lies to its left, and a
     non-finite trace raises.  The result must agree with the eigenvalue
     sum; a last-panel contribution above 1e-8 of the value raises.
@@ -451,26 +460,26 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     e_dir = complex(math.cos(delta), math.sin(delta))
     lam_nodes = -1.0 + nodes * e_dir
 
-    # modes share the subdiagonal unless the leading coefficient depends on
-    # the mode, and each group of them is one sweep; equal diagonals (m and
-    # -m of a circle-symmetric operator) are swept once and counted twice
+    # mode classes share the subdiagonal unless the leading coefficient
+    # depends on the mode; the classes of one subdiagonal are one sweep,
+    # each swept once and counted as often as it has modes
     groups = {}
-    for m in disc.mode_list():
-        d, e = disc.matrix(m)
-        modes, ds = groups.setdefault(e.tobytes(), (e, [], []))[1:]
-        modes.append(m)
+    for modes in disc.mode_classes():
+        d, e = disc.matrix(modes[0])
+        classes, ds = groups.setdefault(e.tobytes(), (e, [], []))[1:]
+        classes.append(modes)
         ds.append(d)
     tr_n = np.zeros(len(lam_nodes), dtype=complex)
-    for e, modes, ds in groups.values():
-        ds, row, mult = np.unique(np.array(ds), axis=0, return_inverse=True,
-                                  return_counts=True)
-        below = pencil.inertia(ds, e, disc.w, [-1.0])[row, 0]
+    for e, classes, ds in groups.values():
+        ds, size = np.array(ds), np.array([len(modes) for modes in classes])
+        below = pencil.inertia(ds, e, disc.w, [-1.0])[:, 0]
         if np.any(below):
             raise NumericalError(
                 "spectrum extends left of the contour vertex -1",
-                modes=[m for m, k in zip(modes, below) if k],
-                count=int(np.sum(below)))
-        tr_n += mult @ pencil.trace_weighted_resolvent(
+                modes=sorted(m for modes, k in zip(classes, below) if k
+                             for m in modes),
+                count=int(size @ below))
+        tr_n += size @ pencil.trace_weighted_resolvent(
             ds, e, disc.w, lam_nodes, bdiag=bdiag, N=N)
 
     integrand = np.exp(-t * lam_nodes) * tr_n * e_dir
