@@ -45,7 +45,9 @@ _DETECT_FACTOR = 10.0
 _COND_LIMIT = 1e12
 _QUAD_TOL = 1e-11
 _PROBE_OFFSET = 0.37
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Gauss-Legendre rules by size: 24 points for the composite oracles and the
+# contour heat trace, 48 for the zeta continuation's upper integral
+_GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
 _START_PANELS = 4
 _MAX_PANELS = 4096
 # nodes evaluated per block of rows, bounding the temporaries' memory
@@ -363,14 +365,16 @@ def _resolvable_cap(x_grid, union):
     return lo + max(2.0, 0.45 * span / math.log(10.0) * 2.2)
 
 
-def _gauss_panels(edges):
-    """24-point Gauss-Legendre nodes and weights on the panels between
-    consecutive ``edges`` (last axis), concatenated panel by panel."""
+def _gauss_panels(edges, size):
+    """``size``-point Gauss-Legendre nodes and weights (``size`` a key of
+    ``_GL_RULES``) on the panels between consecutive ``edges`` (last
+    axis), concatenated panel by panel."""
     edges = np.asarray(edges, dtype=float)
     a, b = edges[..., :-1, None], edges[..., 1:, None]
     shape = edges.shape[:-1] + (-1,)
-    nodes = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * _GL_WEIGHTS
+    x, w = _GL_RULES[size]
+    nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * w
     return nodes.reshape(shape), weights.reshape(shape)
 
 
@@ -392,11 +396,11 @@ def _composite_gauss(f, lo, hi, *params):
     while panels <= _MAX_PANELS:
         edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0,
                                                                panels + 1)
-        step = max(1, _BLOCK_NODES // (panels * len(_GL_NODES)))
+        step = max(1, _BLOCK_NODES // (panels * 24))
         parts = []
         for i in range(0, len(lo), step):
             blk = slice(i, i + step)
-            s, w = _gauss_panels(edges[blk])
+            s, w = _gauss_panels(edges[blk], 24)
             cols = [p[blk, None] for p in params]
             parts.append(np.sum(w * f(s, *cols), axis=-1))
         val = np.concatenate(parts)
@@ -704,14 +708,7 @@ class ZetaContinuation:
         v_max = math.log(46.0 / (self.t0 * lam_min) + 2.0)
         self._lam_min = lam_min
         self._t_max = self.t0 * math.exp(v_max)
-        xg, wg = np.polynomial.legendre.leggauss(48)
-        vs, ws = [], []
-        edges = np.linspace(0.0, v_max, 9)
-        for a, b in zip(edges[:-1], edges[1:]):
-            vs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-            ws.append(0.5 * (b - a) * wg)
-        self._vq = np.concatenate(vs)
-        self._wq = np.concatenate(ws)
+        self._vq, self._wq = _gauss_panels(np.linspace(0.0, v_max, 9), 48)
         # one heat_sum call for the nodes and t_max; math.exp, not np.exp,
         # which may differ in the last ulp
         ts = np.array([self.t0 * math.exp(v) for v in self._vq] + [self._t_max])

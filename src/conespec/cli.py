@@ -96,9 +96,10 @@ def _positive(kv, key, default):
     return value
 
 
-def _size(kv, key, default):
-    """A nonnegative integer: a matrix dimension or an expansion order."""
-    value = _i(kv, key, default)
+def _size(kv, key, default, read=_i):
+    """A nonnegative integer (a matrix dimension or an expansion order), or
+    with ``read=_f`` a nonnegative number (a strip half-width)."""
+    value = read(kv, key, default)
     if value < 0:
         raise ConfigurationError("config value must be nonnegative", key=key,
                                  got=kv[key])
@@ -145,7 +146,7 @@ def _spectral(kv, op, lam_max):
 
 def run_spectrum(kv, runner, args):
     op = _operator(kv, args.config)
-    strip = _f(kv, "strip", 8.0)
+    strip = _size(kv, "strip", 8.0, read=_f)
     lam_max = _positive(kv, "lam_max", 500.0)
     bspec = coneop.boundary_spectrum(op, strip)
     runner.write_csv("boundary_spectrum.csv", bspec.to_csv_rows())

@@ -3,11 +3,14 @@
 Values come either from eigenvalue sums (spectral data, exact for the
 frozen models via the Bessel oracle) or from contour quadrature against
 resolvent solves on a discretization.  Every retained sample carries an
-explicit truncation bound; samples whose bound exceeds a fixed fraction of
-the value are refused rather than silently kept.  The fraction is
-``_TAIL_REFUSAL`` = 1 % for heat and resolvent trace samples, and
-``_POWER_SUM_TAIL_REFUSAL`` = 1e-6 for complex power sums, which are the
-independent values the zeta continuation is checked against to 1e-6.
+explicit truncation bound.  ``heat_trace``, ``weighted_heat_trace`` and
+``resolvent_power_trace`` refuse the first sample whose bound exceeds
+``_TAIL_REFUSAL`` = 1 % of its value, and ``complex_power_sum`` refuses
+one above ``_POWER_SUM_TAIL_REFUSAL`` = 1e-6, the tolerance the zeta
+continuation is checked against.  ``resolvent_power_trace_spectral`` (the
+CLI ``resolvent``) refuses only shifts on the spectrum or near its
+truncation edge: it reports its bound but does not compare it with the
+value.
 """
 
 import math
@@ -105,6 +108,25 @@ class TraceSeries:
         return rows
 
 
+def _samples(value, params, dtype):
+    """The (value, tail) pairs of ``value`` at each parameter, as arrays."""
+    out = np.array([value(p) for p in params], dtype=dtype).reshape(-1, 2)
+    return out[:, 0], out[:, 1].real
+
+
+def _refuse_large_tails(message, key, params, vals, tails, needed=dict):
+    """Refuse the first sample whose tail bound exceeds ``_TAIL_REFUSAL``
+    times its value; the payload names the sample as ``key``, its tail
+    and value, and what ``needed()`` reports."""
+    refused = np.flatnonzero(
+        tails > _TAIL_REFUSAL * np.maximum(np.abs(vals), 1e-300))
+    if len(refused):
+        i = refused[0]
+        raise InsufficientSpectrumError(
+            message, **{key: params[i].item()}, tail=float(tails[i]),
+            value=vals[i].item(), **needed())
+
+
 class WeightOperator:
     """Weight x^(-beta) phi(x) times a per-mode multiplier of given order.
 
@@ -157,15 +179,14 @@ def heat_trace(sd: SpectralData, t_grid):
     if np.any(t_grid <= 0):
         raise ConfigurationError("heat trace needs positive times")
     vals, tails = sd.heat_sum(t_grid)
-    refused = np.flatnonzero(tails > _TAIL_REFUSAL * np.maximum(vals, 1e-300))
-    if len(refused):
-        i = refused[0]
+
+    def needed():
         need = 40.0 / float(np.min(t_grid))
-        raise InsufficientSpectrumError(
-            "heat trace tail bound too large at small t",
-            t=float(t_grid[i]), tail=float(tails[i]), value=float(vals[i]),
-            lam_max_needed=need,
-            count_needed=int(sd.count() * need / max(sd.lam_max, 1.0)))
+        return {"lam_max_needed": need,
+                "count_needed": int(sd.count() * need / max(sd.lam_max, 1.0))}
+
+    _refuse_large_tails("heat trace tail bound too large at small t", "t",
+                        t_grid, vals, tails, needed)
     meta = dict(sd.meta)
     meta.update({"N": 0, "mu_prime": 0.0, "beta": 0.0})
     return TraceSeries(t_grid, vals, tails, "heat", meta, sd)
@@ -213,22 +234,30 @@ class WeightedSpectralData:
     extra_nus: np.ndarray
 
     def __post_init__(self):
-        # left endpoints of each mode's tail blocks past its last
-        # eigenvalue, from the Weyl fit, the matrix-element envelope there,
-        # and the (C, q, c1, y0, bmax) of _remainder for the rest of the row
-        lams, coefs, rows = [], [], []
-        for m in self.modes():
-            c1, c0 = self.weyl.get(m, (math.pi, 0.0))
-            C, q = self.bfit.get(m, (1.0, 0.0))
-            k0 = len(self.pairs[m][0]) + 1
-            lam = (c1 * (k0 + _BLOCK_K) + c0) ** 2
-            lams.append(lam)
-            coefs.append(C * np.maximum(lam, 1.0) ** q)
-            rows.append((C, q, c1, c1 * (k0 + _BLOCK_END - 1) + c0,
-                         self.bmax.get(m, math.inf)))
-        self._tail_lam = np.reshape(lams, (-1, len(_BLOCK_K)))
-        self._tail_coef = np.reshape(coefs, (-1, len(_BLOCK_K)))
-        self._tail_rows = np.reshape(rows, (-1, 5)).T
+        # every pair in mode order, for one sum per sample
+        modes = self.modes()
+        self._lams, self._bs = np.hstack(
+            [np.empty((2, 0))] + [self.pairs[m] for m in modes])
+        # one tail row (C, q, c1, c0, k0, bmax) per mode: index k >= k0 of
+        # the row has eigenvalue (c1 k + c0)^2 and |b| <~ C lam^q, |b| <=
+        # bmax; a materialized mode continues past its last eigenvalue
+        # (Weyl fit, fitted envelope), an unmaterialized one starts at its
+        # floor nu with step pi and |b| <= _b_cap
+        rows = [(*self.bfit.get(m, (1.0, 0.0)),
+                 *self.weyl.get(m, (math.pi, 0.0)),
+                 len(self.pairs[m][0]) + 1, self.bmax.get(m, math.inf))
+                for m in modes]
+        if len(self.extra_nus):
+            cap = self._b_cap()
+            rows += [(cap, 0.0, math.pi, nu, 0, math.inf)
+                     for nu in self.extra_nus]
+        C, q, c1, c0, k0, bmax = np.reshape(rows, (-1, 6)).T[..., None]
+        # left endpoints of each row's tail blocks, the envelope there, and
+        # the (C, q, c1, y0, bmax) of _remainder for the rest of the row
+        self._tail_lam = (c1 * (k0 + _BLOCK_K) + c0) ** 2
+        self._tail_coef = C * np.maximum(self._tail_lam, 1.0) ** q
+        self._tail_rows = np.concatenate(
+            [C, q, c1, c1 * (k0 + _BLOCK_END - 1) + c0, bmax], axis=1).T
 
     def modes(self):
         return sorted(self.pairs)
@@ -236,20 +265,14 @@ class WeightedSpectralData:
     def heat_value(self, t):
         if not t > 0:
             raise ConfigurationError("heat value needs t > 0", t=float(t))
-        val = 0.0
-        for m in self.modes():
-            lams, bs = self.pairs[m]
-            val += float(np.sum(bs * np.exp(-t * lams)))
+        val = float(np.sum(self._bs * np.exp(-t * self._lams)))
         # exp(-t L) <= (p / (e t))^p L^(-p) for every p > 0; p = 5/2 outgrows
         # every matrix-element exponent q <= 3/2 by more than 1/2
         return val, self._tail(lambda L: np.exp(-t * L),
                                lambda L0: ((2.5 / (math.e * t)) ** 2.5, 2.5))
 
     def resolvent_power_value(self, lam, N):
-        val = 0.0 + 0.0j
-        for m in self.modes():
-            lams, bs = self.pairs[m]
-            val += np.sum(bs * (lams - lam) ** (-float(N)))
+        val = complex(np.sum(self._bs * (self._lams - lam) ** (-float(N))))
         # |L - lam| >= L / 2 once L >= 2 |lam|
         return val, self._tail(
             lambda L: abs((L - lam)) ** (-float(N)),
@@ -270,33 +293,15 @@ class WeightedSpectralData:
 
     def _tail(self, f, envelope):
         """Bound on sum f(lam) b over the eigenvalues beyond the materialized
-        ones: past each mode's last eigenvalue, then the unmaterialized modes.
-        A row that reaches its last block adds the closed-form bound on the
-        rest (``_remainder``, with ``envelope`` bounding f there)."""
-        terms = self._tail_coef * f(self._tail_lam) * _BLOCK_STRIDE
-        sums, capped = _block_sums(terms)
-        tail = float(np.sum(sums)) + self._mode_tail(f, envelope)
+        ones: the block sums of every tail row, and for each row that
+        reaches its last block the closed-form bound on the rest
+        (``_remainder``, with ``envelope`` bounding f there)."""
+        sums, capped = _block_sums(
+            self._tail_coef * f(self._tail_lam) * _BLOCK_STRIDE)
+        tail = float(np.sum(sums))
         if capped.any():
             tail += _remainder(*self._tail_rows[:, capped], envelope)
         return tail
-
-    def _mode_tail(self, f, envelope):
-        if len(self.extra_nus) == 0:
-            return 0.0
-        cap = self._b_cap()
-        total = 0.0
-        for nu in self.extra_nus:
-            first = cap * f(nu * nu)
-            if first < 1e-18 * max(total, 1e-300):
-                break
-            sums, capped = _block_sums(
-                cap * f((math.pi * _BLOCK_K + nu) ** 2) * _BLOCK_STRIDE)
-            total += float(sums)
-            if capped:
-                total += _remainder(cap, 0.0, math.pi,
-                                    math.pi * (_BLOCK_END - 1) + nu, math.inf,
-                                    envelope)
-        return total
 
 
 def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
@@ -352,17 +357,10 @@ def weighted_heat_trace(wsd: WeightedSpectralData, B: WeightOperator, t_grid):
     SpectralData use heat_trace.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.empty(len(t_grid))
-    tails = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        v, tl = wsd.heat_value(t)
-        if tl > _TAIL_REFUSAL * max(abs(v), 1e-300):
-            raise InsufficientSpectrumError(
-                "weighted heat trace tail too large",
-                t=float(t), tail=float(tl), value=float(v),
-                lam_cap_needed=40.0 / float(np.min(t_grid)))
-        vals[i] = v
-        tails[i] = tl
+    vals, tails = _samples(wsd.heat_value, t_grid, float)
+    _refuse_large_tails(
+        "weighted heat trace tail too large", "t", t_grid, vals, tails,
+        lambda: {"lam_cap_needed": 40.0 / float(np.min(t_grid))})
     meta = dict(wsd.meta)
     meta["N"] = 0
     return TraceSeries(t_grid, vals, tails, "heat", meta, wsd)
@@ -378,16 +376,10 @@ def resolvent_power_trace(wsd: WeightedSpectralData, B: WeightOperator, N,
     N = int(N)
     lam_grid = np.asarray(lam_grid, dtype=complex)
     _require_trace_class(wsd.meta, N, B)
-    vals = np.empty(len(lam_grid), dtype=complex)
-    tails = np.empty(len(lam_grid))
-    for i, lam in enumerate(lam_grid):
-        v, tl = wsd.resolvent_power_value(lam, N)
-        if tl > _TAIL_REFUSAL * max(abs(v), 1e-300):
-            raise InsufficientSpectrumError(
-                "resolvent power trace tail too large",
-                lam=complex(lam), tail=float(tl), value=complex(v))
-        vals[i] = v
-        tails[i] = tl
+    vals, tails = _samples(lambda lam: wsd.resolvent_power_value(lam, N),
+                           lam_grid, complex)
+    _refuse_large_tails("resolvent power trace tail too large", "lam",
+                        lam_grid, vals, tails)
     meta = dict(wsd.meta)
     meta["N"] = N
     return TraceSeries(lam_grid, vals, tails, "resolvent", meta, wsd)
@@ -456,7 +448,7 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     u_max = 46.0 / (t * math.cos(delta))
     # 24-point Gauss-Legendre on 14 geometrically growing panels
     nodes, weights = _gauss_panels(np.concatenate(
-        [[0.0], np.geomspace(u_max / 2 ** 13, u_max, 14)]))
+        [[0.0], np.geomspace(u_max / 2 ** 13, u_max, 14)]), 24)
     e_dir = complex(math.cos(delta), math.sin(delta))
     lam_nodes = -1.0 + nodes * e_dir
 

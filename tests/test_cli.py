@@ -256,13 +256,14 @@ eps_list = 0,nan
     ("resolvent", OP_LINE + "lam_min = 0\n", "lam_min"),
     ("resolvent", OP_LINE + "lam_min = -5\n", "lam_min"),
     ("spectrum", OP_LINE + "lam_max = -5\nnpoints = 150\n", "lam_max"),
+    ("spectrum", OP_LINE + "strip = -1\nnpoints = 150\n", "strip"),
 ], ids=["t_min", "eps_list", "t_min_nan", "t_min_zero", "t_min_negative",
         "lam_max_inf", "t_count_fractional", "t_max_zero", "t0_zero",
         "lam_max_spec_negative", "eps_list_nan", "b_rows_negative",
         "b_cols_negative", "b_rows_negative_symmetric", "cases_zero",
         "cases_negative", "cases_above_cap", "cases_1e9", "k_max_negative",
         "count_zero", "trace_count_zero", "lam_min_zero", "lam_min_negative",
-        "spectrum_lam_max_negative"])
+        "spectrum_lam_max_negative", "spectrum_strip_negative"])
 def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])

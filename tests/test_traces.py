@@ -9,7 +9,9 @@ from conespec.coneop import (ConeOperator, discretize, grid_spectral_data,
 from conespec.errors import (ConfigurationError, InsufficientSpectrumError,
                              NumericalError)
 from conespec.opfile import parse_operator
-from conespec.traces import (WeightOperator, _remainder, complex_power_sum,
+from conespec.traces import (_BLOCK_END, _BLOCK_K, _BLOCK_STRIDE,
+                             WeightedSpectralData, WeightOperator,
+                             _block_sums, _remainder, complex_power_sum,
                              heat_trace, heat_trace_contour, identity_weight,
                              resolvent_power_trace,
                              resolvent_power_trace_spectral,
@@ -87,6 +89,13 @@ def test_heat_trace_refusal_reports_first_refused_time():
     v, tl = sd.heat_sum(1e-4)
     assert payload["t"] == 1e-4
     assert payload["value"] == v and payload["tail"] == tl
+    assert str(err.value) == "heat trace tail bound too large at small t"
+    assert [(k, type(x)) for k, x in payload.items()] == [
+        ("t", float), ("tail", float), ("value", float),
+        ("lam_max_needed", float), ("count_needed", int)]
+    need = 40.0 / 1e-5
+    assert payload["lam_max_needed"] == need
+    assert payload["count_needed"] == int(sd.count() * need / sd.lam_max)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +288,186 @@ def test_tail_remainder_bounds_the_envelope_past_the_blocks():
                       lambda L0: ((2.5 / (math.e * t)) ** 2.5, 2.5))
     L = y(np.arange(k_end, 4 * k_end, dtype=float)) ** 2
     assert np.sum(C * L ** q * np.exp(-t * L)) <= rest
+
+
+# the per-mode evaluation that one tail table and flat sums replaced: a value
+# loop over the modes, a table row per materialized mode, and a loop over
+# the unmaterialized modes that recomputes the cap and stops at the first
+# mode whose first term is below 1e-18 of its running sum
+
+
+def _per_mode_heat(wsd, t):
+    val = 0.0
+    for m in wsd.modes():
+        lams, bs = wsd.pairs[m]
+        val += float(np.sum(bs * np.exp(-t * lams)))
+    return val
+
+
+def _per_mode_resolvent(wsd, lam, N):
+    val = 0.0 + 0.0j
+    for m in wsd.modes():
+        lams, bs = wsd.pairs[m]
+        val += np.sum(bs * (lams - lam) ** (-float(N)))
+    return val
+
+
+def _mode_tail(wsd, f, envelope):
+    if len(wsd.extra_nus) == 0:
+        return 0.0
+    cap = wsd._b_cap()
+    total = 0.0
+    for nu in wsd.extra_nus:
+        first = cap * f(nu * nu)
+        if first < 1e-18 * max(total, 1e-300):
+            break
+        sums, capped = _block_sums(
+            cap * f((math.pi * _BLOCK_K + nu) ** 2) * _BLOCK_STRIDE)
+        total += float(sums)
+        if capped:
+            total += _remainder(cap, 0.0, math.pi,
+                                math.pi * (_BLOCK_END - 1) + nu, math.inf,
+                                envelope)
+    return total
+
+
+def _per_mode_tail(wsd, f, envelope):
+    lams, coefs, rows = [], [], []
+    for m in wsd.modes():
+        c1, c0 = wsd.weyl.get(m, (math.pi, 0.0))
+        C, q = wsd.bfit.get(m, (1.0, 0.0))
+        k0 = len(wsd.pairs[m][0]) + 1
+        lam = (c1 * (k0 + _BLOCK_K) + c0) ** 2
+        lams.append(lam)
+        coefs.append(C * np.maximum(lam, 1.0) ** q)
+        rows.append((C, q, c1, c1 * (k0 + _BLOCK_END - 1) + c0,
+                     wsd.bmax.get(m, math.inf)))
+    lams = np.reshape(lams, (-1, len(_BLOCK_K)))
+    terms = np.reshape(coefs, (-1, len(_BLOCK_K))) * f(lams) * _BLOCK_STRIDE
+    sums, capped = _block_sums(terms)
+    tail = float(np.sum(sums)) + _mode_tail(wsd, f, envelope)
+    if capped.any():
+        tail += _remainder(*np.reshape(rows, (-1, 5)).T[:, capped], envelope)
+    return tail
+
+
+def _heat_envelope(t):
+    return (lambda L: np.exp(-t * L),
+            lambda L0: ((2.5 / (math.e * t)) ** 2.5, 2.5))
+
+
+def _resolvent_envelope(lam, N):
+    return (lambda L: abs((L - lam)) ** (-float(N)),
+            lambda L0: (np.where(L0 >= 2.0 * abs(lam), 2.0 ** N, np.inf), N))
+
+
+def _benchmark_shaped_wsd():
+    # a weighted_eigenpairs study: mode cap 3, every mode materialized
+    disc = discretize(laplace_type(1.4, mode_cap=3), -6.0, 150)
+    return weighted_spectral_data(disc, WeightOperator(beta=1.0), 700.0)
+
+
+def _check_flat_against_per_mode(wsd, ts, lams, N):
+    # tails below the normal range (wsd_beta at t = 0.06) keep no relative
+    # precision; there they must agree within the smallest normal double
+    tiny = np.finfo(float).tiny
+    tails = []
+    for t in ts:
+        val, tail = wsd.heat_value(t)
+        ref = _per_mode_heat(wsd, t)
+        assert abs(val - ref) <= 4e-15 * abs(ref)
+        ref = _per_mode_tail(wsd, *_heat_envelope(t))
+        assert abs(tail - ref) <= max(1e-12 * ref, tiny)
+        tails.append((tail, ref))
+    for lam in lams:
+        val, tail = wsd.resolvent_power_value(lam, N)
+        ref = _per_mode_resolvent(wsd, lam, N)
+        assert abs(val - ref) <= 4e-15 * abs(ref)
+        ref = _per_mode_tail(wsd, *_resolvent_envelope(lam, N))
+        assert abs(tail - ref) <= max(1e-12 * ref, tiny)
+        tails.append((tail, ref))
+    return tails
+
+
+def test_flat_weighted_sums_match_per_mode_on_wsd_beta(wsd_beta):
+    # the samples of ACCEPT-05 and ACCEPT-06
+    _check_flat_against_per_mode(
+        wsd_beta, np.geomspace(2.5e-3, 0.06, 70),
+        -np.geomspace(3.0, 30.0, 36).astype(complex), 2)
+
+
+def test_flat_weighted_sums_match_per_mode_with_mode_tails():
+    wsd = _found_repro_wsd()
+    assert len(wsd.extra_nus) == 32
+    for N in (2, 3):
+        _check_flat_against_per_mode(wsd, np.geomspace(1e-4, 1.0, 9),
+                                     [-1.0, -100.0, 3.0 + 4.0j], N)
+
+
+def test_flat_weighted_sums_match_per_mode_on_benchmark_shape():
+    wsd = _benchmark_shaped_wsd()
+    assert len(wsd.extra_nus) == 0
+    tails = _check_flat_against_per_mode(
+        wsd, np.geomspace(45.0 / 700.0, 0.5, 30), -np.geomspace(1.0, 10.0, 16),
+        3)
+    # no mode tails: the table rows are the former ones, bit for bit
+    assert all(tail == ref for tail, ref in tails)
+
+
+def test_mode_tail_cap_is_computed_once(monkeypatch):
+    calls = []
+    b_cap = WeightedSpectralData._b_cap
+
+    def counted(self):
+        calls.append(1)
+        return b_cap(self)
+
+    monkeypatch.setattr(WeightedSpectralData, "_b_cap", counted)
+    wsd = _found_repro_wsd()
+    B = WeightOperator(beta=1.0)
+    weighted_heat_trace(wsd, B, np.geomspace(0.01, 1.0, 7))
+    resolvent_power_trace(wsd, B, 3, -np.geomspace(1.0, 10.0, 5))
+    assert len(calls) == 1
+
+
+def _payload(err):
+    return [(k, type(v)) for k, v in err.value.payload.items()]
+
+
+def test_weighted_heat_trace_refuses_first_large_tail():
+    wsd = _found_repro_wsd()
+    B = WeightOperator(beta=1.0)
+    with pytest.raises(InsufficientSpectrumError) as err:
+        weighted_heat_trace(wsd, B, np.array([0.1, 3e-3, 1e-3]))
+    assert str(err.value) == "weighted heat trace tail too large"
+    assert _payload(err) == [("t", float), ("tail", float), ("value", float),
+                             ("lam_cap_needed", float)]
+    v, tl = wsd.heat_value(3e-3)
+    assert err.value.payload == {"t": 3e-3, "tail": tl, "value": v,
+                                 "lam_cap_needed": 40.0 / 1e-3}
+
+
+def test_resolvent_power_trace_refuses_first_large_tail():
+    wsd = _found_repro_wsd()
+    B = WeightOperator(beta=1.0)
+    with pytest.raises(InsufficientSpectrumError) as err:
+        resolvent_power_trace(wsd, B, 3, np.array([-1.0, -1e4, -1e5]))
+    assert str(err.value) == "resolvent power trace tail too large"
+    assert _payload(err) == [("lam", complex), ("tail", float),
+                             ("value", complex)]
+    v, tl = wsd.resolvent_power_value(-1e4 + 0j, 3)
+    assert err.value.payload == {"lam": -1e4 + 0j, "tail": tl, "value": v}
+
+
+def test_traces_of_an_empty_grid_are_empty(sd_half):
+    wsd = _found_repro_wsd()
+    B = WeightOperator(beta=1.0)
+    for series, dtype in [
+            (heat_trace(sd_half, np.array([])), float),
+            (weighted_heat_trace(wsd, B, []), float),
+            (resolvent_power_trace(wsd, B, 2, []), complex)]:
+        assert len(series) == 0 and series.values.dtype == dtype
+        assert series.tails.dtype == float and len(series.tails) == 0
 
 
 def test_nonnegative_weight_gives_positive_trace(small_disc):
