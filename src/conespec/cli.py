@@ -129,15 +129,20 @@ def _operator(kv, config_path):
     return parse_operator(op_path)
 
 
-def _spectral(kv, op, lam_max):
+def _spectral(kv, runner, op, lam_max):
+    """Spectral data up to lam_max on every mode with spectrum below it."""
+    op = op.with_modes(int(math.sqrt(lam_max)) + 2)
     kind = kv.get("spectrum", "oracle")
     if kind == "oracle":
+        if not op.is_frozen:
+            runner.notes.append(f"oracle spectrum of the frozen {op.label}")
         return coneop.oracle_spectral_data(op.frozen(), lam_max)
     if kind == "grid":
         disc = coneop.discretize(op, _f(kv, "s_min", -10.0),
                                  _i(kv, "npoints", 800))
         return coneop.grid_spectral_data(disc, lam_max)
-    raise ConfigurationError("spectrum must be 'oracle' or 'grid'", got=kind)
+    raise ConfigurationError("spectrum must be 'oracle' or 'grid'",
+                             key="spectrum", got=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +182,7 @@ def run_heat(kv, runner, args):
     ts = np.geomspace(t_min, t_max, _count(kv, "t_count", 120))
     k_max = _size(kv, "k_max", 4)
     window = (_f(kv, "window_lo", t_min), _f(kv, "window_hi", t_max))
-    # the trace of the full model needs every mode with spectrum below lam_max
-    op = op.with_modes(int(math.sqrt(lam_max)) + 2)
-    sd = _spectral(kv, op, lam_max)
+    sd = _spectral(kv, runner, op, lam_max)
     series = traces.heat_trace(sd, ts)
     runner.write_csv("trace.csv", series.to_csv_rows())
     terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max, kind="heat")
@@ -211,8 +214,7 @@ def run_resolvent(kv, runner, args):
                            _positive(kv, "trace_lam_max", 1e3),
                            _count(kv, "trace_count", 25))
     k_max = _size(kv, "k_max", 4)
-    op = op.with_modes(int(math.sqrt(lam_spec)) + 2)
-    sd = _spectral(kv, op, lam_spec)
+    sd = _spectral(kv, runner, op, lam_spec)
     norms = [coneop.resolvent_norm(sd, -m) for m in mags]
     rows = [("lam_abs", "norm")] + [(f"{m:.6e}", f"{v:.12e}")
                                     for m, v in zip(mags, norms)]
@@ -241,8 +243,7 @@ def run_zeta(kv, runner, args):
     k_max = _size(kv, "k_max", 4)
     z_eval = [parse_value("z_eval", z, complex)
               for z in kv.get("z_eval", "-3,-2.5,-1.5").split(",")]
-    op = op.with_modes(int(math.sqrt(lam_max)) + 2)
-    sd = _spectral(kv, op, lam_max)
+    sd = _spectral(kv, runner, op, lam_max)
     series = traces.heat_trace(sd, ts)
     terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max, kind="heat")
     fit = asymptotics.fit_expansion(series, terms, window=(t_min, 1.05 * t0))
@@ -272,7 +273,7 @@ def run_index(kv, runner, args):
         B = B + B.T
     else:
         raise ConfigurationError("b_kind must be gaussian or symmetric",
-                                 got=kind)
+                                 key="b_kind", got=kind)
     H = indextools.lorentzian_perturbation(_f(kv, "h_c", 1.25),
                                            _f(kv, "h_b", 0.5),
                                            _f(kv, "h_weight", 1.0))

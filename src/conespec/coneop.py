@@ -715,7 +715,8 @@ class SpectralData:
     ``eigs[m]`` holds every eigenvalue of mode m up to ``lam_max``
     (ascending).  ``weyl[m]`` is the linear fit sqrt(lam_k) ~ c1*(k+1)+c0
     used for tail bounds; ``extra_nus`` are square roots of the lowest
-    eigenvalue bound of the modes beyond the materialized range.
+    eigenvalue bound of the modes beyond the materialized range.  The sums
+    read one read-only array of all eigenvalues and one tail row per mode.
     """
 
     eigs: dict
@@ -724,6 +725,17 @@ class SpectralData:
     meta: dict
     weyl: dict
     extra_nus: np.ndarray
+
+    def __post_init__(self):
+        modes = self.modes()
+        self._lams = np.concatenate([np.empty(0)] + [self.eigs[m] for m in modes])
+        self._lams.flags.writeable = False
+        # tail row (c1, edge) of a mode: its missing eigenvalues continue the
+        # Weyl fit (slope at least 1e-3) from k = n + 1 on, above lam_max
+        c1, c0, n = np.reshape([(*self.weyl.get(m, (math.pi, 0.0)),
+                                 len(self.eigs[m])) for m in modes], (-1, 3)).T
+        self._c1 = np.maximum(c1, 1e-3)
+        self._edge = np.maximum(self._c1 * (n + 1) + c0, math.sqrt(self.lam_max))
 
     def validate(self):
         for m, lam in self.eigs.items():
@@ -748,78 +760,58 @@ class SpectralData:
         return sorted(self.eigs)
 
     def count(self):
-        return int(sum(len(v) for v in self.eigs.values()))
+        return len(self._lams)
 
     def min_eig(self):
-        vals = [v[0] for v in self.eigs.values() if len(v)]
-        if not vals:
+        if not len(self._lams):
             raise InsufficientSpectrumError("no eigenvalues materialized")
-        return float(min(vals))
+        return float(np.min(self._lams))
 
     def all_eigs(self):
-        parts = [np.asarray(self.eigs[m]) for m in self.modes() if len(self.eigs[m])]
-        return np.concatenate(parts) if parts else np.empty(0)
+        return self._lams
+
+    def eig_sums(self, f, params):
+        """Per p of 1-D ``params``, the sum of f(p, lam) over the eigenvalues."""
+        step = max(1, 2 ** 14 // max(len(self._lams), 1))  # <= 2^14 elements
+        return np.concatenate([np.empty(0)] + [
+            np.sum(f(params[i:i + step, None], self._lams), axis=1)
+            for i in range(0, len(params), step)])
 
     # -- tail machinery -----------------------------------------------------
-
-    def _mode_weyl(self, m):
-        c1, c0 = self.weyl.get(m, (math.pi, 0.0))
-        c1 = max(c1, 1e-3)
-        return c1, c0
 
     def heat_sum(self, t):
         """(sum of exp(-t lam), upper tail bound) at a time t or 1-D array of times.
 
-        A scalar t gives two floats, an array two arrays.  The modes are
-        visited once and each mode's sum runs over all times at once; the
-        per-time values are bitwise those of one call per time.
+        A scalar t gives two floats, an array two arrays.  A time's value is
+        one sum over every eigenvalue, the same in any array of times.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        half_root = 0.5 * np.sqrt(math.pi / ts)
-        root_t = np.sqrt(ts)
-        val = np.zeros(len(ts))
-        tail = np.zeros(len(ts))
-        for m in self.modes():
-            lam = np.asarray(self.eigs[m], dtype=float)
-            val += np.sum(np.exp(-ts[:, None] * lam[None, :]), axis=1)
-            c1, c0 = self._mode_weyl(m)
-            edge = max(c1 * (len(lam) + 1) + c0, math.sqrt(self.lam_max))
-            tail += half_root * erfc(root_t * edge) / c1
-        tail += self._mode_tail_heat(ts, half_root, root_t)
+        val = self.eig_sums(lambda tb, lam: np.exp(-tb * lam), ts)
+        half_root = 0.5 * np.sqrt(math.pi / ts)[:, None]
+        root_t = np.sqrt(ts)[:, None]
+        tail = np.sum(half_root * erfc(root_t * self._edge) / self._c1, axis=1)
+        # declared modes without materialized eigenvalues contribute from
+        # lam >= nu^2 up; each full mode trace is bounded by its first term
+        # plus a half-line counting integral at the least fitted slope
+        c1 = float(np.min(self._c1)) if len(self._c1) else math.pi
+        tail += np.sum(half_root * erfc(root_t * self.extra_nus) / c1
+                       + np.exp(-ts[:, None] * self.extra_nus ** 2), axis=1)
         if np.ndim(t) == 0:
             return float(val[0]), float(tail[0])
         return val, tail
-
-    def _mode_tail_heat(self, ts, half_root, root_t):
-        # declared modes without materialized eigenvalues contribute from
-        # lam >= nu^2 up; each full mode trace is bounded by its first term
-        # plus a half-line counting integral
-        if len(self.extra_nus) == 0:
-            return 0.0
-        c1 = min(self._mode_weyl(m)[0] for m in self.modes()) if self.eigs else math.pi
-        nus = np.asarray(self.extra_nus, dtype=float)
-        per_mode = (half_root[:, None] * erfc(root_t[:, None] * nus[None, :]) / c1
-                    + np.exp(-ts[:, None] * nus[None, :] ** 2))
-        return np.sum(per_mode, axis=1)
 
     def power_sum(self, z):
         """(sum of lam^z, tail bound); requires Re z < -1/2 for convergence."""
         rez = complex(z).real
         if rez >= -0.5:
             raise ConfigurationError("power sums need Re z < -1/2", z=complex(z))
-        val = 0.0 + 0.0j
-        tail = 0.0
-        for m in self.modes():
-            lam = np.asarray(self.eigs[m], dtype=float)
-            val += np.sum(np.power(lam.astype(complex), complex(z)))
-            c1, c0 = self._mode_weyl(m)
-            edge = max(c1 * (len(lam) + 1) + c0, math.sqrt(self.lam_max))
-            # integral of (c1 k + c0)^(2 Re z) dk from the edge
-            tail += edge ** (2 * rez + 1) / (c1 * (-2 * rez - 1))
-        for nu in self.extra_nus:
-            nu = max(nu, 1.0)
-            tail += nu ** (2 * rez + 1) / (math.pi * (-2 * rez - 1)) \
-                + nu ** (2 * rez)
+        val = np.sum(self._lams.astype(complex) ** complex(z))
+        # integral of (c1 k + c0)^(2 Re z) dk from each row's edge; for an
+        # unmaterialized mode its first term plus that integral at slope pi
+        nus = np.maximum(self.extra_nus, 1.0)
+        tail = np.sum(self._edge ** (2 * rez + 1) / (self._c1 * (-2 * rez - 1)))
+        tail += np.sum(nus ** (2 * rez + 1) / (math.pi * (-2 * rez - 1))
+                       + nus ** (2 * rez))
         return complex(val), float(tail)
 
     def to_csv_rows(self):
@@ -838,6 +830,24 @@ def _weyl_fit(lams):
     half = len(lams) // 2
     c1, c0 = np.polyfit(k[half:], np.sqrt(lams[half:]), 1)
     return float(c1), float(c0)
+
+
+def _spectral_data(op, solved, lam_max, provenance, floor, meta):
+    """SpectralData from (modes, eigenvalues) per mode class; a mode with
+    no eigenvalues gives ``floor(op, m)`` to ``extra_nus``."""
+    eigs = {}
+    weyl = {}
+    for modes, vals in solved:
+        if len(vals):
+            fit = _weyl_fit(vals)
+            for m in modes:
+                eigs[m] = vals.copy()
+                weyl[m] = fit
+    extra = sorted(floor(op, m) for m in op.mode_list() if m not in eigs)
+    meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label,
+            **meta}
+    return SpectralData(eigs, float(lam_max), provenance, meta, weyl,
+                        np.asarray(extra)).validate()
 
 
 def _frozen_nu(op, m):
@@ -864,28 +874,10 @@ def oracle_spectral_data(op, lam_max, *, meta=None):
     _check_degree2(op)
     # one order per mode class; the zeros of all of them come from one call
     classes = op.mode_classes()
-    nus = [_frozen_nu(op, modes[0]) for modes in classes]
-    eigs = {}
-    weyl = {}
-    extra = []
-    for modes, nu, z in zip(classes, nus,
-                            bessel_zeros(nus, j_max=math.sqrt(lam_max))):
-        if len(z):
-            lam = z * z
-            fit = _weyl_fit(lam)
-            for m in modes:
-                eigs[m] = lam.copy()
-                weyl[m] = fit
-        else:
-            # modes without a materialized eigenvalue still contribute to
-            # traces from lam >= nu^2 up; record their nu values
-            extra.extend([nu] * len(modes))
-    extra.sort()
-    base_meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label}
-    if meta:
-        base_meta.update(meta)
-    return SpectralData(eigs, float(lam_max), "oracle", base_meta, weyl,
-                        np.asarray(extra)).validate()
+    zeros = bessel_zeros([_frozen_nu(op, modes[0]) for modes in classes],
+                         j_max=math.sqrt(lam_max))
+    return _spectral_data(op, [(modes, z * z) for modes, z in zip(classes, zeros)],
+                          lam_max, "oracle", _frozen_nu, meta or {})
 
 
 def _mode_nu_floor(op, m):
@@ -902,23 +894,11 @@ def _mode_nu_floor(op, m):
 def grid_spectral_data(disc, lam_max):
     """Discretized per-mode spectra up to lam_max via pencil bisection, one
     solve per mode class."""
-    op = disc.op
-    eigs = {}
-    weyl = {}
-    for modes in disc.mode_classes():
-        d, e = disc.matrix(modes[0])
-        vals = pencil.eig_pencil(d, e, disc.w, lam_max=lam_max)
-        if len(vals):
-            fit = _weyl_fit(vals)
-            for m in modes:
-                eigs[m] = vals.copy()
-                weyl[m] = fit
-    extra = sorted(_mode_nu_floor(op, m) for m in op.mode_list()
-                   if m not in eigs)
-    meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label,
-            "s_min": disc.s_min, "npoints": disc.npoints}
-    return SpectralData(eigs, float(lam_max), "discretization", meta, weyl,
-                        np.asarray(extra)).validate()
+    solved = [(modes, eigenvalues(disc, modes[0], lam_max=lam_max))
+              for modes in disc.mode_classes()]
+    return _spectral_data(disc.op, solved, lam_max, "discretization",
+                          _mode_nu_floor,
+                          {"s_min": disc.s_min, "npoints": disc.npoints})
 
 
 # ---------------------------------------------------------------------------

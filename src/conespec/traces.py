@@ -386,30 +386,29 @@ def resolvent_power_trace(wsd: WeightedSpectralData, B: WeightOperator, N,
 
 
 def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
-    """Identity-weight resolvent power trace from plain spectral data."""
+    """Identity-weight resolvent power trace from plain spectral data; the
+    first shift on the spectrum, or with Re lam > 0 and |lam| past
+    lam_max / 2, is refused."""
     N = int(N)
     lam_grid = np.asarray(lam_grid, dtype=complex)
     _require_trace_class(sd.meta, N, identity_weight())
-    lams = sd.all_eigs()
-    vals = np.array([np.sum((lams - lam) ** (-float(N))) for lam in lam_grid])
+    # |lam_j - lam| >= lam_j beyond the edge where Re lam <= 0, so the z = -N
+    # tail applies there unscaled
+    dist = np.where(lam_grid.real > 0, np.abs(lam_grid), 0.0)
+    on_spectrum = np.isin(lam_grid, sd.all_eigs())
+    refused = np.flatnonzero(on_spectrum | (dist > sd.lam_max / 2))
+    if len(refused):
+        i = refused[0]
+        if on_spectrum[i]:
+            raise NumericalError("shift on the spectrum", lam=complex(lam_grid[i]))
+        raise InsufficientSpectrumError(
+            "shift too close to the truncation edge", lam=complex(lam_grid[i]))
+    vals = sd.eig_sums(lambda lam, lams: (lams - lam) ** (-float(N)), lam_grid)
     _, tail0 = sd.power_sum(-float(N))
-    tails = []
-    for lam in lam_grid:
-        gap = float(np.min(np.abs(lams - lam)))
-        if gap <= 0:
-            raise NumericalError("shift on the spectrum", lam=complex(lam))
-        if complex(lam).real <= 0:
-            # |lam_j - lam| >= lam_j beyond the edge, so the z = -N tail applies
-            tails.append(tail0)
-        else:
-            edge = sd.lam_max
-            if abs(lam) > edge / 2:
-                raise InsufficientSpectrumError(
-                    "shift too close to the truncation edge", lam=complex(lam))
-            tails.append(tail0 * (edge / (edge - abs(lam))) ** N)
+    tails = tail0 * (sd.lam_max / (sd.lam_max - dist)) ** N
     meta = dict(sd.meta)
     meta.update({"N": N, "mu_prime": 0.0, "beta": 0.0})
-    return TraceSeries(lam_grid, vals, np.asarray(tails), "resolvent", meta, sd)
+    return TraceSeries(lam_grid, vals, tails, "resolvent", meta, sd)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,41 @@ npoints = 200
     assert not (tmp_path / "out" / "oracle_compare.csv").exists()
 
 
+@pytest.mark.parametrize("op_file, frozen", [("laplace_perturbed.op", True),
+                                             ("laplace_a1.5.op", False)])
+def test_oracle_spectrum_notes_frozen_substitute(tmp_path, op_file, frozen):
+    # the Bessel oracle describes the frozen model only, so a run on an
+    # operator with x-dependent coefficients says that it used that model
+    cfg = write_cfg(tmp_path / "h.cfg", f"""
+operator = {CONFIGS / op_file}
+t_min = 0.02
+t_count = 20
+k_max = 2
+""")
+    assert main(["heat", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert ("note: oracle spectrum of the frozen laplace_perturbed\n"
+            in manifest) == frozen
+
+
+def test_heat_run_on_grid_spectrum_writes_svg(tmp_path):
+    cfg = write_cfg(tmp_path / "h.cfg", f"""
+operator = {CONFIGS / 'laplace_a1.5.op'}
+spectrum = grid
+npoints = 400
+t_min = 0.02
+t_count = 40
+k_max = 2
+""")
+    out = tmp_path / "out"
+    assert main(["heat", "--config", cfg, "--out", str(out), "--svg"]) == 0
+    svg = (out / "fit.svg").read_bytes()
+    assert svg.startswith(b"<svg")
+    digest = hashlib.sha256(svg).hexdigest()
+    assert (f"fit.svg sha256:{digest} bytes:{len(svg)}"
+            in (out / "MANIFEST").read_text().splitlines())
+
+
 OP_LINE = f"operator = {CONFIGS / 'laplace_a1.5.op'}\n"
 
 
@@ -257,13 +292,16 @@ eps_list = 0,nan
     ("resolvent", OP_LINE + "lam_min = -5\n", "lam_min"),
     ("spectrum", OP_LINE + "lam_max = -5\nnpoints = 150\n", "lam_max"),
     ("spectrum", OP_LINE + "strip = -1\nnpoints = 150\n", "strip"),
+    ("heat", OP_LINE + "spectrum = foo\n", "spectrum"),
+    ("index", "b_kind = foo\n", "b_kind"),
 ], ids=["t_min", "eps_list", "t_min_nan", "t_min_zero", "t_min_negative",
         "lam_max_inf", "t_count_fractional", "t_max_zero", "t0_zero",
         "lam_max_spec_negative", "eps_list_nan", "b_rows_negative",
         "b_cols_negative", "b_rows_negative_symmetric", "cases_zero",
         "cases_negative", "cases_above_cap", "cases_1e9", "k_max_negative",
         "count_zero", "trace_count_zero", "lam_min_zero", "lam_min_negative",
-        "spectrum_lam_max_negative", "spectrum_strip_negative"])
+        "spectrum_lam_max_negative", "spectrum_strip_negative",
+        "spectrum_unknown", "b_kind_unknown"])
 def test_malformed_config_value_exits_invalid(tmp_path, sub, text, key):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])

@@ -64,10 +64,11 @@ def test_heat_sum_over_array_equals_per_time_calls():
     one_by_one = [sd.heat_sum(t) for t in ts]
     assert np.array_equal(vals, [v for v, _ in one_by_one])
     assert np.array_equal(tails, [tl for _, tl in one_by_one])
-    # reference: the per-time loop over modes, in mode order
+    # reference: the per-time loop over modes, in mode order; one flat sum
+    # adds in another order
     for t, v in zip(ts, vals):
-        assert v == sum(float(np.sum(np.exp(-t * sd.eigs[m])))
-                        for m in sd.modes())
+        ref = sum(float(np.sum(np.exp(-t * sd.eigs[m]))) for m in sd.modes())
+        assert abs(v - ref) <= 1e-14 * ref
     v, tl = sd.heat_sum(0.01)
     assert type(v) is float and type(tl) is float
 
@@ -517,6 +518,56 @@ def test_resolvent_power_spectral_matches_formula(sd_half):
     lams = sd_half.all_eigs()
     for L, v in zip(lam, series.values):
         assert abs(v - np.sum((lams - L) ** -2.0)) < 1e-12 * abs(v)
+
+
+def test_resolvent_power_spectral_refuses_shift_on_spectrum(sd_half):
+    lam = float(sd_half.eigs[0][4])
+    # the refusal does not depend on whether the sums at the refused shift,
+    # which divide by zero, are formed before it
+    with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
+        resolvent_power_trace_spectral(sd_half, 2, np.array([-3.0, lam, 5.0]))
+    assert err.value.payload["lam"] == lam
+
+
+def test_resolvent_power_spectral_refuses_shift_near_edge(sd_half):
+    # Re lam > 0 and |lam| past lam_max / 2, however small Re lam is
+    half = sd_half.lam_max / 2
+    for lam in (1.2 * half, 1.0 + 1.1j * half):
+        with pytest.raises(InsufficientSpectrumError) as err:
+            resolvent_power_trace_spectral(sd_half, 2, np.array([-3.0, lam]))
+        assert err.value.payload["lam"] == lam
+
+
+def test_resolvent_power_spectral_first_refused_shift_wins(sd_half):
+    on = float(sd_half.eigs[0][4])
+    # an eigenvalue past lam_max / 2 fails both checks: the spectrum wins
+    both = float(sd_half.eigs[0][-1])
+    assert both > sd_half.lam_max / 2
+    edge = 0.6 * sd_half.lam_max
+    for grid, error, lam in [
+            ([edge, on], InsufficientSpectrumError, edge),
+            ([on, edge], NumericalError, on),
+            ([-3.0, both, on], NumericalError, both)]:
+        with pytest.raises(error) as err, np.errstate(all="ignore"):
+            resolvent_power_trace_spectral(sd_half, 2, np.array(grid))
+        assert err.value.payload["lam"] == lam
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_resolvent_power_spectral_tail_rule(sd_half, N):
+    # the z = -N power-sum tail, scaled by (edge / (edge - |lam|))^N right
+    # of the imaginary axis
+    edge = sd_half.lam_max
+    lam = np.array([-40.0, 50.0j, -3.0 + 4.0j, -3.0 * edge, 30.0,
+                    100.0 + 50.0j, 0.4 * edge])
+    tails = resolvent_power_trace_spectral(sd_half, N, lam).tails
+    _, tail0 = sd_half.power_sum(-float(N))
+    for L, tail in zip(lam, tails):
+        if L.real <= 0:
+            assert tail == tail0
+        else:
+            scaled = tail0 * (edge / (edge - abs(L))) ** N
+            assert abs(tail - scaled) <= 1e-14 * scaled
 
 
 # ---------------------------------------------------------------------------
