@@ -158,13 +158,14 @@ def run_spectrum(kv, runner, args):
     disc = coneop.discretize(op, _f(kv, "s_min", -12.0), _i(kv, "npoints", 1500))
     sd = coneop.grid_spectral_data(disc, lam_max)
     runner.write_csv("spectral.csv", sd.to_csv_rows())
-    if op.is_frozen and abs(op.mu - 2.0) < 1e-12 and kv.get("oracle_compare", "1") != "0":
-        sdo = coneop.oracle_spectral_data(op.frozen(), lam_max)
+    if op.is_frozen and abs(op.mu - 2.0) < 1e-12:
+        sdo = coneop.oracle_spectral_data(op, lam_max)
         rows = [("mode", "k", "grid", "oracle", "rel_err")]
-        worst = 0.0
-        for m in sd.modes():
-            a = sd.eigs[m]
-            b = sdo.eigs.get(m, np.empty(0))
+        worst, missing = 0.0, 0
+        for m in sdo.modes():
+            a = sd.eigs.get(m, np.empty(0))
+            b = sdo.eigs[m]
+            missing += max(len(b) - len(a), 0)
             for k in range(min(len(a), len(b))):
                 rel = abs(a[k] - b[k]) / b[k]
                 worst = max(worst, rel)
@@ -172,6 +173,9 @@ def run_spectrum(kv, runner, args):
                              f"{rel:.3e}"))
         runner.write_csv("oracle_compare.csv", rows)
         runner.notes.append(f"worst oracle relative error {worst:.3e}")
+        if missing:
+            runner.notes.append(f"{missing} oracle eigenvalues below lam_max "
+                                "have no grid partner")
     return EXIT_OK
 
 

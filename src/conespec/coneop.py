@@ -53,13 +53,13 @@ class ConeOperator:
     ----------
     mu : positive float, weight order (the x^(-mu) prefactor).
     modes : (mmin, mmax) inclusive mode range.
-    indicial : callable m -> coefficient list [c0, c1, ..., cdeg] at x = 0.
-    x_correction : callable (m, x) -> list of same length, vanishing at x = 0,
-        smooth on [0, 1]; or None for frozen coefficients.
+    coeffs : callable (m, x) -> coefficient list [c0, c1, ..., cdeg], smooth
+        on [0, 1]; its value at x = 0 is the conormal data.
+    x_dependent : False reads the rule at x = 0 only (frozen coefficients).
     alpha : weight line of the intended realization.
     """
 
-    def __init__(self, mu, modes, indicial, *, x_correction=None, alpha=0.0,
+    def __init__(self, mu, modes, coeffs, *, x_dependent=False, alpha=0.0,
                  label="cone-operator"):
         if mu <= 0:
             raise ConfigurationError("weight order mu must be positive", mu=mu)
@@ -67,15 +67,16 @@ class ConeOperator:
         self.modes = (int(modes[0]), int(modes[1]))
         if self.modes[0] > self.modes[1]:
             raise ConfigurationError("empty mode range", modes=modes)
-        self._indicial = indicial
-        self._x_correction = x_correction
+        self._rule = coeffs
+        self.is_frozen = not x_dependent
         self.alpha = float(alpha)
         self.label = label
+        self._tip = {}
         self._validate()
 
     def _validate(self):
         for m in self.mode_list():
-            base = np.asarray(self._indicial(m), dtype=complex)
+            base = self.indicial(m)
             if base.ndim != 1 or len(base) < 1:
                 raise ConfigurationError("indicial coefficients must be a flat list",
                                          mode=m)
@@ -83,12 +84,6 @@ class ConeOperator:
                 raise ConfigurationError(
                     "leading indicial coefficient degenerates (not b-elliptic)",
                     mode=m, leading=complex(base[-1]))
-            if self._x_correction is not None:
-                at0 = np.asarray(self._x_correction(m, 0.0), dtype=complex)
-                if len(at0) != len(base) or np.max(np.abs(at0)) > 1e-12:
-                    raise ConfigurationError(
-                        "x correction must vanish at x = 0 and match the degree",
-                        mode=m)
 
     def mode_list(self):
         return list(range(self.modes[0], self.modes[1] + 1))
@@ -96,48 +91,48 @@ class ConeOperator:
     def mode_classes(self):
         """Modes with bitwise equal indicial coefficients, one list per
         class, in mode order: each class poses one conormal problem."""
-        return _classes((m, np.asarray(self._indicial(m), complex).tobytes())
+        return _classes((m, self.indicial(m).tobytes())
                         for m in self.mode_list())
 
-    @property
-    def is_frozen(self):
-        return self._x_correction is None
+    def indicial(self, m):
+        """The conormal coefficients [c0(0), ..., cdeg(0)] of mode m, a
+        read-only complex array."""
+        if m not in self._tip:
+            tip = np.array(self._rule(m, 0.0), dtype=complex)
+            tip.flags.writeable = False
+            self._tip[m] = tip
+        return self._tip[m]
 
     def coeffs(self, m, x):
         """Coefficient values [c0(x), ..., cdeg(x)] on the (array) x."""
-        base = [np.asarray(c) for c in np.asarray(self._indicial(m), dtype=complex)]
-        if self._x_correction is None:
-            return [np.broadcast_to(c, np.shape(x)).astype(complex) for c in base]
-        corr = self._x_correction(m, np.asarray(x, dtype=float))
-        return [np.broadcast_to(b, np.shape(x)).astype(complex) + np.asarray(c, dtype=complex)
-                for b, c in zip(base, corr)]
+        x = np.asarray(x, dtype=float)
+        values = self.indicial(m) if self.is_frozen else self._rule(m, x)
+        return [np.broadcast_to(np.asarray(c, dtype=complex), x.shape)
+                for c in values]
 
     def indicial_poly(self, m):
-        return np.polynomial.Polynomial(np.asarray(self._indicial(m), dtype=complex))
+        return np.polynomial.Polynomial(self.indicial(m))
 
     def frozen(self):
         """The dilation-invariant model obtained by freezing coefficients at x=0."""
         if self.is_frozen:
             return self
-        return ConeOperator(self.mu, self.modes, self._indicial,
+        return ConeOperator(self.mu, self.modes, self._rule,
                             alpha=self.alpha, label=self.label + ":frozen")
 
     def with_modes(self, mode_cap):
         """Rematerialize the same coefficient rule on a wider mode window."""
         cap = int(mode_cap)
-        return ConeOperator(self.mu, (-cap, cap), self._indicial,
-                            x_correction=self._x_correction, alpha=self.alpha,
+        return ConeOperator(self.mu, (-cap, cap), self._rule,
+                            x_dependent=not self.is_frozen, alpha=self.alpha,
                             label=self.label)
 
 
 def laplace_type(a, mode_cap=8, alpha=1.0):
     """Laplace type model on the circle: p_m(sigma) = sigma^2 + m^2 + a^2, mu = 2."""
     shift = a * a
-
-    def indicial(m):
-        return [m * m + shift, 0.0, 1.0]
-
-    return ConeOperator(2.0, (-mode_cap, mode_cap), indicial, alpha=alpha,
+    return ConeOperator(2.0, (-mode_cap, mode_cap),
+                        lambda m, x: [m * m + shift, 0.0, 1.0], alpha=alpha,
                         label=f"laplace(a={a},n=2)")
 
 
@@ -149,16 +144,11 @@ def perturbed_laplace(a, mode_cap=8, alpha=1.0, strength=0.5):
     """
     shift = a * a
 
-    def indicial(m):
-        return [m * m + shift, 0.0, 1.0]
+    def coeffs(m, x):
+        return [m * m + shift + strength * x * np.cos(1.3 * x), 0.0, 1.0]
 
-    def correction(m, x):
-        x = np.asarray(x, dtype=float)
-        return [strength * x * np.cos(1.3 * x), np.zeros_like(x), np.zeros_like(x)]
-
-    return ConeOperator(2.0, (-mode_cap, mode_cap), indicial,
-                        x_correction=correction, alpha=alpha,
-                        label=f"laplace-perturbed(a={a})")
+    return ConeOperator(2.0, (-mode_cap, mode_cap), coeffs, x_dependent=True,
+                        alpha=alpha, label=f"laplace-perturbed(a={a})")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +215,7 @@ def boundary_spectrum(op, strip):
     poles = []
     for modes in op.mode_classes():
         m = modes[0]
-        coeffs = np.asarray(op._indicial(m), dtype=complex)
+        coeffs = op.indicial(m)
         if len(coeffs) == 1:
             continue  # constant invertible family, no roots
         roots = np.polynomial.Polynomial(coeffs).roots()
@@ -294,28 +284,28 @@ class Discretization:
                         for m in self.mode_list())
 
     def matrix(self, m):
-        """Tridiagonal data (diagonal, subdiagonal) of the conjugated operator."""
+        """Tridiagonal data (diagonal, subdiagonal) of the conjugated operator.
+
+        The grid carries c0(x) and a constant c2: a coeff[1] or coeff[2]
+        that differs from its conormal value on the grid is refused."""
         if m not in self._cache:
+            tip = self.op.indicial(m)
             c = self.op.coeffs(m, self.x)
-            c0 = np.real_if_close(np.broadcast_to(c[0], self.s.shape), tol=1e6)
-            c2 = complex(np.ravel(c[2])[0])
-            d = (2.0 * c2.real / self.h ** 2) + np.asarray(c0, dtype=float)
-            e = np.full(self.npoints - 1, -c2.real / self.h ** 2)
+            for j in (1, 2):
+                if np.any(c[j] != tip[j]):
+                    raise ConfigurationError(
+                        "grid realization requires a coefficient constant in x",
+                        key=f"coeff[{j}]", mode=m)
+            c0 = np.real_if_close(c[0], tol=1e6)
+            c2 = tip[2].real
+            d = (2.0 * c2 / self.h ** 2) + np.asarray(c0, dtype=float)
+            e = np.full(self.npoints - 1, -c2 / self.h ** 2)
             self._cache[m] = (d, e)
         return self._cache[m]
 
-    def apply_p(self, m, u):
-        """The unweighted polynomial part K u."""
-        d, e = self.matrix(m)
-        out = d * u
-        out = out.astype(complex) if np.iscomplexobj(u) else out
-        out[:-1] += e * u[1:]
-        out[1:] += e * u[:-1]
-        return out
-
     def apply(self, m, u):
         """A u = x^(-mu) K u on the grid."""
-        return self.apply_p(m, u) / self.w
+        return pencil._tridiag_matvec(*self.matrix(m), u) / self.w
 
     def inner_w(self, u, v):
         return self.h * np.sum(np.conjugate(u) * v * self.w)
@@ -324,9 +314,13 @@ class Discretization:
         return math.sqrt(abs(self.inner_w(u, u)))
 
 
+# 50 times the largest grid of any shipped config, test or benchmark (2000)
+_MAX_NPOINTS = 100_000
+
+
 def _check_degree2(op):
     for m in op.mode_list():
-        base = np.asarray(op._indicial(m), dtype=complex)
+        base = op.indicial(m)
         if len(base) != 3:
             raise ConfigurationError(
                 "grid realization supports degree 2 polynomials", mode=m)
@@ -345,12 +339,16 @@ def discretize(op, s_min, npoints):
 
     The x^(-mu) factor is carried by the diagonal weight e^(mu s) of the
     generalized problem K u = lambda W u.  Second order centered
-    differences on [s_min, 0], Dirichlet conditions at both ends.
+    differences on [s_min, 0], Dirichlet conditions at both ends.  A grid
+    over ``_MAX_NPOINTS`` points, or whose weight e^(mu s_min) is not a
+    normal double, is refused before any array is allocated.
     """
-    if not s_min < -5:
-        raise ConfigurationError("s_min must be below -5", s_min=s_min)
-    if npoints < 100:
-        raise ConfigurationError("need at least 100 grid points", npoints=npoints)
+    if not s_min < -5 or math.exp(op.mu * s_min) < np.finfo(float).tiny:
+        raise ConfigurationError("s_min must lie below -5, with a normal "
+                                 "weight e^(mu s_min)", key="s_min", got=s_min)
+    if not 100 <= npoints <= _MAX_NPOINTS:
+        raise ConfigurationError(f"npoints must lie in [100, {_MAX_NPOINTS}]",
+                                 key="npoints", got=npoints)
     _check_degree2(op)
     return Discretization(op, float(s_min), 0.0, int(npoints))
 
@@ -381,20 +379,17 @@ def resolvent_solve(disc, m, lam, rhs):
     """
     from scipy.linalg import solve_banded
     d, e = disc.matrix(m)
-    n = disc.npoints
-    ab = np.zeros((3, n), dtype=complex)
+    diag = d - lam * disc.w
+    ab = np.zeros((3, disc.npoints), dtype=complex)
     ab[0, 1:] = e
-    ab[1, :] = d - lam * disc.w
+    ab[1, :] = diag
     ab[2, :-1] = e
     b = disc.w * np.asarray(rhs)
     try:
         u = solve_banded((1, 1), ab, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("shifted system is singular", lam=complex(lam)) from exc
-    resid = (d - lam * disc.w) * u
-    resid[:-1] += e * u[1:]
-    resid[1:] += e * u[:-1]
-    resid -= b
+    resid = pencil._tridiag_matvec(diag, e, u) - b
     rel = np.linalg.norm(resid) / max(np.linalg.norm(b), 1e-300)
     if not np.isfinite(rel) or rel > 1e-10:
         raise NumericalError("resolvent solve residual too large",
@@ -851,8 +846,7 @@ def _spectral_data(op, solved, lam_max, provenance, floor, meta):
 
 
 def _frozen_nu(op, m):
-    base = np.asarray(op._indicial(m), dtype=complex)
-    c0 = base[0]
+    c0 = op.indicial(m)[0]
     if abs(c0.imag) > 1e-12 or c0.real <= 0:
         raise ConfigurationError("mode constant must be positive real",
                                  mode=m, value=complex(c0))
@@ -882,13 +876,9 @@ def oracle_spectral_data(op, lam_max, *, meta=None):
 
 def _mode_nu_floor(op, m):
     """Lower bound for sqrt of the lowest eigenvalue of one mode."""
-    c0 = complex(np.asarray(op._indicial(m), dtype=complex)[0])
-    nu2 = c0.real
-    if op._x_correction is not None:
-        x = np.linspace(0.0, 1.0, 33)
-        corr = np.asarray(op._x_correction(m, x)[0])
-        nu2 -= float(np.max(np.abs(corr)))
-    return math.sqrt(max(nu2, 0.25))
+    c0 = op.indicial(m)[0]
+    shift = op.coeffs(m, np.linspace(0.0, 1.0, 33))[0] - c0
+    return math.sqrt(max(c0.real - float(np.max(np.abs(shift))), 0.25))
 
 
 def grid_spectral_data(disc, lam_max):

@@ -66,7 +66,8 @@ def _validate(node, source, power):
 
 
 def compile_expr(source):
-    """Compile an expression string to a callable f(m, x)."""
+    """Compile an expression string to a callable f(m, x); ``f.uses_x``
+    tells whether the expression names x."""
     text = source.replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
@@ -85,4 +86,5 @@ def compile_expr(source):
         return eval(code, {"__builtins__": {}}, scope)  # noqa: S307 (validated AST)
 
     fn.source = source
+    fn.uses_x = any(getattr(node, "id", None) == "x" for node in ast.walk(tree))
     return fn

@@ -10,12 +10,13 @@ nesting.  Operator files use the keys
     coeff[0] = m^2 + 2.25        # per power of the dilation generator,
     coeff[2] = 1                 # optionally with x dependence
 
-x-dependent coefficient expressions are split into their value at x = 0
-(the conormal data) and the remainder.  Every number is checked at parse
-time: ``mu`` and ``alpha`` must be finite, and each coefficient must
-evaluate to a finite value at x = 0 for every declared mode (and wherever
-it is evaluated later); anything else is a ConfigurationError naming the
-key.
+The coefficients form one rule (m, x) -> [c0, ..., cdeg] whose value at
+x = 0 is the conormal data.  The operator depends on x when an expression
+names x (``0*x`` counts); the grid refuses an x-dependent coeff[1] or
+coeff[2].  Every number is checked at parse time: ``mu`` and ``alpha``
+must be finite, and each coefficient must evaluate to a finite value at
+x = 0 for every declared mode (and wherever it is evaluated later);
+anything else is a ConfigurationError naming the key.
 """
 
 import cmath
@@ -113,42 +114,10 @@ def parse_operator(path):
     deg = max(coeff_exprs)
 
     def values(m, x):
-        out = []
-        for j in range(deg + 1):
-            fn = coeff_exprs.get(j)
-            if fn is None:
-                out.append(np.zeros_like(np.asarray(x, dtype=float)) if
-                           np.ndim(x) else 0.0)
-            else:
-                v = _finite_coeff(j, fn, m, x)
-                out.append(np.broadcast_to(v, np.shape(x)).astype(complex)
-                           if np.ndim(x) else complex(v))
-        return out
+        return [_finite_coeff(j, coeff_exprs[j], m, x) if j in coeff_exprs
+                else 0.0 for j in range(deg + 1)]
 
-    base0 = {}
-
-    def indicial(m):
-        # cached so the operator can be rematerialized on wider mode windows
-        if m not in base0:
-            base0[m] = values(m, 0.0)
-        return base0[m]
-
-    for m in range(modes[0], modes[1] + 1):
-        indicial(m)  # a bad coefficient fails here, before any study runs
-    x_probe = np.linspace(0.0, 1.0, 7)
-    x_dependent = False
-    for m in (0, modes[1]):
-        vals = values(m, x_probe)
-        for j, col in enumerate(vals):
-            if np.max(np.abs(col - indicial(m)[j])) > 1e-13:
-                x_dependent = True
-
-    x_correction = None
-    if x_dependent:
-        def x_correction(m, x):
-            vals = values(m, np.asarray(x, dtype=float))
-            return [v - indicial(m)[j] for j, v in enumerate(vals)]
-
-    return ConeOperator(mu, modes, indicial,
-                        x_correction=x_correction, alpha=alpha,
-                        label=Path(path).stem)
+    return ConeOperator(mu, modes, values,
+                        x_dependent=any(fn.uses_x
+                                        for fn in coeff_exprs.values()),
+                        alpha=alpha, label=Path(path).stem)

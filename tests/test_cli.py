@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_parse_shipped_operator():
     assert op.mu == 2.0 and op.alpha == 1.0
     assert op.modes == (-8, 8)
     assert op.is_frozen
-    assert np.allclose(np.asarray(op._indicial(3), dtype=complex),
+    assert np.allclose(op.indicial(3),
                        [11.25, 0.0, 1.0])
 
 
@@ -52,14 +53,31 @@ def test_parse_perturbed_operator_splits_conormal_part():
     op = parse_operator(CONFIGS / "laplace_perturbed.op")
     assert not op.is_frozen
     frozen = op.frozen()
-    assert np.allclose(np.asarray(frozen._indicial(0), dtype=complex),
+    assert np.allclose(frozen.indicial(0),
                        [2.25, 0.0, 1.0])
 
 
 def test_operator_rematerializes_on_wider_window():
     op = parse_operator(CONFIGS / "laplace_a1.5.op").with_modes(30)
     assert op.modes == (-30, 30)
-    assert np.asarray(op._indicial(30), dtype=complex)[0] == 900 + 2.25
+    assert op.indicial(30)[0] == 900 + 2.25
+
+
+def test_parse_reads_x_dependence_from_the_expression(tmp_path):
+    # the x term vanishes on the even modes, which a probe of modes 0 and
+    # mmax alone would take for frozen coefficients
+    path = tmp_path / "odd.op"
+    path.write_text(LAPLACE_OP.replace("modes = -8..8", "modes = -2..2").replace(
+        "coeff[0] = m^2 + 2.25", "coeff[0] = m^2 + 2.25 + 5*x*sin(m*pi/2)"))
+    op = parse_operator(path)
+    assert not op.is_frozen
+    assert op.coeffs(1, 0.5)[0] == 5.75
+    assert op.coeffs(2, 0.5)[0] == pytest.approx(6.25, abs=1e-14)
+    assert np.array_equal(op.indicial(1), [3.25, 0.0, 1.0])
+    assert op.frozen().coeffs(1, 0.5)[0] == 3.25
+    # x-dependence is read from the expression, not from its values
+    path.write_text(LAPLACE_OP.replace("coeff[2] = 1", "coeff[2] = 1 + 0*x"))
+    assert not parse_operator(path).is_frozen
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +352,49 @@ def test_malformed_operator_file_exits_invalid(tmp_path, old, new, key):
     manifest = (tmp_path / "out" / "MANIFEST").read_text()
     assert "status: incomplete" in manifest and f"key={key}" in manifest
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("coeffs, key", [
+    ("coeff[1] = 0.3*x\ncoeff[2] = 1 + 3*x", "coeff[1]"),
+    ("coeff[2] = 1 + 3*x", "coeff[2]"),
+], ids=["c1", "c2"])
+def test_grid_refuses_x_dependent_higher_coefficients(tmp_path, coeffs, key):
+    # the grid carries c0(x) and a constant c2 only
+    (tmp_path / "x.op").write_text(LAPLACE_OP.replace("coeff[2] = 1", coeffs))
+    cfg = write_cfg(tmp_path / "s.cfg", "operator = x.op\nlam_max = 60\n"
+                    "s_min = -6\nnpoints = 200\n")
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest and f"key={key}" in manifest
+    assert not (tmp_path / "out" / "spectral.csv").exists()
+
+
+@pytest.mark.parametrize("line, key", [("npoints = 100000000", "npoints"),
+                                       ("s_min = -1000", "s_min")],
+                         ids=["npoints_above_cap", "s_min_weight_underflow"])
+def test_grid_input_caps_refuse_before_allocating(tmp_path, line, key):
+    cfg = write_cfg(tmp_path / "s.cfg", OP_LINE + line + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest and f"key={key}" in manifest
+    assert not (tmp_path / "out" / "spectral.csv").exists()
+    assert peak < 20_000_000  # a grid of 10^8 points takes 800 MB an array
+
+
+def test_spectrum_notes_oracle_eigenvalues_without_grid_partner(tmp_path):
+    # a coarse grid finds 561 eigenvalues below lam_max, the oracle 724
+    cfg = write_cfg(tmp_path / "s.cfg", OP_LINE + "lam_max = 20000\n"
+                    "s_min = -6\nnpoints = 100\n")
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    manifest = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
+    assert ("note: 163 oracle eigenvalues below lam_max have no grid partner"
+            in manifest)

@@ -47,7 +47,7 @@ def test_conormal_symbol_laplace_values():
 
 
 def test_conormal_symbol_constant_family():
-    op = ConeOperator(1.0, (-1, 1), lambda m: [1.0], label="order-zero")
+    op = ConeOperator(1.0, (-1, 1), lambda m, x: [1.0], label="order-zero")
     assert all(len(p.coef) == 1 for p in conormal_symbol(op).values())
 
 
@@ -70,7 +70,7 @@ def test_strip_avoidance_above_one():
 
 def test_double_root_multiplicity():
     # p(sigma) = (sigma - i)^2 = sigma^2 - 2 i sigma - 1
-    op = ConeOperator(2.0, (0, 0), lambda m: [-1.0, -2.0j, 1.0])
+    op = ConeOperator(2.0, (0, 0), lambda m, x: [-1.0, -2.0j, 1.0])
     bs = boundary_spectrum(op, 3.0)
     assert len(bs.poles) == 1
     assert bs.poles[0].order == 2
@@ -83,6 +83,21 @@ def test_spectrum_ignores_x_perturbation():
     pa = [(p.mode, p.sigma) for p in boundary_spectrum(a, 5.0).poles]
     pb = [(p.mode, p.sigma) for p in boundary_spectrum(b, 5.0).poles]
     assert pa == pb
+
+
+def test_one_coefficient_rule_gives_conormal_data_and_x_values():
+    op = perturbed_laplace(1.5, mode_cap=2, strength=0.5)
+    tip = op.indicial(1)
+    assert np.array_equal(tip, [3.25, 0.0, 1.0]) and op.indicial(1) is tip
+    with pytest.raises(ValueError):
+        tip[0] = 0.0  # read-only
+    x = np.array([0.0, 0.5, 1.0])
+    assert np.array_equal(op.coeffs(1, x)[0], 3.25 + 0.5 * x * np.cos(1.3 * x))
+    assert np.array_equal(op.coeffs(1, x)[2], np.ones(3))
+    assert np.array_equal(op.frozen().coeffs(1, x)[0], np.full(3, 3.25))
+    wide = op.with_modes(4)
+    assert not wide.is_frozen
+    assert np.array_equal(wide.coeffs(4, x)[0], 18.25 + 0.5 * x * np.cos(1.3 * x))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def _per_mode_weighted_spectral_data(disc, B, lam_cap):
 def _per_mode_boundary_spectrum(op, strip):
     poles = []
     for m in op.mode_list():
-        coeffs = np.asarray(op._indicial(m), dtype=complex)
+        coeffs = op.indicial(m)
         if len(coeffs) == 1:
             continue
         roots = np.polynomial.Polynomial(coeffs).roots()

@@ -20,7 +20,7 @@ from conespec.traces import (_BLOCK_END, _BLOCK_K, _BLOCK_STRIDE,
 
 def single_mode_op():
     # indicial constant 1/4: exact eigenvalues (k pi)^2
-    return ConeOperator(2.0, (0, 0), lambda m: [0.25, 0.0, 1.0],
+    return ConeOperator(2.0, (0, 0), lambda m, x: [0.25, 0.0, 1.0],
                         label="nu-half")
 
 
