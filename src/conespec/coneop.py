@@ -110,9 +110,6 @@ class ConeOperator:
         return [np.broadcast_to(np.asarray(c, dtype=complex), x.shape)
                 for c in values]
 
-    def indicial_poly(self, m):
-        return np.polynomial.Polynomial(self.indicial(m))
-
     def frozen(self):
         """The dilation-invariant model obtained by freezing coefficients at x=0."""
         if self.is_frozen:
@@ -155,11 +152,6 @@ def perturbed_laplace(a, mode_cap=8, alpha=1.0, strength=0.5):
 # conormal symbol and boundary spectrum
 
 
-def conormal_symbol(op):
-    """Per-mode indicial polynomials, from the x -> 0 coefficients only."""
-    return {m: op.indicial_poly(m) for m in op.mode_list()}
-
-
 @dataclass(frozen=True)
 class PoleEntry:
     sigma: complex
@@ -178,12 +170,6 @@ class BoundarySpectrum:
         if not self.poles:
             return math.inf
         return min(abs(p.sigma.imag) for p in self.poles)
-
-    def min_dist_to_line(self, level):
-        """Distance of the spectrum to the horizontal line Im sigma = level."""
-        if not self.poles:
-            return math.inf
-        return min(abs(p.sigma.imag - level) for p in self.poles)
 
     def to_csv_rows(self):
         out = [("mode", "sigma_re", "sigma_im", "order")]
@@ -689,16 +675,6 @@ def _halley_zeros(nu, k, a, b, ra, rb, depth):
     return x
 
 
-def bessel_oracle(nu, count):
-    """Frozen-mode eigenvalue oracle: squares of the first ``count`` zeros of J_nu.
-
-    Exact spectrum of x^(-2)((x D_x)^2 + nu^2) on (0, 1] with the decaying
-    solution at the tip and a Dirichlet condition at x = 1.
-    """
-    z = bessel_zeros(nu, count=count)
-    return z * z
-
-
 # ---------------------------------------------------------------------------
 # spectral data
 
@@ -734,9 +710,6 @@ class SpectralData:
 
     def validate(self):
         for m, lam in self.eigs.items():
-            if len(lam) and float(np.min(lam)) <= 0:
-                raise NumericalError("nonpositive eigenvalue in positive model",
-                                     mode=m)
             if len(lam) >= 12 and self.provenance == "oracle":
                 # counting-function sanity: lam_k grows quadratically in k
                 # (finite-difference spectra may saturate near their top and
@@ -834,6 +807,10 @@ def _spectral_data(op, solved, lam_max, provenance, floor, meta):
     weyl = {}
     for modes, vals in solved:
         if len(vals):
+            # refused before the Weyl fit takes square roots
+            if float(np.min(vals)) <= 0:
+                raise NumericalError("nonpositive eigenvalue in positive model",
+                                     mode=modes[0])
             fit = _weyl_fit(vals)
             for m in modes:
                 eigs[m] = vals.copy()
@@ -905,110 +882,3 @@ def resolvent_norm(sd, lam):
     if len(gaps) == 0:
         raise InsufficientSpectrumError("no eigenvalues materialized")
     return float(1.0 / np.min(gaps))
-
-
-def injectivity_constant(sd, lam):
-    """Best constant in ||(A - lam) u|| >= C (||u|| + ||A u||), spectrally.
-
-    For the selfadjoint realization C = min over the spectrum (and its
-    closure at infinity) of |x - lam| / (1 + x).
-    """
-    lams = sd.all_eigs()
-    vals = np.abs(lams - complex(lam)) / (1.0 + lams)
-    return float(min(1.0, np.min(vals)))
-
-
-# ---------------------------------------------------------------------------
-# parameter ellipticity
-
-
-@dataclass
-class EllipticityReport:
-    symbol_ok: bool
-    model_ok: object  # True / False / None (undecided)
-    clean_weight_line: bool
-    details: dict
-
-    def all_ok(self):
-        return bool(self.symbol_ok and self.model_ok and self.clean_weight_line)
-
-
-def check_parameter_ellipticity(op, sector, alpha=None):
-    """Three-part ellipticity check for the operator family A - lam.
-
-    symbol_ok: sampled per-mode symbol values avoid the sector away from
-    frequency zero.  model_ok: the frozen model on the half line, realized
-    on growing truncations, stays invertible for |lam| in {1e2, 1e3} on
-    three rays of the sector; inconclusive refinement yields None
-    (undecided), never a false positive.  clean_weight_line: no indicial
-    root on Im sigma = -alpha (roots searched in |Im sigma| <=
-    max(8, 2 |alpha| + 4)).
-    """
-    alpha = op.alpha if alpha is None else float(alpha)
-    details = {}
-
-    # (a) symbol values
-    pos = np.geomspace(1e-2, 1e2, 120)
-    xi = np.concatenate([-pos[::-1], pos])
-    symbol_ok = True
-    for m in op.mode_list():
-        vals = op.indicial_poly(m)(xi.astype(complex))
-        for v in np.atleast_1d(vals):
-            if sector.contains(complex(v)):
-                symbol_ok = False
-                details["symbol_witness"] = {"mode": m, "value": complex(v)}
-                break
-        if not symbol_ok:
-            break
-
-    # (c) weight line
-    bspec = boundary_spectrum(op, max(8.0, 2 * abs(alpha) + 4.0))
-    dist_line = bspec.min_dist_to_line(-alpha)
-    clean = dist_line > 1e-9
-    details["weight_line_distance"] = dist_line
-
-    # (b) model invertibility on growing truncations
-    frozen = op.frozen()
-    verdicts = []
-    try:
-        d1 = discretize_halfline(frozen, -10.0, 4.0, 500)
-        d2 = discretize_halfline(frozen, -12.0, 6.0, 900)
-        spec1 = grid_spectral_data(d1, 8e3)
-        spec2 = grid_spectral_data(d2, 8e3)
-        for theta in sector.rays():
-            u = complex(math.cos(theta), math.sin(theta))
-            for mag in (1e2, 1e3):
-                lam = mag * u
-                verdicts.append(_invertibility_verdict(spec1, spec2, lam))
-    except (NumericalError, ConfigurationError) as exc:
-        details["model_error"] = str(exc)
-        verdicts = [None]
-    if all(v is True for v in verdicts):
-        model_ok = clean
-    elif any(v is False for v in verdicts):
-        model_ok = False
-    else:
-        model_ok = None
-    details["model_verdicts"] = verdicts
-    return EllipticityReport(symbol_ok, model_ok, clean, details)
-
-
-def _invertibility_verdict(spec1, spec2, lam):
-    """Compare dist(lam, spectrum) on two truncations against local spacing."""
-    out = []
-    for sd in (spec1, spec2):
-        lams = sd.all_eigs()
-        if len(lams) < 3:
-            return None
-        lams = np.sort(lams)
-        gaps = np.abs(lams - lam)
-        i = int(np.argmin(gaps))
-        local = np.diff(lams[max(0, i - 2): i + 3])
-        spacing = float(np.median(local)) if len(local) else 1.0
-        out.append((float(gaps[i]), spacing))
-    (dist1, sp1), (dist2, sp2) = out
-    if dist2 > 10.0 * sp2 and dist1 > 10.0 * sp1:
-        return True
-    if dist2 < 2.0 * sp2:
-        return False
-    return None

@@ -25,7 +25,7 @@ class IndexSetError(ConespecError):
 
 
 class SymbolRejection(ConespecError):
-    """A symbol failed a structural check (ellipticity, finiteness, scaling)."""
+    """A symbol failed a structural check (ellipticity, finiteness)."""
 
 
 class RootFindingError(ConespecError):

@@ -18,11 +18,11 @@ quarters, ...) are therefore compared exactly; general floats are
 compared with an effective tolerance of 1e-12.
 
 Each set keeps the integer keys of its exponents with their largest log
-power, and ``index_sum``, ``extended_union``, ``cinf_close`` and
-``max_logpow`` work on those keys: an exponent is quantized once, when it
-enters through the constructor.  Adding keys is exact.  For |z| below
-about 1e3 it equals the key of the float sum of the rounded exponents;
-beyond that the float sum would lose the 1e-12 resolution.
+power, and ``index_sum``, ``extended_union`` and ``max_logpow`` work on
+those keys: an exponent is quantized once, when it enters through the
+constructor.  Adding keys is exact.  For |z| below about 1e3 it equals
+the key of the float sum of the rounded exponents; beyond that the float
+sum would lose the 1e-12 resolution.
 """
 
 from dataclasses import dataclass
@@ -149,39 +149,6 @@ class IndexSet:
         tag = ", cinf" if self.cinf_step else ""
         return f"IndexSet({list(self.entries)!r}, re_cutoff={self.re_cutoff}{tag})"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_text(self):
-        """Sorted (re, im, k) triples, one per line, preceded by a cutoff line."""
-        lines = [f"# re_cutoff {self.re_cutoff!r} cinf {int(self.cinf_step)}"]
-        for z, k in self.entries:
-            lines.append(f"{z.real!r} {z.imag!r} {k}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        """Inverse of ``to_text``: the cutoff and tag come from the header."""
-        pairs = []
-        re_cutoff, cinf_step = None, False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) >= 2 and parts[0] == "re_cutoff":
-                    if re_cutoff is None:
-                        re_cutoff = float(parts[1])
-                    if len(parts) >= 4 and parts[2] == "cinf":
-                        cinf_step = bool(int(parts[3]))
-                continue
-            re, im, k = line.split()
-            pairs.append((complex(float(re), float(im)), int(k)))
-        if re_cutoff is None:
-            raise IndexSetError("serialized index set carries no cutoff")
-        return cls(pairs, re_cutoff, cinf_step=cinf_step)
-
-
 def _check_cutoffs(*sets):
     cut = sets[0].re_cutoff
     for s in sets[1:]:
@@ -191,20 +158,6 @@ def _check_cutoffs(*sets):
                 cutoffs=[x.re_cutoff for x in sets],
             )
     return cut
-
-
-def naturals(re_cutoff, start=1):
-    """The integers start, start+1, ... as a plain index set (log power 0)."""
-    n = int(re_cutoff + _CUTOFF_TOL)
-    return IndexSet(
-        [(complex(j, 0.0), 0) for j in range(start, n + 1)],
-        re_cutoff,
-        cinf_step=True,
-    )
-
-
-def naturals0(re_cutoff):
-    return naturals(re_cutoff, start=0)
 
 
 def extended_union(E, F):
@@ -243,11 +196,6 @@ def index_sum(E, F):
     return IndexSet._from_keys(best, cut, E.cinf_step and F.cinf_step)
 
 
-def cinf_close(E):
-    """Close E under z -> z + 1 and tag it as generated that way."""
-    return IndexSet._from_keys(dict(E._logpow), E.re_cutoff, cinf_step=True)
-
-
 @dataclass(frozen=True)
 class IndexFamily4:
     """Index sets attached to the four boundary faces of a composition."""
@@ -270,82 +218,3 @@ def compose_family(E, F):
     g_rb = extended_union(index_sum(E.rb, F.ff), F.rb)
     g_ff = extended_union(index_sum(E.ff, F.ff), index_sum(E.lb, F.rb))
     return IndexFamily4(g_lb, g_rb, g_ff, index_sum(E.fi, F.fi))
-
-
-def compose_power(fam, N):
-    """The N-fold composition of a family with itself."""
-    if N < 1:
-        raise IndexSetError("composition power must be >= 1", N=N)
-    out = fam
-    for _ in range(N - 1):
-        out = compose_family(out, fam)
-    return out
-
-
-def merge_poles(poles):
-    """Aggregate (sigma, ord[, mode]) records into {sigma: max order}.
-
-    A point that is singular for several modes is a pole of the inverse
-    conormal symbol of order equal to the worst (largest) mode order.
-    """
-    merged = {}
-    reps = {}
-    for rec in poles:
-        sigma, order = rec[0], int(rec[1])
-        key = _zkey(sigma)
-        if merged.get(key, 0) < order:
-            merged[key] = order
-        reps.setdefault(key, complex(sigma))
-    return [(reps[k], merged[k]) for k in sorted(merged, key=lambda t: (t[1], t[0]))]
-
-
-def build_hat_E(poles, alpha, mu, cutoff, sign):
-    """One-sided exponent set generated by a boundary spectrum.
-
-    Poles are given in the convention where the dilation generator acts as
-    multiplication by sigma on trial functions x^{i sigma}.  For the upper
-    set (sign=+1) a pole sigma with Im sigma < -alpha contributes the base
-    exponent z0 = i sigma - mu; for the lower set (sign=-1) a pole with
-    Im sigma > -alpha contributes z0 = -i sigma + mu.  The integer shift
-    z0 + r carries log powers k with
-    k + 1 <= sum_{l=0..r} ord(sigma -+ i l).
-    """
-    if sign not in (+1, -1):
-        raise IndexSetError("sign must be +1 or -1", sign=sign)
-    merged = merge_poles(poles)
-    ordmap = {_zkey(s): o for s, o in merged}
-    pairs = []
-    for sigma, _ in merged:
-        if sign == +1:
-            if not (sigma.imag < -alpha - 1e-12):
-                continue
-            z0 = 1j * sigma - mu
-        else:
-            if not (sigma.imag > -alpha + 1e-12):
-                continue
-            z0 = -1j * sigma + mu
-        acc = 0
-        r = 0
-        while z0.real + r <= cutoff + _CUTOFF_TOL:
-            probe = sigma - 1j * r if sign == +1 else sigma + 1j * r
-            acc += ordmap.get(_zkey(probe), 0)
-            if acc >= 1:
-                pairs.append((z0 + r, acc - 1))
-            r += 1
-    return IndexSet(pairs, cutoff, cinf_step=True)
-
-
-def build_E_alpha(poles, alpha, mu, cutoff):
-    """Resolvent index family generated by a boundary spectrum and weight.
-
-    Components: the self-promoted one-sided sets on the two lateral faces,
-    N extunion (hat_E_plus + hat_E_minus) on the front face, and the
-    nonnegative integers on the parameter face.  An empty spectrum yields
-    (empty, empty, N, N_0).
-    """
-    hat_p = build_hat_E(poles, alpha, mu, cutoff, +1)
-    hat_m = build_hat_E(poles, alpha, mu, cutoff, -1)
-    lb = extended_union(hat_p, hat_p)
-    rb = extended_union(hat_m, hat_m)
-    ff = extended_union(naturals(cutoff), index_sum(hat_p, hat_m))
-    return IndexFamily4(lb, rb, ff, naturals0(cutoff))

@@ -161,7 +161,9 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
     picks the eigenvalue indices, LAPACK bisection on the congruent
     tridiagonal computes them, and Rayleigh-quotient inverse iteration
     polishes them; vectors are W-orthonormal up to the grid measure
-    (caller applies the grid step when needed).
+    (caller applies the grid step when needed).  A pencil whose congruent
+    tridiagonal overflows, or on which bisection does not converge, raises
+    NumericalError.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -179,6 +181,14 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
         if count < 1:
             raise ConfigurationError("count must be positive", count=count)
     n = len(d)
+    # the diagonal of the congruent tridiagonal; a weight too small for it
+    # (a grid reaching far into the tip) leaves nothing bisection can solve
+    with np.errstate(over="ignore"):
+        dw = d / w
+    if not np.all(np.isfinite(dw)):
+        raise NumericalError("pencil diagonal overflows: the weight is too "
+                             "small for the congruent tridiagonal",
+                             w_min=float(np.min(w)))
     lo = lower_bound(d, e, w)
     if lam_max is None:
         nlo = int(inertia(d, e, w, [lo])[0])
@@ -190,9 +200,13 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
     vals = np.empty(0)
     if nhi > nlo:
         s = np.sqrt(w)
-        vals = eigh_tridiagonal(d / w, e / (s[:-1] * s[1:]), eigvals_only=True,
-                                select="i", select_range=(nlo, nhi - 1),
-                                lapack_driver="stebz", tol=_ABSTOL)
+        try:
+            vals = eigh_tridiagonal(dw, e / (s[:-1] * s[1:]), eigvals_only=True,
+                                    select="i", select_range=(nlo, nhi - 1),
+                                    lapack_driver="stebz", tol=_ABSTOL)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("LAPACK bisection did not converge",
+                                 detail=str(exc)) from None
         top = np.inf if lam_max is None else lam_max
         slack = 1e-12 * np.abs(vals)
         if np.any(vals < lo - slack) or np.any(vals > top + slack):

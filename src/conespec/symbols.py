@@ -114,18 +114,12 @@ class ParamSymbol:
     ----------
     fn : callable (xi, lam) -> complex, broadcasting over arrays
     orders : (mu, p, d)
-    core : callable or None
-        The symbol with every excision factor replaced by 1, accepting
-        complex xi.  Required for homogeneous-component extraction.
-    chi_clear_radius : float
-        fn agrees with core for |xi| >= this radius.
     dlam : callable or None
         Analytic derivative in lam, used to validate finite differences.
     sector : Sector or None
     """
 
-    def __init__(self, fn, orders, *, core=None, chi_clear_radius=0.0,
-                 dlam=None, sector=None, label="symbol"):
+    def __init__(self, fn, orders, *, dlam=None, sector=None, label="symbol"):
         mu, p, d = orders
         if d <= 0:
             raise ConfigurationError("anisotropy d must be positive", d=d)
@@ -133,9 +127,6 @@ class ParamSymbol:
         self.mu = float(mu)
         self.p = float(p)
         self.d = float(d)
-        self.n = 1
-        self.core = core
-        self.chi_clear_radius = float(chi_clear_radius)
         self.dlam = dlam
         self.sector = sector
         self.label = label
@@ -149,71 +140,8 @@ class ParamSymbol:
 
     def with_orders(self, orders):
         """Redeclare order metadata (for membership claims at other orders)."""
-        return ParamSymbol(self.fn, orders, core=self.core,
-                           chi_clear_radius=self.chi_clear_radius,
-                           dlam=self.dlam, sector=self.sector, label=self.label)
-
-    @staticmethod
-    def constant(value, d, sector):
-        v = complex(value)
-        return ParamSymbol(lambda xi, lam: v * np.ones_like(np.asarray(xi, dtype=complex) * np.asarray(lam, dtype=complex)),
-                           (0.0, 0.0, d),
-                           core=lambda xi, lam: v + 0.0 * (np.asarray(xi, dtype=complex) + np.asarray(lam, dtype=complex)),
-                           sector=sector, label=f"const({value})")
-
-    def _combine_meta(self, other):
-        if abs(self.d - other.d) > 1e-12:
-            raise ConfigurationError("cannot combine symbols with different anisotropy",
-                                     d_left=self.d, d_right=other.d)
-        return max(self.chi_clear_radius, other.chi_clear_radius), self.sector or other.sector
-
-    def __add__(self, other):
-        clear, sector = self._combine_meta(other)
-        f1, f2 = self.fn, other.fn
-        c1, c2 = self.core, other.core
-        core = (lambda xi, lam: c1(xi, lam) + c2(xi, lam)) if (c1 and c2) else None
-        return ParamSymbol(lambda xi, lam: f1(xi, lam) + f2(xi, lam),
-                           (max(self.mu, other.mu), max(self.p, other.p), self.d),
-                           core=core, chi_clear_radius=clear, sector=sector,
-                           label=f"({self.label}+{other.label})")
-
-    def __mul__(self, other):
-        clear, sector = self._combine_meta(other)
-        f1, f2 = self.fn, other.fn
-        c1, c2 = self.core, other.core
-        core = (lambda xi, lam: c1(xi, lam) * c2(xi, lam)) if (c1 and c2) else None
-        return ParamSymbol(lambda xi, lam: f1(xi, lam) * f2(xi, lam),
-                           (self.mu + other.mu, self.p + other.p, self.d),
-                           core=core, chi_clear_radius=clear, sector=sector,
-                           label=f"({self.label}*{other.label})")
-
-
-@dataclass
-class HomogComponent:
-    """Anisotropic homogeneous piece of a classical symbol.
-
-    Satisfies fn(delta*xi, delta**d*lam) = delta**degree * fn(xi, lam).
-    """
-
-    degree: float
-    d: float
-    fn: object
-
-    def __call__(self, xi, lam):
-        return self.fn(xi, lam)
-
-    def homogeneity_residual(self, xi, lam, deltas=(0.5, 2.0, 10.0)):
-        """Worst relative deviation from the scaling identity on samples."""
-        xi = np.asarray(xi, dtype=float)
-        base = self.fn(xi, lam)
-        worst = 0.0
-        for delta in deltas:
-            scaled = self.fn(delta * xi, (delta ** self.d) * lam)
-            ref = (delta ** self.degree) * base
-            num = np.max(np.abs(scaled - ref))
-            den = max(np.max(np.abs(ref)), 1e-300)
-            worst = max(worst, float(num / den))
-        return worst
+        return ParamSymbol(self.fn, orders, dlam=self.dlam, sector=self.sector,
+                           label=self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +172,11 @@ def resolvent_symbol(a_fn, mu_a, sector, *, b_fn=None, mu_b=0.0, ell=1):
     def fn(xi, lam):
         return chi(xi) * b_fn(xi) * (a_fn(xi) - lam) ** (-ell)
 
-    def core(xi, lam):
-        return b_fn(xi) * (a_fn(xi) - lam) ** (-ell)
-
     def dlam(xi, lam):
         return ell * chi(xi) * b_fn(xi) * (a_fn(xi) - lam) ** (-ell - 1)
 
     return ParamSymbol(fn, (mu_b - ell * mu_a, -ell * mu_a, mu_a),
-                       core=core, chi_clear_radius=chi.radius, dlam=dlam,
-                       sector=sector, label=f"resolvent(ell={ell})")
-
-
-def zero_symbol(d, sector):
-    return ParamSymbol(lambda xi, lam: np.zeros_like(np.asarray(xi, dtype=complex) + np.asarray(lam, dtype=complex)),
-                       (0.0, 0.0, d),
-                       core=lambda xi, lam: 0.0 * (np.asarray(xi, dtype=complex) + np.asarray(lam, dtype=complex)),
-                       sector=sector, label="zero")
+                       dlam=dlam, sector=sector, label=f"resolvent(ell={ell})")
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +198,6 @@ class SeminormReport:
     rows: list
     passed: bool
     meta: dict
-
-    def to_csv_rows(self):
-        out = [("alpha", "beta", "worst_ratio", "grid_refined_ratio", "pass")]
-        for r in self.rows:
-            out.append((r.alpha, r.beta, f"{r.worst_ratio:.6e}",
-                        f"{r.refined_ratio:.6e}", int(r.passed)))
-        return out
 
 
 def _xi_axis(pts_per_decade):
@@ -474,178 +384,3 @@ def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
     meta = {"orders": sym.orders, "pts_per_decade": pts_per_decade,
             "label": sym.label}
     return SeminormReport(rows, bool(ok_all), meta)
-
-
-# ---------------------------------------------------------------------------
-# homogeneous components by scaling limits
-
-
-def _scaled_profile(sym, xi, lam, t):
-    """t**mu * core(xi/t, lam/t**d); analytic in t near 0 for library symbols."""
-    if sym.core is None:
-        raise SymbolRejection("symbol carries no analytic core for scaling limits",
-                              label=sym.label)
-    if abs(sym.mu - round(sym.mu)) > 1e-9 or abs(sym.d - round(sym.d)) > 1e-9:
-        raise SymbolRejection("scaling extraction needs integer order structure",
-                              mu=sym.mu, d=sym.d)
-    return t ** sym.mu * sym.core(xi / t, lam / t ** sym.d)
-
-
-def _circle_coeff(sym, xi, lam, j, radius, M):
-    """j-th Taylor coefficient in t of the scaled profile, by circle averages."""
-    xi = np.asarray(xi, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    shape = np.broadcast(xi, lam).shape
-    acc = np.zeros(shape, dtype=complex)
-    for k in range(M):
-        t = radius * np.exp(2j * np.pi * k / M)
-        acc = acc + _scaled_profile(sym, xi, lam, t) * np.exp(-2j * np.pi * j * k / M)
-    return acc / (M * radius ** j)
-
-
-def homog_component_fn(sym, j):
-    """Evaluator of the degree mu - j homogeneous component of sym.
-
-    The component is the j-th term of the Taylor expansion at t = 0 of
-    t**mu * core(xi/t, lam/t**d), extracted by averaging over small circles
-    in t.  The radius and node count are decreased and doubled until two
-    evaluations agree to 1e-10 relative; failure to converge raises
-    SymbolRejection (non-classical input).
-    """
-
-    def fn(xi, lam):
-        radius = 0.25
-        for _ in range(6):
-            c1 = _circle_coeff(sym, xi, lam, j, radius, 48)
-            c2 = _circle_coeff(sym, xi, lam, j, radius / 2.0, 96)
-            scale = max(float(np.max(np.abs(c2))), 1e-300)
-            if np.all(np.isfinite(c1)) and np.all(np.isfinite(c2)) \
-                    and float(np.max(np.abs(c1 - c2))) <= 1e-10 * scale:
-                return c2
-            radius /= 4.0
-        raise SymbolRejection("scaling limit failed to converge",
-                              label=sym.label, component=j)
-
-    return fn
-
-
-def homog_expand(sym, N):
-    """Split sym into N homogeneous components plus a remainder.
-
-    Returns (components, remainder) with components[j] of degree mu - j and
-    remainder declared at orders (mu - N, p, d).  The reassembly identity
-    is sym = sum_j chi * components[j] + remainder, with the excision
-    chi = ChiCutoff(max(chi_clear_radius, 1)).
-    """
-    N = int(N)
-    if N < 0:
-        raise ConfigurationError("component count must be >= 0", N=N)
-    if N == 0:
-        return [], sym
-    chi = ChiCutoff(max(sym.chi_clear_radius, 1.0))
-    comps = [HomogComponent(sym.mu - j, sym.d, homog_component_fn(sym, j))
-             for j in range(N)]
-
-    def remainder_fn(xi, lam):
-        total = sym.fn(xi, lam)
-        cx = chi(xi)
-        for comp in comps:
-            total = total - cx * comp.fn(xi, lam)
-        return total
-
-    remainder = ParamSymbol(remainder_fn, (sym.mu - N, sym.p, sym.d),
-                            sector=sym.sector, label=f"{sym.label}:rem{N}")
-    return comps, remainder
-
-
-# ---------------------------------------------------------------------------
-# leading parametrix for the one dimensional model
-
-
-@dataclass
-class ModelParametrix:
-    """Leading symbol-level parametrix b(x, xi, lam) = chi(xi)/(a(x, xi) - x^mu lam)."""
-
-    a_fn: object
-    mu: float
-    sector: Sector
-    chi: ChiCutoff
-
-    def __call__(self, x, xi, lam):
-        return self.chi(xi) / (self.a_fn(x, xi) - np.asarray(x, dtype=float) ** self.mu * lam)
-
-    def product_residual(self, x, xi, lam):
-        """Max of |(a - x^mu lam) * b - chi| over the given sample arrays."""
-        x = np.asarray(x, dtype=float)[:, None, None]
-        xi = np.asarray(xi, dtype=float)[None, :, None]
-        lam = np.asarray(lam, dtype=complex)[None, None, :]
-        denom = self.a_fn(x, xi) - x ** self.mu * lam
-        b = self.chi(xi) / denom
-        return float(np.max(np.abs(denom * b - self.chi(xi) * np.ones_like(denom))))
-
-    def at_x(self, x0):
-        """Frozen-x view as a parameter symbol in (xi, x^mu lam)."""
-        a = self.a_fn
-        chi = self.chi
-        x0 = float(x0)
-
-        def fn(xi, lamt):
-            return chi(xi) / (a(x0, xi) - lamt)
-
-        def core(xi, lamt):
-            return 1.0 / (a(x0, xi) - lamt)
-
-        return ParamSymbol(fn, (-self.mu, -self.mu, self.mu), core=core,
-                           chi_clear_radius=chi.radius, sector=self.sector,
-                           label=f"parametrix@x={x0:g}")
-
-
-def parametrix_leading(a_fn, mu, sector, eps, *, xi_samples=None):
-    """Leading parametrix chi(xi) (a(x, xi) - x^mu lam)^(-1) with excision eps.
-
-    Pointwise invertibility of a(x, xi) - x^mu lam is verified on a sampled
-    slice (x = 0 and 25 points geometric in [1e-4, 1], |xi| around the
-    excision scale and above unless ``xi_samples`` is given, |lam| in
-    {1, 1e2, 1e4} on three sector rays).  A vanishing denominator raises
-    SymbolRejection carrying the witness point.
-    """
-    chi = ChiCutoff(eps)
-    x_samples = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 25)])
-    if xi_samples is None:
-        pos = np.geomspace(max(eps / 4, 1e-3), 1e3, 60)
-        xi_samples = np.concatenate([-pos[::-1], pos])
-    lam = []
-    for theta in sector.rays():
-        u = complex(math.cos(theta), math.sin(theta))
-        lam.extend([m * u for m in (1.0, 1e2, 1e4)])
-    lam = np.asarray(lam, dtype=complex)
-    X = np.asarray(x_samples, dtype=float)[:, None, None]
-    XI = np.asarray(xi_samples, dtype=float)[None, :, None]
-    L = lam[None, None, :]
-    denom = a_fn(X, XI) - X ** mu * L
-    bad = np.abs(denom) < 1e-12
-    if np.any(bad):
-        i, j, k = np.argwhere(bad)[0]
-        raise SymbolRejection("model symbol not invertible on the sampled slice",
-                              x=float(x_samples[i]), xi=float(xi_samples[j]),
-                              lam=complex(lam[k]))
-    return ModelParametrix(a_fn, float(mu), sector, chi)
-
-
-def neumann_refine(b0, s0, steps):
-    """One Neumann-series refinement pass: b0 * (1 + s0 + ... + s0^steps).
-
-    s0 must have negative order in the first slot; each extra power lowers
-    the residual order by one, so the error after composing with (1 - s0)
-    is s0^(steps+1).
-    """
-    steps = int(steps)
-    if steps < 1:
-        raise ConfigurationError("steps must be >= 1", steps=steps)
-    acc = ParamSymbol.constant(1.0, b0.d, sector=b0.sector)
-    power = None
-    for _ in range(steps):
-        power = s0 if power is None else power * s0
-        acc = acc + power
-    refined = b0 * acc
-    return refined.with_orders(b0.orders)

@@ -398,3 +398,31 @@ def test_spectrum_notes_oracle_eigenvalues_without_grid_partner(tmp_path):
     manifest = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
     assert ("note: 163 oracle eigenvalues below lam_max have no grid partner"
             in manifest)
+
+
+@pytest.mark.parametrize("s_min", [-200, -354])
+def test_pencil_refuses_grids_it_cannot_solve(tmp_path, s_min):
+    # the weight cap admits both; at -200 LAPACK bisection does not
+    # converge, and at -354 the diagonal of the congruent tridiagonal
+    # overflows
+    cfg = write_cfg(tmp_path / "s.cfg", OP_LINE + "lam_max = 300\n"
+                    f"s_min = {s_min}\nnpoints = 1500\n")
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest
+    assert not (tmp_path / "out" / "spectral.csv").exists()
+
+
+@pytest.mark.parametrize("sub", ["heat", "spectrum"])
+def test_non_positive_model_exits_invalid(tmp_path, sub):
+    # m^2 - 9 vanishes at m = 3 and is negative below it, so the low modes
+    # have negative eigenvalues
+    (tmp_path / "neg.op").write_text(
+        LAPLACE_OP.replace("coeff[0] = m^2 + 2.25", "coeff[0] = m^2 - 9"))
+    cfg = write_cfg(tmp_path / "s.cfg", "operator = neg.op\nlam_max = 60\n"
+                    "s_min = -6\nnpoints = 200\n")
+    code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    manifest = (tmp_path / "out" / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest and "mode=" in manifest

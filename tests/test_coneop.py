@@ -7,16 +7,13 @@ import pytest
 from scipy.special import jv
 
 from conespec import coneop
-from conespec.coneop import (ConeOperator, _weyl_fit, bessel_oracle,
-                             bessel_zeros, boundary_spectrum,
-                             check_parameter_ellipticity,
-                             conormal_symbol, discretize, discretize_halfline,
-                             eigenvalues, grid_spectral_data,
-                             injectivity_constant, kappa_scale, laplace_type,
+from conespec.coneop import (ConeOperator, _weyl_fit, bessel_zeros,
+                             boundary_spectrum, discretize,
+                             discretize_halfline, eigenvalues,
+                             grid_spectral_data, kappa_scale, laplace_type,
                              oracle_spectral_data, perturbed_laplace,
                              resolvent_norm, resolvent_solve)
 from conespec.errors import ConfigurationError, RootFindingError
-from conespec.symbols import LEFT_HALF_PLANE, Sector
 
 JREF_32 = 4.4934094579090641753  # first positive root of tan x = x
 
@@ -40,15 +37,15 @@ def tan_root_oracle():
 
 def test_conormal_symbol_laplace_values():
     op = laplace_type(1.5, mode_cap=2)
-    polys = conormal_symbol(op)
-    assert polys[0](1j * 0 + 2.0) == pytest.approx(4.0 + 2.25)
-    assert np.allclose(polys[0].coef, [2.25, 0.0, 1.0])
-    assert np.allclose(polys[2].coef, [6.25, 0.0, 1.0])
+    p0 = np.polynomial.Polynomial(op.indicial(0))
+    assert p0(1j * 0 + 2.0) == pytest.approx(4.0 + 2.25)
+    assert np.allclose(op.indicial(0), [2.25, 0.0, 1.0])
+    assert np.allclose(op.indicial(2), [6.25, 0.0, 1.0])
 
 
 def test_conormal_symbol_constant_family():
     op = ConeOperator(1.0, (-1, 1), lambda m, x: [1.0], label="order-zero")
-    assert all(len(p.coef) == 1 for p in conormal_symbol(op).values())
+    assert all(len(op.indicial(m)) == 1 for m in op.mode_list())
 
 
 def test_boundary_spectrum_closed_form():
@@ -98,32 +95,6 @@ def test_one_coefficient_rule_gives_conormal_data_and_x_values():
     wide = op.with_modes(4)
     assert not wide.is_frozen
     assert np.array_equal(wide.coeffs(4, x)[0], 18.25 + 0.5 * x * np.cos(1.3 * x))
-
-
-# ---------------------------------------------------------------------------
-# parameter ellipticity
-
-
-def test_ellipticity_left_sector_all_flags():
-    rep = check_parameter_ellipticity(laplace_type(1.5, mode_cap=2),
-                                      LEFT_HALF_PLANE, alpha=1.0)
-    assert rep.symbol_ok and rep.clean_weight_line
-    assert rep.model_ok is True
-    assert rep.all_ok()
-
-
-def test_ellipticity_positive_axis_fails():
-    sector = Sector(-math.pi / 3, math.pi / 3)
-    rep = check_parameter_ellipticity(laplace_type(1.5, mode_cap=2),
-                                      sector, alpha=1.0)
-    assert not rep.symbol_ok
-    assert rep.model_ok is False
-
-
-def test_weight_line_on_root_flagged():
-    rep = check_parameter_ellipticity(laplace_type(1.5, mode_cap=2),
-                                      LEFT_HALF_PLANE, alpha=1.5)
-    assert not rep.clean_weight_line
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +163,6 @@ def test_real_spectra_for_real_models():
 def test_bessel_nu_three_halves_first_zero():
     z = bessel_zeros(1.5, count=1)[0]
     assert abs(z - tan_root_oracle()) < 1e-11
-    assert abs(bessel_oracle(1.5, 1)[0] - z * z) < 1e-12
 
 
 def test_bessel_half_integer_closed_form():
@@ -615,13 +585,6 @@ def test_resolvent_norm_decay_slope():
     norms = [resolvent_norm(sd, -m) for m in mags]
     slope = np.polyfit(np.log(mags), np.log(norms), 1)[0]
     assert -1.05 <= slope <= -0.95
-
-
-def test_injectivity_constant_stable():
-    sd = oracle_spectral_data(laplace_type(1.5, mode_cap=40), 3000.0)
-    cs = [injectivity_constant(sd, -mag) for mag in np.geomspace(1.0, 1e4, 9)]
-    assert min(cs) > 0.5
-    assert max(cs) - min(cs) < 0.5
 
 
 def test_kappa_homogeneity_of_model_resolvent():

@@ -1,14 +1,11 @@
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespec.errors import IndexSetError
-from conespec.indexsets import (IndexFamily4, IndexSet, _zkey, build_E_alpha,
-                                build_hat_E, cinf_close, compose_family,
-                                compose_power, extended_union, index_sum,
-                                naturals, naturals0)
+from conespec.indexsets import (IndexFamily4, IndexSet, _zkey, compose_family,
+                                extended_union, index_sum)
 from conespec.oracles import (brute_extended_union, brute_sum,
                               index_algebra_agrees)
 
@@ -47,7 +44,6 @@ def test_extended_union_cutoff_mismatch():
 
 def test_cinf_closure_idempotent():
     E = iset((0.5, 1), cinf=True)
-    assert cinf_close(E) == E
     assert (0.5 + 3, 1) in E
 
 
@@ -143,8 +139,7 @@ def _same_set(got, ref):
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_key_algebra_matches_float_key_reference(E, F, probe):
     for got, ref in ((extended_union(E, F), _ref_extended_union(E, F)),
-                     (index_sum(E, F), _ref_index_sum(E, F)),
-                     (cinf_close(E), IndexSet(E.entries, CUT, cinf_step=True))):
+                     (index_sum(E, F), _ref_index_sum(E, F))):
         _same_set(got, ref)
         assert got.max_logpow(probe) == _ref_max_logpow(ref, probe)
     for S in (E, F):
@@ -191,7 +186,7 @@ def test_compose_front_face_empty_sum_convention():
 
 
 def test_compose_natural_family_brute_force():
-    N0 = naturals0(CUT)
+    N0 = iset((0, 0), cinf=True)
     F = IndexFamily4(N0, N0, N0, N0)
     out = compose_family(F, F)
     want = brute_extended_union(brute_sum(N0, N0), brute_sum(N0, N0))
@@ -203,79 +198,3 @@ def test_compose_natural_family_brute_force():
 @settings(max_examples=60, deadline=None)
 def test_compose_matches_brute_force(A, B, C, D):
     assert index_algebra_agrees(A, B, C, D)
-
-
-def test_compose_power_iterates():
-    N0 = naturals0(CUT)
-    F = IndexFamily4(N0, N0, N0, N0)
-    twice = compose_power(F, 2)
-    assert twice.lb == compose_family(F, F).lb
-
-
-# ---------------------------------------------------------------------------
-# boundary-spectrum driven families
-
-
-def test_hat_set_single_simple_pole():
-    # one pole below the weight line contributes a shifted ladder, log free
-    sigma = -1.3j
-    hat = build_hat_E([(sigma, 1)], 1.0, 2.0, 4.0, +1)
-    z0 = 1.3 - 2.0
-    for r in range(0, 5):
-        if z0 + r <= 4.0:
-            assert (z0 + r, 0) in hat
-    assert all(k == 0 for _, k in hat)
-
-
-def test_empty_spectrum_family():
-    out = build_E_alpha([], 1.0, 2.0, 4.0)
-    assert len(out.lb) == 0 and len(out.rb) == 0
-    assert [z.real for z, k in out.ff] == [1.0, 2.0, 3.0, 4.0]
-    assert [z.real for z, k in out.fi] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-
-def test_order_doubling_raises_log_ceiling():
-    sigma = -1.3j
-    lo = build_hat_E([(sigma, 1)], 1.0, 2.0, 4.0, +1)
-    hi = build_hat_E([(sigma, 2)], 1.0, 2.0, 4.0, +1)
-    z0 = 1.3 - 2.0
-    for r in range(0, 6):
-        if z0 + r <= 4.0:
-            assert hi.max_logpow(z0 + r) == lo.max_logpow(z0 + r) + 1
-
-
-def test_vertical_pole_chain_promotes_logs():
-    # poles displaced by exactly i give growing log ceilings along the ladder
-    poles = [(-1.5j, 1), (-2.5j, 1)]
-    hat = build_hat_E(poles, 1.0, 2.0, 3.0, +1)
-    assert hat.max_logpow(-0.5) == 0
-    assert hat.max_logpow(0.5) == 1
-
-
-def test_laplace_family_weight_one():
-    poles = []
-    for m in range(-2, 3):
-        s = math.sqrt(m * m + 2.25)
-        poles.append((complex(0, -s), 1, m))
-        poles.append((complex(0, s), 1, m))
-    famE = build_E_alpha(poles, 1.0, 2.0, 3.0)
-    # lateral sets are self promoted: every exponent carries at least log^1
-    assert famE.lb.max_logpow(-0.5) >= 1
-    # the front face contains the positive integers
-    for j in (1, 2, 3):
-        assert (complex(j), 0) in famE.ff
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_text_roundtrip():
-    E = iset((0.5, 1), (1.75, 0), cinf=True)
-    back = IndexSet.from_text(E.to_text())
-    assert back == E
-
-
-def test_naturals_are_cinf():
-    N = naturals(CUT)
-    assert N.cinf_step and (3.0, 0) in N and (0.0, 0) not in N

@@ -6,9 +6,7 @@ import pytest
 from conespec import symbols
 from conespec.errors import ConfigurationError, SymbolRejection
 from conespec.symbols import (LEFT_HALF_PLANE, ChiCutoff, ParamSymbol, Sector,
-                              resolvent_symbol, homog_expand,
-                              neumann_refine, parametrix_leading,
-                              seminorm_check, zero_symbol)
+                              resolvent_symbol, seminorm_check)
 
 SEC = LEFT_HALF_PLANE
 
@@ -66,12 +64,6 @@ def test_order_bookkeeping_ell2():
 
 # ---------------------------------------------------------------------------
 # seminorm verification
-
-
-def test_zero_symbol_all_ratios_zero():
-    rep = seminorm_check(zero_symbol(2.0, SEC), 1, 1, pts_per_decade=10)
-    assert rep.passed
-    assert all(r.worst_ratio == 0.0 for r in rep.rows)
 
 
 def test_resolvent_symbol_passes_class_bounds():
@@ -255,13 +247,15 @@ def _ref_seminorm_check(sym, max_alpha, max_beta, pts_per_decade):
 
 def _pinned_cases():
     q = laplace_symbol()
-    pm = parametrix_leading(model_a, 2.0, SEC, 1.0)
+    # chi(xi) / (xi^2 + 6.25 - lam): the model symbol plus a constant of
+    # lower order, so not homogeneous, but of the same orders (-2, -2, 2)
+    pm = resolvent_symbol(lambda xi: np.asarray(xi) ** 2 + 6.25, 2.0, SEC)
     return {
         # ACCEPT-15: membership and the misdeclared orders
         "accept15": (q, 2, 2, 40),
         "accept15-misdeclared": (q.with_orders((-3.0, -2.0, 2.0)), 0, 0, 40),
         "laplace": (q, 1, 1, 20),
-        "parametrix": (pm.at_x(0.5), 1, 1, 10),
+        "parametrix": (pm, 1, 1, 10),
         "fails": (q.with_orders((-2.5, -2.0, 2.0)), 1, 1, 20),
     }
 
@@ -283,22 +277,6 @@ def test_one_sweep_matches_reference_at_every_row_block(monkeypatch, block):
     monkeypatch.setattr(symbols, "_ROW_BLOCK", block)
     rep = seminorm_check(q, 2, 2, pts_per_decade=10)
     assert rep.rows == ref.rows and rep.passed == ref.passed
-
-
-def test_remainder_verdict_matches_reference():
-    # the remainder's circle averages test convergence over a whole block,
-    # so its values may depend on the blocking; only the verdict is pinned
-    chi = ChiCutoff(1.0)
-
-    def core(xi, lam):
-        return 1.0 / (np.asarray(xi) ** 2 + np.asarray(xi) - lam)
-
-    s = ParamSymbol(lambda xi, lam: chi(xi) * core(xi, lam),
-                    (-2.0, -2.0, 2.0), core=core, chi_clear_radius=1.0,
-                    sector=SEC)
-    _, rem = homog_expand(s, 1)
-    rep = seminorm_check(rem, 0, 0, pts_per_decade=10)
-    assert rep.passed == _ref_seminorm_check(rem, 0, 0, 10).passed
 
 
 def nan_at_origin(xi, lam):
@@ -334,120 +312,6 @@ def test_density_must_be_a_positive_integer(ppd):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous expansion
-
-
-def test_exactly_homogeneous_symbol():
-    q = laplace_symbol()
-    comps, rem = homog_expand(q, 1)
-    xi = np.array([1.5, 3.0, -7.0])
-    lam = np.array([-2.0 + 1j, -9.0, -1.0 + 0.2j])
-    exact = 1.0 / (xi ** 2 - lam)
-    assert np.max(np.abs(comps[0](xi, lam) - exact)) < 1e-12
-    # the remainder vanishes where the excision is complete
-    assert np.max(np.abs(rem(xi, lam))) < 1e-12
-
-
-def test_perturbed_symbol_two_components():
-    chi = ChiCutoff(1.0)
-
-    def fn(xi, lam):
-        return chi(xi) / (np.asarray(xi) ** 2 + np.asarray(xi) - lam)
-
-    def core(xi, lam):
-        return 1.0 / (np.asarray(xi) ** 2 + np.asarray(xi) - lam)
-
-    s = ParamSymbol(fn, (-2.0, -2.0, 2.0), core=core, chi_clear_radius=1.0,
-                    sector=SEC)
-    comps, rem = homog_expand(s, 2)
-    xi = np.array([1.0, 2.0, -3.0, 5.5])
-    lam = np.full(4, -2.0 + 4j)
-    assert np.max(np.abs(comps[0](xi, lam) - 1.0 / (xi ** 2 - lam))) < 1e-10
-    exact1 = -xi / (xi ** 2 - lam) ** 2
-    assert np.max(np.abs(comps[1](xi, lam) - exact1)) < 1e-10
-
-
-def test_homogeneity_invariant():
-    chi = ChiCutoff(1.0)
-
-    def core(xi, lam):
-        return 1.0 / (np.asarray(xi) ** 2 + np.asarray(xi) - lam)
-
-    s = ParamSymbol(lambda xi, lam: chi(xi) * core(xi, lam),
-                    (-2.0, -2.0, 2.0), core=core, chi_clear_radius=1.0,
-                    sector=SEC)
-    comps, _ = homog_expand(s, 2)
-    xi = np.array([1.0, 2.5, -4.0])
-    lam = np.array([-3.0 + 1j, -8.0, -2.0 + 0.5j])
-    for comp in comps:
-        assert comp.homogeneity_residual(xi, lam, (0.5, 2.0, 10.0)) < 1e-10
-
-
-def test_expand_n0_returns_input():
-    q = laplace_symbol()
-    comps, rem = homog_expand(q, 0)
-    assert comps == [] and rem is q
-
-
-def test_remainder_passes_lowered_order():
-    chi = ChiCutoff(1.0)
-
-    def core(xi, lam):
-        return 1.0 / (np.asarray(xi) ** 2 + np.asarray(xi) - lam)
-
-    s = ParamSymbol(lambda xi, lam: chi(xi) * core(xi, lam),
-                    (-2.0, -2.0, 2.0), core=core, chi_clear_radius=1.0,
-                    sector=SEC)
-    _, rem = homog_expand(s, 1)
-    rep = seminorm_check(rem, 0, 0, pts_per_decade=10)
-    assert rep.passed
-
-
-def test_symbol_without_core_is_rejected():
-    s = ParamSymbol(lambda xi, lam: 0.0 * xi, (0.0, 0.0, 2.0), sector=SEC)
-    with pytest.raises(SymbolRejection):
-        homog_expand(s, 1)[0][0](np.array([1.0]), np.array([-1.0]))
-
-
-# ---------------------------------------------------------------------------
-# leading parametrix
-
-
-def model_a(x, xi):
-    return np.asarray(xi) ** 2 + 4.0 + 2.25
-
-
-def test_parametrix_product_identity():
-    pm = parametrix_leading(model_a, 2.0, SEC, 1.0)
-    res = pm.product_residual(np.geomspace(1e-3, 1.0, 12),
-                              np.linspace(-30.0, 30.0, 41),
-                              np.array([-1.0, -100.0, 100j]))
-    assert res < 1e-13
-
-
-def test_parametrix_unchanged_beyond_doubled_excision():
-    pm1 = parametrix_leading(model_a, 2.0, SEC, 1.0)
-    pm2 = parametrix_leading(model_a, 2.0, SEC, 2.0)
-    xi = np.linspace(4.0, 40.0, 19)  # |xi| >= 2 * doubled radius
-    x = np.array([0.1, 0.7])[:, None]
-    lam = -3.0
-    assert np.max(np.abs(pm1(x, xi, lam) - pm2(x, xi, lam))) == 0.0
-
-
-def test_parametrix_frozen_slice_is_bounded_symbol():
-    pm = parametrix_leading(model_a, 2.0, SEC, 1.0)
-    rep = seminorm_check(pm.at_x(0.5), 0, 0, pts_per_decade=10)
-    assert rep.passed
-
-
-def test_parametrix_rejects_non_invertible_slice():
-    with pytest.raises(SymbolRejection) as err:
-        parametrix_leading(lambda x, xi: np.asarray(xi) ** 2 - 1.0, 2.0,
-                           SEC, 1.0, xi_samples=np.linspace(-2.0, 2.0, 41))
-    assert "xi" in err.value.payload
-
-
-# ---------------------------------------------------------------------------
 # Neumann refinement
 
 
@@ -455,30 +319,6 @@ def s0_symbol():
     # genuinely order -1 in the first slot: xi (xi^2 - lam)^(-1)
     return resolvent_symbol(lambda xi: np.asarray(xi) ** 2, 2.0, SEC,
                             b_fn=lambda xi: np.asarray(xi), mu_b=1.0)
-
-
-def test_neumann_requires_steps():
-    with pytest.raises(ConfigurationError):
-        neumann_refine(laplace_symbol(), s0_symbol(), 0)
-
-
-def test_neumann_zero_correction_is_identity():
-    b0 = laplace_symbol()
-    out = neumann_refine(b0, zero_symbol(2.0, SEC), 1)
-    xi = np.array([2.0, 5.0])
-    lam = np.array([-3.0, -11.0 + 2j])
-    assert np.max(np.abs(out(xi, lam) - b0(xi, lam))) < 1e-15
-
-
-def test_neumann_telescoping():
-    s0 = s0_symbol()
-    one = ParamSymbol.constant(1.0, 2.0, sector=SEC)
-    refined = neumann_refine(one, s0, 3)
-    xi = np.array([2.0, 3.0, 9.0])
-    lam = np.array([-5.0, -9.0, -2.0 + 1j])
-    lhs = (1.0 - s0(xi, lam)) * refined(xi, lam)
-    rhs = 1.0 - s0(xi, lam) ** 4
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_neumann_error_order_improves():
