@@ -20,6 +20,13 @@ variable for fiber integrals and the dilation ODE and in a mapped variable
 for the frequency integrals: the panel count doubles until every grid
 point changes by at most ``_QUAD_TOL`` relative, that change is the
 point's error estimate, and a rule that does not get there raises.  The
+fiber integral and the ODE take the integrand's joins (``points``, the
+arguments at which it is not smooth, as in QUADPACK): each row is cut
+there into pieces, and every piece gets the same number of equal panels.
+Gauss-Legendre converges geometrically on a piece where the integrand is
+analytic but only algebraically across a join inside a panel, so the C^3
+``smoothstep`` cutoffs converge at 8 panels a piece with their joins on
+panel edges, against 256 panels without.  The
 right-hand side of the component integral's Euler identity stays on
 QUADPACK, so that identity compares two independent rules.  The eta
 integral of ``index`` runs QUADPACK's 21-point Gauss-Kronrod rule
@@ -378,29 +385,41 @@ def _gauss_panels(edges, size):
     return nodes.reshape(shape), weights.reshape(shape)
 
 
-def _composite_gauss(f, lo, hi, *params):
+def _composite_gauss(f, lo, hi, *params, breaks=()):
     """Row-wise int_lo^hi f(s, *params) ds by composite Gauss-Legendre.
 
     ``lo``, ``hi`` and each of ``params`` broadcast to one value per row.
     ``f`` gets the nodes as a (rows, nodes) array and each param as a
     (rows, 1) column; it may return anything that broadcasts against the
-    nodes, a constant included.  Each row is split into equal panels,
-    starting at ``_START_PANELS`` and doubling until every row changes by
-    at most ``_QUAD_TOL`` relative; returns the values and those changes
-    as per-row error estimates.  Raises NumericalError when
-    ``_MAX_PANELS`` panels do not meet the tolerance.
+    nodes, a constant included.  ``breaks`` (last axis the breakpoints,
+    broadcasting to one set per row) are the joins where f is not smooth:
+    each row is cut there into pieces, a breakpoint outside [lo, hi]
+    being clipped to the nearer end, where its piece has zero width.  The
+    rule converges geometrically on a piece where f is analytic but only
+    algebraically across a join inside a panel, so the joins belong on
+    panel edges.  Every piece is split into the same number of equal
+    panels, starting at ``_START_PANELS`` and doubling until every row
+    changes by at most ``_QUAD_TOL`` relative; without breaks a row is one
+    piece.  Returns the values and those changes as per-row error
+    estimates.  Raises NumericalError when ``_MAX_PANELS`` panels do not
+    meet the tolerance.
     """
     lo, hi, *params = (np.ravel(v) for v in
                        np.broadcast_arrays(lo, hi, *params))
+    breaks = np.asarray(breaks, dtype=float)
+    breaks = np.broadcast_to(breaks, (len(lo), breaks.shape[-1]))
+    inner = np.sort(np.clip(breaks, lo[:, None], hi[:, None]), axis=1)
+    knots = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
+    a, width = knots[:, :-1, None], (knots[:, 1:] - knots[:, :-1])[:, :, None]
     panels, prev = _START_PANELS, None
     while panels <= _MAX_PANELS:
-        edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0,
-                                                               panels + 1)
-        step = max(1, _BLOCK_NODES // (panels * 24))
+        edges = a + width * np.linspace(0.0, 1.0, panels + 1)
+        step = max(1, _BLOCK_NODES // (edges.shape[1] * panels * 24))
         parts = []
         for i in range(0, len(lo), step):
             blk = slice(i, i + step)
-            s, w = _gauss_panels(edges[blk], 24)
+            s, w = (v.reshape(v.shape[0], -1)
+                    for v in _gauss_panels(edges[blk], 24))
             cols = [p[blk, None] for p in params]
             parts.append(np.sum(w * f(s, *cols), axis=-1))
         val = np.concatenate(parts)
@@ -495,30 +514,47 @@ def adaptive_gk21(f, a, b, tol):
             zip((lo, hi, vals, errs, floored), halves + _gk21(f, *halves)))
 
 
-def pushforward_fund2(u, E_lb, E_rb, x_grid):
+def _log_joins(points):
+    """Logs of an integrand's joins, refused unless finite and positive."""
+    points = np.asarray(points, dtype=float).ravel()
+    if not np.all(np.isfinite(points) & (points > 0)):
+        raise ConfigurationError("joins must be finite and positive",
+                                 points=points.tolist())
+    return np.log(points)
+
+
+def pushforward_fund2(u, E_lb, E_rb, x_grid, points=()):
     """Fiber integral v(x) = int_x^1 u(x/y, y) dy/y and its expansion check.
 
     The integral runs in s = -log y over the whole grid at once, so ``u``
-    is called with arrays (it may return a constant).  The expansion of v
-    at 0 must lie in the extended union of the two index sets of u (see
-    ``_fit_against_union``).
+    is called with arrays (it may return a constant).  ``points`` are the
+    values of either argument of u at which u is not smooth, as in
+    QUADPACK's ``points``: a join p of the y argument sits at s = -log p,
+    and of the x argument at s = -log x + log p, and each becomes a panel
+    edge.  The expansion of v at 0 must lie in the extended union of the
+    two index sets of u (see ``_fit_against_union``).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     sigma = -np.log(x_grid)
+    logs = _log_joins(points)
+    breaks = np.concatenate([np.broadcast_to(-logs, (len(sigma), len(logs))),
+                             sigma[:, None] + logs], axis=1)
     vals, _ = _composite_gauss(
-        lambda s, sig: u(np.exp(-(sig - s)), np.exp(-s)), 0.0, sigma, sigma)
+        lambda s, sig: u(np.exp(-(sig - s)), np.exp(-s)), 0.0, sigma, sigma,
+        breaks=breaks)
     return _fit_against_union(x_grid, vals, extended_union(E_lb, E_rb),
                               "pushforward")
 
 
-def ode_fund1(g, a, E, x_grid):
+def ode_fund1(g, a, E, x_grid, points=()):
     """Decaying solution of (x d/dx - a) f = g and its expansion check.
 
     f(x) = -x^a int_x^inf y^(-a) g(y) dy/y, integrated in s = log y over
     the whole grid at once, so ``g`` is called with arrays (it may return
-    a constant); g must vanish for x >= 2.  The expansion of f at 0 lies
-    in the extended union of E with the singleton {(a, 0)} (see
-    ``_fit_against_union``).
+    a constant); g must vanish for x >= 2.  ``points`` are the values of y
+    at which g is not smooth; each log p becomes a panel edge.  The
+    expansion of f at 0 lies in the extended union of E with the
+    singleton {(a, 0)} (see ``_fit_against_union``).
     """
     a = complex(a)
     if abs(a.imag) > 1e-12:
@@ -527,7 +563,7 @@ def ode_fund1(g, a, E, x_grid):
     # points at or beyond 2 get the empty interval [log 2, log 2]
     lo = np.log(np.minimum(x_grid, 2.0))
     ints, _ = _composite_gauss(lambda s: np.exp(-a.real * s) * g(np.exp(s)),
-                               lo, math.log(2.0))
+                               lo, math.log(2.0), breaks=_log_joins(points))
     vals = -(x_grid ** a.real) * ints
     union = extended_union(E, IndexSet([(a, 0)], E.re_cutoff))
     return _fit_against_union(x_grid, vals, union, "ode")

@@ -37,6 +37,9 @@ EXIT_UNDECIDED = 3
 # most index-set law cases one verify run takes: at about 0.6 ms a case,
 # a minute of work
 MAX_VERIFY_CASES = 100_000
+# largest spectral cutoff a run takes: about 50 times the largest of any
+# shipped config, test or benchmark (46 / 9e-4), as for the grid caps
+MAX_SPECTRAL_CUTOFF = 2.6e6
 
 
 class Runner:
@@ -96,6 +99,17 @@ def _positive(kv, key, default):
     return value
 
 
+def _cutoff(kv, key, default):
+    """A spectral cutoff: positive and at most ``MAX_SPECTRAL_CUTOFF``,
+    checked before any mode is widened to it."""
+    value = _positive(kv, key, default)
+    if value > MAX_SPECTRAL_CUTOFF:
+        raise ConfigurationError(
+            f"config value must be at most {MAX_SPECTRAL_CUTOFF:g}", key=key,
+            got=value)
+    return value
+
+
 def _size(kv, key, default, read=_i):
     """A nonnegative integer (a matrix dimension or an expansion order), or
     with ``read=_f`` a nonnegative number (a strip half-width)."""
@@ -152,7 +166,7 @@ def _spectral(kv, runner, op, lam_max):
 def run_spectrum(kv, runner, args):
     op = _operator(kv, args.config)
     strip = _size(kv, "strip", 8.0, read=_f)
-    lam_max = _positive(kv, "lam_max", 500.0)
+    lam_max = _cutoff(kv, "lam_max", 500.0)
     bspec = coneop.boundary_spectrum(op, strip)
     runner.write_csv("boundary_spectrum.csv", bspec.to_csv_rows())
     disc = coneop.discretize(op, _f(kv, "s_min", -12.0), _i(kv, "npoints", 1500))
@@ -182,7 +196,7 @@ def run_spectrum(kv, runner, args):
 def run_heat(kv, runner, args):
     op = _operator(kv, args.config)
     t_min, t_max = _positive(kv, "t_min", 1e-3), _positive(kv, "t_max", 0.12)
-    lam_max = _positive(kv, "lam_max", 46.0 / t_min)
+    lam_max = _cutoff(kv, "lam_max", 46.0 / t_min)
     ts = np.geomspace(t_min, t_max, _count(kv, "t_count", 120))
     k_max = _size(kv, "k_max", 4)
     window = (_f(kv, "window_lo", t_min), _f(kv, "window_hi", t_max))
@@ -210,7 +224,7 @@ def run_heat(kv, runner, args):
 
 def run_resolvent(kv, runner, args):
     op = _operator(kv, args.config)
-    lam_spec = _positive(kv, "lam_max_spec", 2e4)
+    lam_spec = _cutoff(kv, "lam_max_spec", 2e4)
     mags = np.geomspace(_positive(kv, "lam_min", 1e2),
                         _positive(kv, "lam_max", 1e6), _count(kv, "count", 40))
     N = _i(kv, "N", 2)
@@ -242,7 +256,7 @@ def run_zeta(kv, runner, args):
     op = _operator(kv, args.config)
     t_min = _positive(kv, "t_min", 1e-3)
     t0 = _positive(kv, "t0", 0.1)
-    lam_max = _positive(kv, "lam_max", 46.0 / t_min)
+    lam_max = _cutoff(kv, "lam_max", 46.0 / t_min)
     ts = np.geomspace(t_min, 1.2 * t0, _count(kv, "t_count", 120))
     k_max = _size(kv, "k_max", 4)
     z_eval = [parse_value("z_eval", z, complex)

@@ -302,6 +302,10 @@ class Discretization:
 
 # 50 times the largest grid of any shipped config, test or benchmark (2000)
 _MAX_NPOINTS = 100_000
+# deepest weight exponent mu s_min a grid may reach: on laplace_type(1.5),
+# mu = 2, the pencil solves s_min = -170 and refuses -190 (LAPACK bisection
+# does not converge), for npoints 100 to 20000 and lam_max 300 to 5000
+_MIN_WEIGHT_EXPONENT = -300.0
 
 
 def _check_degree2(op):
@@ -326,12 +330,14 @@ def discretize(op, s_min, npoints):
     The x^(-mu) factor is carried by the diagonal weight e^(mu s) of the
     generalized problem K u = lambda W u.  Second order centered
     differences on [s_min, 0], Dirichlet conditions at both ends.  A grid
-    over ``_MAX_NPOINTS`` points, or whose weight e^(mu s_min) is not a
-    normal double, is refused before any array is allocated.
+    over ``_MAX_NPOINTS`` points, or whose weight e^(mu s_min) lies below
+    e^``_MIN_WEIGHT_EXPONENT`` (deeper than the pencil solves), is refused
+    before any array is allocated.
     """
-    if not s_min < -5 or math.exp(op.mu * s_min) < np.finfo(float).tiny:
-        raise ConfigurationError("s_min must lie below -5, with a normal "
-                                 "weight e^(mu s_min)", key="s_min", got=s_min)
+    if not s_min < -5 or op.mu * s_min < _MIN_WEIGHT_EXPONENT:
+        raise ConfigurationError("s_min must lie below -5, with mu s_min >= "
+                                 f"{_MIN_WEIGHT_EXPONENT:g}", key="s_min",
+                                 got=s_min)
     if not 100 <= npoints <= _MAX_NPOINTS:
         raise ConfigurationError(f"npoints must lie in [100, {_MAX_NPOINTS}]",
                                  key="npoints", got=npoints)

@@ -90,8 +90,10 @@ def pushforward_suite(rng, cases, xg):
     coefficient -1 (to 1e-6), elsewhere no log column may be detected.
     Returns (all passed, coincident cases, worst log coefficient error).
     """
+    joins = (0.35, 0.7)  # smoothstep is only C^3 at its ends
+
     def phi(v):
-        return 1.0 - symbols.smoothstep((v - 0.35) / 0.35)
+        return 1.0 - symbols.smoothstep((v - joins[0]) / (joins[1] - joins[0]))
 
     n_coincident = max(3, cases // 4)
     ok, worst_log = True, 0.0
@@ -104,7 +106,8 @@ def pushforward_suite(rng, cases, xg):
         u = lambda xx, yy: phi(xx) * phi(yy) * xx ** a * yy ** b
         E1 = indexsets.IndexSet([(a, 0)], 2.5, cinf_step=True)
         E2 = indexsets.IndexSet([(b, 0)], 2.5, cinf_step=True)
-        exp, verdict = asymptotics.pushforward_fund2(u, E1, E2, xg)
+        exp, verdict = asymptotics.pushforward_fund2(u, E1, E2, xg,
+                                                     points=joins)
         ok = ok and verdict.passed
         if a == b:
             err = abs(exp.coeff(a, 1) + 1.0)
@@ -125,18 +128,22 @@ def ode_explicit_check(xg):
     passes, |fit - explicit| < 1e-8 and ||fit| - 1| < 1e-8.
     Returns (passed, fitted coefficient, |fit - explicit|).
     """
+    joins = (0.8, 1.6)  # smoothstep is only C^3 at its ends
+
     def omega(v):
-        return 1.0 - symbols.smoothstep((v - 0.8) / 0.8)
+        return 1.0 - symbols.smoothstep((v - joins[0]) / (joins[1] - joins[0]))
 
     a = 0.4
     E = indexsets.IndexSet([(a, 0)], 3.0, cinf_step=True)
-    exp, verdict = asymptotics.ode_fund1(lambda x: omega(x) * x ** a, a, E, xg)
+    exp, verdict = asymptotics.ode_fund1(lambda x: omega(x) * x ** a, a, E, xg,
+                                         points=joins)
     fit = exp.coeff(a, 1)
 
     def f(x):
         # y^(-a) g(y) reduces to omega(y)
         val, _ = quad(lambda s: omega(math.exp(s)), math.log(x), math.log(2.0),
-                      epsabs=1e-13, epsrel=1e-13, limit=400)
+                      epsabs=1e-13, epsrel=1e-13, limit=400,
+                      points=[math.log(p) for p in joins])
         return -(x ** a) * val
 
     x1, x2 = 1e-5, 1e-6

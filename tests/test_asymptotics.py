@@ -260,28 +260,36 @@ def assert_close_per_point(vals, ref, tol=1e-10):
 
 @pytest.mark.parametrize("a, b", [(0.3, 0.7), (0.5, 0.5)])
 def test_pushforward_values_match_quad(fitted_values, a, b):
+    # without points, and with phi's joins on panel edges
     u = lambda xx, yy: phi_cut(xx) * phi_cut(yy) * xx ** a * yy ** b
     E1 = IndexSet([(a, 0)], 2.5, cinf_step=True)
     E2 = IndexSet([(b, 0)], 2.5, cinf_step=True)
-    pushforward_fund2(u, E1, E2, np.geomspace(1e-4, 0.09, 50))
-    (xg, vals), = fitted_values
+    xg = np.geomspace(1e-4, 0.09, 50)
+    pushforward_fund2(u, E1, E2, xg)
+    pushforward_fund2(u, E1, E2, xg, points=(0.35, 0.7))
     ref = [quad(lambda y: u(x / y, y) / y, x, 1.0, epsabs=0.0, epsrel=1e-13,
                 limit=400, points=(0.35, 0.7, x / 0.7, x / 0.35))[0]
            for x in xg]
-    assert_close_per_point(vals, ref)
+    (_, plain), (_, joined) = fitted_values
+    assert_close_per_point(plain, ref)
+    assert_close_per_point(joined, ref, 1e-14)
 
 
 def test_ode_values_match_quad(fitted_values):
+    # without points, and with omega's joins on panel edges
     a, b = 0.4, 1.1
     g = lambda x: om_cut(x) * x ** b
-    ode_fund1(g, a, IndexSet([(b, 0)], 3.0, cinf_step=True),
-              np.geomspace(1e-4, 0.09, 50))
-    (xg, vals), = fitted_values
+    E = IndexSet([(b, 0)], 3.0, cinf_step=True)
+    xg = np.geomspace(1e-4, 0.09, 50)
+    ode_fund1(g, a, E, xg)
+    ode_fund1(g, a, E, xg, points=(0.8, 1.6))
     ref = [-(x ** a) * quad(lambda y: y ** (-a - 1.0) * g(y), x, 2.0,
                             epsabs=0.0, epsrel=1e-13, limit=400,
                             points=(0.8, 1.6))[0]
            for x in xg]
-    assert_close_per_point(vals, ref)
+    (_, plain), (_, joined) = fitted_values
+    assert_close_per_point(plain, ref)
+    assert_close_per_point(joined, ref, 1e-14)
 
 
 def test_component_values_match_quad(fitted_values):
@@ -312,6 +320,44 @@ def test_quadrature_refuses_a_jump():
         pushforward_fund2(step, E, E, np.geomspace(1e-4, 0.09, 10))
     with pytest.raises(NumericalError):
         _quad_complex(lambda xi: (xi < 0.3) + 0j, 0.0, 1.0, 3)
+
+
+def test_quadrature_integrates_a_jump_on_its_join(fitted_values):
+    # with y = 1/2 on a panel edge every piece is constant: v is exact, and
+    # its log term lies outside the predicted lattice
+    step = lambda xx, yy: (yy < 0.5) * 1.0
+    E = IndexSet([(0.5, 0)], 2.5, cinf_step=True)
+    _, verdict = pushforward_fund2(step, E, E, np.geomspace(1e-4, 0.09, 40),
+                                   points=(0.5,))
+    (xg, vals), = fitted_values
+    assert_close_per_point(vals, np.log(0.5 / xg), 1e-14)
+    assert not verdict.passed
+
+
+def test_joins_cut_the_pushforward_nodes_eightfold():
+    nodes = []
+
+    def u(xx, yy):
+        nodes.append(np.broadcast(xx, yy).size)
+        return phi_cut(xx) * phi_cut(yy) * xx ** 0.5 * yy ** 0.5
+
+    E = IndexSet([(0.5, 0)], 2.5, cinf_step=True)
+    xg = np.geomspace(1e-4, 0.09, 40)
+    pushforward_fund2(u, E, E, xg)
+    plain = sum(nodes)
+    nodes.clear()
+    pushforward_fund2(u, E, E, xg, points=(0.35, 0.7))
+    assert 8 * sum(nodes) <= plain
+
+
+@pytest.mark.parametrize("points", [(0.0,), (-0.5,), (np.inf,), (np.nan,)])
+def test_joins_must_be_finite_and_positive(points):
+    E = IndexSet([(0.5, 0)], 2.5, cinf_step=True)
+    xg = np.geomspace(1e-4, 0.09, 10)
+    with pytest.raises(ConfigurationError):
+        pushforward_fund2(lambda xx, yy: xx * yy, E, E, xg, points=points)
+    with pytest.raises(ConfigurationError):
+        ode_fund1(lambda x: x, 0.4, E, xg, points=points)
 
 
 def test_gk21_constants_are_the_kronrod_extension_of_gauss10():

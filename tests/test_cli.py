@@ -7,6 +7,7 @@ import pytest
 
 import conespec
 from conespec.cli import main
+from conespec.coneop import ConeOperator
 from conespec.errors import ConfigurationError
 from conespec.exprs import compile_expr
 from conespec.opfile import config_digest, parse_operator
@@ -371,8 +372,11 @@ def test_grid_refuses_x_dependent_higher_coefficients(tmp_path, coeffs, key):
 
 
 @pytest.mark.parametrize("line, key", [("npoints = 100000000", "npoints"),
-                                       ("s_min = -1000", "s_min")],
-                         ids=["npoints_above_cap", "s_min_weight_underflow"])
+                                       ("s_min = -1000", "s_min"),
+                                       ("s_min = -151", "s_min"),
+                                       ("lam_max = 1e12", "lam_max")],
+                         ids=["npoints_above_cap", "s_min_weight_underflow",
+                              "s_min_below_pencil_depth", "lam_max_above_cap"])
 def test_grid_input_caps_refuse_before_allocating(tmp_path, line, key):
     cfg = write_cfg(tmp_path / "s.cfg", OP_LINE + line + "\n")
     tracemalloc.start()
@@ -400,18 +404,21 @@ def test_spectrum_notes_oracle_eigenvalues_without_grid_partner(tmp_path):
             in manifest)
 
 
-@pytest.mark.parametrize("s_min", [-200, -354])
-def test_pencil_refuses_grids_it_cannot_solve(tmp_path, s_min):
-    # the weight cap admits both; at -200 LAPACK bisection does not
-    # converge, and at -354 the diagonal of the congruent tridiagonal
-    # overflows
-    cfg = write_cfg(tmp_path / "s.cfg", OP_LINE + "lam_max = 300\n"
-                    f"s_min = {s_min}\nnpoints = 1500\n")
-    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+@pytest.mark.parametrize("sub, key", [("heat", "lam_max"), ("zeta", "lam_max"),
+                                      ("resolvent", "lam_max_spec")])
+def test_spectral_cutoff_cap_refuses_before_widening_modes(tmp_path,
+                                                           monkeypatch, sub,
+                                                           key):
+    # lam_max = 1e12 would widen the operator to about 10^6 modes
+    def widened(self, cap):
+        raise AssertionError(f"with_modes({cap}) reached")
+
+    monkeypatch.setattr(ConeOperator, "with_modes", widened)
+    cfg = write_cfg(tmp_path / "s.cfg", OP_LINE + f"{key} = 1e12\n")
+    code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     manifest = (tmp_path / "out" / "MANIFEST").read_text()
-    assert "status: incomplete" in manifest
-    assert not (tmp_path / "out" / "spectral.csv").exists()
+    assert "status: incomplete" in manifest and f"key={key}" in manifest
 
 
 @pytest.mark.parametrize("sub", ["heat", "spectrum"])

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from conespec import pencil
-from conespec.coneop import discretize, eigenvalues, laplace_type
+from conespec.coneop import (Discretization, discretize, eigenvalues,
+                             laplace_type)
 from conespec.errors import ConfigurationError, NumericalError
 
 # first eigenvalue of the ACCEPT-01 problem as the hand-rolled pencil
@@ -258,6 +259,18 @@ def test_eig_pencil_rejects_bad_cutoffs(kwargs):
     d, e = disc.matrix(0)
     with pytest.raises(ConfigurationError):
         pencil.eig_pencil(d, e, disc.w, **kwargs)
+
+
+@pytest.mark.parametrize("s_min", [-200, -354])
+def test_eig_pencil_refuses_grids_it_cannot_solve(s_min):
+    # below discretize's depth cap: at -200 LAPACK bisection does not
+    # converge, and at -354 the diagonal of the congruent tridiagonal
+    # overflows
+    disc = Discretization(laplace_type(1.5, mode_cap=0), float(s_min), 0.0,
+                          1500)
+    d, e = disc.matrix(0)
+    with pytest.raises(NumericalError):
+        pencil.eig_pencil(d, e, disc.w, lam_max=300.0)
 
 
 @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
