@@ -735,8 +735,7 @@ class ZetaContinuation:
         self.t0 = float(t0)
         self.source = spectral_source
         self.meta = dict(meta or fit.meta)
-        self.mu = self.meta.get("mu", 2.0)
-        self.n = self.meta.get("n", 2)
+        self.mu, self.n = self.meta["mu"], self.meta["n"]
         self._poles = None
         # quadrature nodes for the entire piece over [t0, inf): substituting
         # t = t0 e^v the heat values are z independent and cached once

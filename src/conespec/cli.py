@@ -203,7 +203,8 @@ def run_heat(kv, runner, args):
     sd = _spectral(kv, runner, op, lam_max)
     series = traces.heat_trace(sd, ts)
     runner.write_csv("trace.csv", series.to_csv_rows())
-    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max, kind="heat")
+    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, op.n, k_max,
+                                      kind="heat")
     fit = asymptotics.fit_expansion(series, terms, window=window)
     runner.write_csv("fit.csv", fit.to_csv_rows())
     slope = asymptotics.fitted_leading_exponent(
@@ -228,10 +229,19 @@ def run_resolvent(kv, runner, args):
     mags = np.geomspace(_positive(kv, "lam_min", 1e2),
                         _positive(kv, "lam_max", 1e6), _count(kv, "count", 40))
     N = _i(kv, "N", 2)
+    trace_count = _count(kv, "trace_count", 40)
     lam_tr = -np.geomspace(_positive(kv, "trace_lam_min", 10.0),
-                           _positive(kv, "trace_lam_max", 1e3),
-                           _count(kv, "trace_count", 25))
+                           _positive(kv, "trace_lam_max", 1e3), trace_count)
     k_max = _size(kv, "k_max", 4)
+    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, op.n, k_max,
+                                      kind="resolvent", N=N)
+    # the fit takes four samples a column: refused before any spectrum is
+    # built or any CSV written
+    columns = len(asymptotics.expand_columns(terms))
+    if 4 * columns > trace_count:
+        raise ConfigurationError("not enough samples for the requested terms",
+                                 key="trace_count", samples=trace_count,
+                                 terms=columns, needed=4 * columns)
     sd = _spectral(kv, runner, op, lam_spec)
     norms = [coneop.resolvent_norm(sd, -m) for m in mags]
     rows = [("lam_abs", "norm")] + [(f"{m:.6e}", f"{v:.12e}")
@@ -240,8 +250,6 @@ def run_resolvent(kv, runner, args):
     slope = float(np.polyfit(np.log(mags), np.log(norms), 1)[0])
     series = traces.resolvent_power_trace_spectral(sd, N, lam_tr)
     runner.write_csv("power_trace.csv", series.to_csv_rows())
-    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max,
-                                      kind="resolvent", N=N)
     fit = asymptotics.fit_expansion((np.abs(lam_tr), series.values), terms)
     runner.write_csv("power_fit.csv", fit.to_csv_rows())
     runner.write_csv("summary.csv",
@@ -263,7 +271,8 @@ def run_zeta(kv, runner, args):
               for z in kv.get("z_eval", "-3,-2.5,-1.5").split(",")]
     sd = _spectral(kv, runner, op, lam_max)
     series = traces.heat_trace(sd, ts)
-    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, 2, k_max, kind="heat")
+    terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, op.n, k_max,
+                                      kind="heat")
     fit = asymptotics.fit_expansion(series, terms, window=(t_min, 1.05 * t0))
     zc = asymptotics.zeta_continue(series, fit, t0=t0)
     runner.write_csv("poles.csv", zc.poles_to_csv_rows())

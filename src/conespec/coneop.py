@@ -59,6 +59,9 @@ class ConeOperator:
     alpha : weight line of the intended realization.
     """
 
+    # dimension of the cone (0, 1] x S^1: the radial variable and the circle
+    n = 2
+
     def __init__(self, mu, modes, coeffs, *, x_dependent=False, alpha=0.0,
                  label="cone-operator"):
         if mu <= 0:
@@ -130,7 +133,7 @@ def laplace_type(a, mode_cap=8, alpha=1.0):
     shift = a * a
     return ConeOperator(2.0, (-mode_cap, mode_cap),
                         lambda m, x: [m * m + shift, 0.0, 1.0], alpha=alpha,
-                        label=f"laplace(a={a},n=2)")
+                        label=f"laplace(a={a},n={ConeOperator.n})")
 
 
 def perturbed_laplace(a, mode_cap=8, alpha=1.0, strength=0.5):
@@ -694,6 +697,8 @@ class SpectralData:
     used for tail bounds; ``extra_nus`` are square roots of the lowest
     eigenvalue bound of the modes beyond the materialized range.  The sums
     read one read-only array of all eigenvalues and one tail row per mode.
+    ``traces.WeightedSpectralData`` adds matrix elements; plain data are
+    the identity weight's, whose mu' = beta = 0 ``meta`` carries.
     """
 
     eigs: dict
@@ -713,22 +718,6 @@ class SpectralData:
                                  len(self.eigs[m])) for m in modes], (-1, 3)).T
         self._c1 = np.maximum(c1, 1e-3)
         self._edge = np.maximum(self._c1 * (n + 1) + c0, math.sqrt(self.lam_max))
-
-    def validate(self):
-        for m, lam in self.eigs.items():
-            if len(lam) >= 12 and self.provenance == "oracle":
-                # counting-function sanity: lam_k grows quadratically in k
-                # (finite-difference spectra may saturate near their top and
-                # are checked against the oracle instead)
-                k = np.arange(1, len(lam) + 1, dtype=float)
-                ratio = lam / (k * k)
-                half = len(lam) // 2
-                drift = np.max(ratio[half:]) / max(np.min(ratio[half:]), 1e-300)
-                if drift > 4.0:
-                    raise NumericalError("eigenvalue growth violates the "
-                                         "quadratic counting law", mode=m,
-                                         drift=float(drift))
-        return self
 
     def modes(self):
         return sorted(self.eigs)
@@ -806,26 +795,44 @@ def _weyl_fit(lams):
     return float(c1), float(c0)
 
 
-def _spectral_data(op, solved, lam_max, provenance, floor, meta):
-    """SpectralData from (modes, eigenvalues) per mode class; a mode with
-    no eigenvalues gives ``floor(op, m)`` to ``extra_nus``."""
-    eigs = {}
-    weyl = {}
-    for modes, vals in solved:
-        if len(vals):
-            # refused before the Weyl fit takes square roots
-            if float(np.min(vals)) <= 0:
-                raise NumericalError("nonpositive eigenvalue in positive model",
-                                     mode=modes[0])
-            fit = _weyl_fit(vals)
-            for m in modes:
-                eigs[m] = vals.copy()
-                weyl[m] = fit
+def _spectral_data(op, solved, lam_max, provenance, meta, cls=SpectralData,
+                   elements=lambda *_: {}):
+    """``cls`` from (modes, eigenvalues, *data) per mode class; each mode
+    gets a copy of the eigenvalues, the class's Weyl fit and the subclass
+    fields (name -> value) of ``elements(m, eigenvalues, *data)``.  A mode
+    with no eigenvalues gives its floor to ``extra_nus``.  The metadata are
+    the operator's mu, n and label, mu' = beta = 0 and ``meta``."""
+    eigs, weyl, fields = {}, {}, {}
+    for modes, vals, *data in solved:
+        if not len(vals):
+            continue
+        # refused before the fits take square roots and logarithms
+        if float(np.min(vals)) <= 0:
+            raise NumericalError("nonpositive eigenvalue in positive model",
+                                 mode=modes[0])
+        if len(vals) >= 12 and provenance == "oracle":
+            # counting-function sanity: lam_k grows quadratically in k
+            # (finite-difference spectra may saturate near their top and
+            # are checked against the oracle instead)
+            k = np.arange(1, len(vals) + 1, dtype=float)
+            ratio = (vals / (k * k))[len(vals) // 2:]
+            drift = np.max(ratio) / max(np.min(ratio), 1e-300)
+            if drift > 4.0:
+                raise NumericalError("eigenvalue growth violates the "
+                                     "quadratic counting law", mode=modes[0],
+                                     drift=float(drift))
+        fit = _weyl_fit(vals)
+        for m in modes:
+            eigs[m] = vals.copy()
+            weyl[m] = fit
+            for key, value in elements(m, vals, *data).items():
+                fields.setdefault(key, {})[m] = value
+    floor = _frozen_nu if provenance == "oracle" else _mode_nu_floor
     extra = sorted(floor(op, m) for m in op.mode_list() if m not in eigs)
-    meta = {"mu": op.mu, "n": 2, "alpha": op.alpha, "operator": op.label,
-            **meta}
-    return SpectralData(eigs, float(lam_max), provenance, meta, weyl,
-                        np.asarray(extra)).validate()
+    meta = {"mu": op.mu, "n": op.n, "mu_prime": 0.0, "beta": 0.0,
+            "operator": op.label, **meta}
+    return cls(eigs, float(lam_max), provenance, meta, weyl,
+               np.asarray(extra), **fields)
 
 
 def _frozen_nu(op, m):
@@ -854,7 +861,7 @@ def oracle_spectral_data(op, lam_max, *, meta=None):
     zeros = bessel_zeros([_frozen_nu(op, modes[0]) for modes in classes],
                          j_max=math.sqrt(lam_max))
     return _spectral_data(op, [(modes, z * z) for modes, z in zip(classes, zeros)],
-                          lam_max, "oracle", _frozen_nu, meta or {})
+                          lam_max, "oracle", meta or {})
 
 
 def _mode_nu_floor(op, m):
@@ -870,7 +877,6 @@ def grid_spectral_data(disc, lam_max):
     solved = [(modes, eigenvalues(disc, modes[0], lam_max=lam_max))
               for modes in disc.mode_classes()]
     return _spectral_data(disc.op, solved, lam_max, "discretization",
-                          _mode_nu_floor,
                           {"s_min": disc.s_min, "npoints": disc.npoints})
 
 

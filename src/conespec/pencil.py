@@ -14,14 +14,14 @@ dominant, and bisection determines every eigenvalue of such a matrix to
 high relative accuracy (Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).
 
 ``eig_pencil`` therefore makes one Sturm count on the pencil K - lambda W
-itself (``inertia``), which picks the indices of the wanted eigenvalues,
-computes those by LAPACK bisection (dstebz) on T with an explicit tiny
-tolerance, and polishes each on the pencil by inverse iteration
-(``refine_pair``), which also gives the eigenvectors.  The Sturm count is
-one float recursion per lane, a lane being one (mode, shift) pair: a solve
-counts at one or two shifts, and numpy's dispatch on arrays that small
-costs far more than the three flops of a pivot step.  The polish solves go
-straight to LAPACK gtsv.
+itself (``inertia``) at lam_max, which picks the indices of the wanted
+eigenvalues, computes those by LAPACK bisection (dstebz) on T with an
+explicit tiny tolerance, and polishes each on the pencil by inverse
+iteration (``refine_pair``), which also gives the eigenvectors.  The Sturm
+count is one float recursion per lane, a lane being one (mode, shift)
+pair: a solve counts at one shift at most, and numpy's dispatch on arrays
+that small costs far more than the three flops of a pivot step.  The
+polish solves go straight to LAPACK gtsv.
 ``trace_weighted_resolvent`` takes traces of resolvent powers from power
 series of the pivots of K - lambda W, for many pencils and shifts at once.
 
@@ -157,8 +157,8 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
     """Low eigenpairs of the pencil (K, W).
 
     Either ``lam_max`` (all eigenvalues at most lam_max) or ``count``
-    (the lowest ``count``) must be given.  One Sturm count on the pencil
-    picks the eigenvalue indices, LAPACK bisection on the congruent
+    (the lowest ``count``) must be given.  A Sturm count on the pencil at
+    lam_max picks the eigenvalue indices, LAPACK bisection on the congruent
     tridiagonal computes them, and Rayleigh-quotient inverse iteration
     polishes them; vectors are W-orthonormal up to the grid measure
     (caller applies the grid step when needed).  A pencil whose congruent
@@ -189,20 +189,22 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
         raise NumericalError("pencil diagonal overflows: the weight is too "
                              "small for the congruent tridiagonal",
                              w_min=float(np.min(w)))
+    # the wanted eigenvalues are the lowest nhi, with no count below lo:
+    # lower_bound takes lo <= (d_i - r_i) / w_i - 1 for the Gershgorin radii
+    # r_i = |e_(i-1)| + |e_i|, so the diagonal d_i - lo w_i >= r_i + w_i of
+    # K - lo W exceeds r_i; a symmetric matrix strictly diagonally dominant
+    # with a positive diagonal is positive definite, and the count below lo
+    # is 0.  lo stays the floor of the check on LAPACK's values.
     lo = lower_bound(d, e, w)
-    if lam_max is None:
-        nlo = int(inertia(d, e, w, [lo])[0])
-        nhi = n
-    else:
-        nlo, nhi = (int(c) for c in inertia(d, e, w, [lo, lam_max]))
+    nhi = n if lam_max is None else int(inertia(d, e, w, [lam_max])[0])
     if count is not None:
-        nhi = min(nhi, nlo + count)
+        nhi = min(nhi, count)
     vals = np.empty(0)
-    if nhi > nlo:
+    if nhi > 0:
         s = np.sqrt(w)
         try:
             vals = eigh_tridiagonal(dw, e / (s[:-1] * s[1:]), eigvals_only=True,
-                                    select="i", select_range=(nlo, nhi - 1),
+                                    select="i", select_range=(0, nhi - 1),
                                     lapack_driver="stebz", tol=_ABSTOL)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("LAPACK bisection did not converge",

@@ -16,12 +16,13 @@ value.
 import math
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import pencil
 from .asymptotics import _gauss_panels
-from .coneop import Discretization, SpectralData, _weyl_fit, eigenvalues
+from .coneop import Discretization, SpectralData, _spectral_data, eigenvalues
 from .errors import (ConfigurationError, InsufficientSpectrumError,
                      NumericalError)
 
@@ -157,8 +158,7 @@ def identity_weight():
 
 
 def _require_trace_class(meta, N, B):
-    mu = meta.get("mu", 2.0)
-    n = meta.get("n", 2)
+    mu, n = meta["mu"], meta["n"]
     if N * mu - B.mu_prime <= n:
         raise ConfigurationError(
             "trace does not converge: need N*mu - mu' > n",
@@ -187,9 +187,7 @@ def heat_trace(sd: SpectralData, t_grid):
 
     _refuse_large_tails("heat trace tail bound too large at small t", "t",
                         t_grid, vals, tails, needed)
-    meta = dict(sd.meta)
-    meta.update({"N": 0, "mu_prime": 0.0, "beta": 0.0})
-    return TraceSeries(t_grid, vals, tails, "heat", meta, sd)
+    return TraceSeries(t_grid, vals, tails, "heat", {**sd.meta, "N": 0}, sd)
 
 
 def complex_power_sum(sd: SpectralData, z):
@@ -199,8 +197,7 @@ def complex_power_sum(sd: SpectralData, z):
     Returns (value, tail_bound); raises if the tail bound is above
     ``_POWER_SUM_TAIL_REFUSAL`` times the value.
     """
-    mu = sd.meta.get("mu", 2.0)
-    n = sd.meta.get("n", 2)
+    mu, n = sd.meta["mu"], sd.meta["n"]
     if complex(z).real >= -n / mu - 0.5:
         raise ConfigurationError("need Re z < -n/mu - 1/2",
                                  z=complex(z), n=n, mu=mu)
@@ -216,28 +213,26 @@ def complex_power_sum(sd: SpectralData, z):
 
 
 @dataclass
-class WeightedSpectralData:
-    """Per-mode (eigenvalue, matrix element) pairs for a weight operator.
+class WeightedSpectralData(SpectralData):
+    """Spectral data plus the matrix elements of a weight operator B.
 
-    b entries are <B u, u> in the weighted inner product for W-normalized
-    eigenfunctions u, including the per-mode tangential factor.
-    ``extra_nus`` bound the lowest eigenvalue of the modes beyond the
-    materialized range, for mode tail estimates.
+    ``bs[m]`` holds <B u, u> in the weighted inner product for the
+    W-normalized eigenfunctions u of mode m, with the mode's tangential
+    factor; ``bfit[m]`` = (C, q) fits |b| <~ C lam^q for the tail, and
+    ``bmax[m]`` bounds every |b|; ``pairs`` is the read-only view mode ->
+    (eigenvalues, matrix elements).  Plain traces read the eigenvalues only.
     """
 
-    pairs: dict           # mode -> (lams, bs)
-    lam_max: float
-    meta: dict
-    weyl: dict
-    bfit: dict            # mode -> (C, q): |b| <~ C * lam^q for the tail
-    bmax: dict            # mode -> bound on every |b| of the mode
-    extra_nus: np.ndarray
+    bs: dict = field(default_factory=dict)
+    bfit: dict = field(default_factory=dict)
+    bmax: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # every pair in mode order, for one sum per sample
+        super().__post_init__()
         modes = self.modes()
-        self._lams, self._bs = np.hstack(
-            [np.empty((2, 0))] + [self.pairs[m] for m in modes])
+        self._bs = np.concatenate([np.empty(0)] + [self.bs[m] for m in modes])
+        self.pairs = MappingProxyType({m: (self.eigs[m], self.bs[m])
+                                       for m in modes})
         # one tail row (C, q, c1, c0, k0, bmax) per mode: index k >= k0 of
         # the row has eigenvalue (c1 k + c0)^2 and |b| <~ C lam^q, |b| <=
         # bmax; a materialized mode continues past its last eigenvalue
@@ -245,7 +240,7 @@ class WeightedSpectralData:
         # floor nu with step pi and |b| <= _b_cap
         rows = [(*self.bfit.get(m, (1.0, 0.0)),
                  *self.weyl.get(m, (math.pi, 0.0)),
-                 len(self.pairs[m][0]) + 1, self.bmax.get(m, math.inf))
+                 len(self.eigs[m]) + 1, self.bmax.get(m, math.inf))
                 for m in modes]
         if len(self.extra_nus):
             cap = self._b_cap()
@@ -258,9 +253,6 @@ class WeightedSpectralData:
         self._tail_coef = C * np.maximum(self._tail_lam, 1.0) ** q
         self._tail_rows = np.concatenate(
             [C, q, c1, c1 * (k0 + _BLOCK_END - 1) + c0, bmax], axis=1).T
-
-    def modes(self):
-        return sorted(self.pairs)
 
     def heat_value(self, t):
         if not t > 0:
@@ -284,7 +276,7 @@ class WeightedSpectralData:
         # modes beyond the materialized range are capped by the envelope of
         # the top materialized quarter, with a safety factor
         per_mode = {m: float(np.max(np.abs(bs)))
-                    for m, (_, bs) in self.pairs.items() if len(bs)}
+                    for m, bs in self.bs.items() if len(bs)}
         if not per_mode:
             return 1.0
         mmax = max(abs(m) for m in per_mode)
@@ -310,43 +302,33 @@ def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
     The eigenpairs and the weighted squares of the vectors are computed once
     per mode class; each mode scales them by its own tangential factor.
     """
-    op = disc.op
     mult = B.multiplier(disc.x)
-    pairs = {}
-    weyl = {}
-    bfit = {}
-    bmax = {}
-    for modes in disc.mode_classes():
+    # W-normalized u: |<B u, u>| <= rho max|mult| for every eigenpair
+    bound = float(np.max(np.abs(mult)))
+
+    def solve(modes):
         vals, vecs = eigenvalues(disc, modes[0], lam_max=lam_cap, vectors=True)
-        if len(vals) == 0:
-            continue
-        E = np.einsum("ij,i->j", np.abs(vecs) ** 2, mult * disc.w)
-        fit = _weyl_fit(vals)
-        for m in modes:
-            rho = B.mode_factor(m)
-            bs = rho * disc.h * E
-            pairs[m] = (vals.copy(), bs)
-            # W-normalized u: |<B u, u>| <= rho max|mult| for every eigenpair
-            bmax[m] = rho * float(np.max(np.abs(mult)))
-            weyl[m] = fit
-            # matrix-element growth fit on the top half for tail
-            # extrapolation; the exponent is clamped to [0, 1.5] (bounded
-            # weights grow slower)
-            half = max(1, len(vals) // 2)
-            if len(vals) >= 6 and np.all(np.abs(bs[half:]) > 0):
-                q, logc = np.polyfit(np.log(vals[half:]),
-                                     np.log(np.abs(bs[half:])), 1)
-                bfit[m] = (float(np.exp(logc)) * 2.0,
-                           float(min(max(q, 0.0), 1.5)))
-            else:
-                bfit[m] = (float(np.max(np.abs(bs))) * 2.0 + 1e-300, 0.0)
-    meta = {"mu": op.mu, "n": 2, "mu_prime": B.mu_prime, "beta": B.beta,
-            "operator": op.label, "weight": B.label}
-    from .coneop import _mode_nu_floor
-    extra = np.asarray(sorted(_mode_nu_floor(op, m) for m in op.mode_list()
-                              if m not in pairs))
-    return WeightedSpectralData(pairs, float(lam_cap), meta, weyl, bfit, bmax,
-                                extra)
+        return modes, vals, np.einsum("ij,i->j", np.abs(vecs) ** 2,
+                                      mult * disc.w)
+
+    def elements(m, vals, E):
+        rho = B.mode_factor(m)
+        bs = rho * disc.h * E
+        # matrix-element growth fit on the top half for tail extrapolation;
+        # the exponent is clamped to [0, 1.5] (bounded weights grow slower)
+        half = max(1, len(vals) // 2)
+        if len(vals) >= 6 and np.all(np.abs(bs[half:]) > 0):
+            q, logc = np.polyfit(np.log(vals[half:]),
+                                 np.log(np.abs(bs[half:])), 1)
+            bfit = (float(np.exp(logc)) * 2.0, float(min(max(q, 0.0), 1.5)))
+        else:
+            bfit = (float(np.max(np.abs(bs))) * 2.0 + 1e-300, 0.0)
+        return {"bs": bs, "bfit": bfit, "bmax": rho * bound}
+
+    meta = {"mu_prime": B.mu_prime, "beta": B.beta, "weight": B.label}
+    return _spectral_data(disc.op, map(solve, disc.mode_classes()), lam_cap,
+                          "discretization", meta, WeightedSpectralData,
+                          elements)
 
 
 def weighted_heat_trace(wsd: WeightedSpectralData, B: WeightOperator, t_grid):
@@ -361,9 +343,7 @@ def weighted_heat_trace(wsd: WeightedSpectralData, B: WeightOperator, t_grid):
     _refuse_large_tails(
         "weighted heat trace tail too large", "t", t_grid, vals, tails,
         lambda: {"lam_cap_needed": 40.0 / float(np.min(t_grid))})
-    meta = dict(wsd.meta)
-    meta["N"] = 0
-    return TraceSeries(t_grid, vals, tails, "heat", meta, wsd)
+    return TraceSeries(t_grid, vals, tails, "heat", {**wsd.meta, "N": 0}, wsd)
 
 
 def resolvent_power_trace(wsd: WeightedSpectralData, B: WeightOperator, N,
@@ -380,9 +360,8 @@ def resolvent_power_trace(wsd: WeightedSpectralData, B: WeightOperator, N,
                            lam_grid, complex)
     _refuse_large_tails("resolvent power trace tail too large", "lam",
                         lam_grid, vals, tails)
-    meta = dict(wsd.meta)
-    meta["N"] = N
-    return TraceSeries(lam_grid, vals, tails, "resolvent", meta, wsd)
+    return TraceSeries(lam_grid, vals, tails, "resolvent",
+                       {**wsd.meta, "N": N}, wsd)
 
 
 def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
@@ -406,9 +385,8 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
     vals = sd.eig_sums(lambda lam, lams: (lams - lam) ** (-float(N)), lam_grid)
     _, tail0 = sd.power_sum(-float(N))
     tails = tail0 * (sd.lam_max / (sd.lam_max - dist)) ** N
-    meta = dict(sd.meta)
-    meta.update({"N": N, "mu_prime": 0.0, "beta": 0.0})
-    return TraceSeries(lam_grid, vals, tails, "resolvent", meta, sd)
+    return TraceSeries(lam_grid, vals, tails, "resolvent",
+                       {**sd.meta, "N": N}, sd)
 
 
 # ---------------------------------------------------------------------------

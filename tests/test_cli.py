@@ -433,3 +433,28 @@ def test_non_positive_model_exits_invalid(tmp_path, sub):
     assert code == 2
     manifest = (tmp_path / "out" / "MANIFEST").read_text()
     assert "status: incomplete" in manifest and "mode=" in manifest
+
+
+def test_resolvent_defaults_complete_on_an_operator_alone(tmp_path):
+    # trace_count defaults to 40, the four samples a column that the
+    # default k_max = 4 lattice (10 columns) needs
+    cfg = write_cfg(tmp_path / "r.cfg", OP_LINE)
+    code = main(["resolvent", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "MANIFEST", "norms.csv", "power_fit.csv", "power_trace.csv",
+        "summary.csv"]
+
+
+def test_resolvent_refuses_too_few_samples_before_any_output(tmp_path):
+    # k_max = 6 asks for 15 columns, 60 samples: refused when the config is
+    # read, before the spectrum is built and any CSV written
+    cfg = write_cfg(tmp_path / "r.cfg", OP_LINE + "k_max = 6\n")
+    code = main(["resolvent", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["MANIFEST"]
+    manifest = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
+    assert "status: incomplete: not enough samples for the requested terms" \
+        in manifest
+    assert {"note: key=trace_count", "note: needed=60",
+            "note: samples=40"} <= set(manifest)

@@ -153,6 +153,39 @@ def test_inertia_clamps_an_exact_zero_pivot():
     assert _inertia_reference(d, e, w, [2.0]).tolist() == [1]
 
 
+@st.composite
+def signed_pencils(draw, max_n=30):
+    """Symmetric tridiagonal K of either sign, weights in [1e-12, 1]."""
+    n = draw(st.integers(1, max_n))
+    entries = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    d, e = np.array(draw(entries)), np.array(draw(entries))[:-1]
+    w = 10.0 ** np.array(draw(st.lists(st.floats(-12.0, 0.0), min_size=n,
+                                       max_size=n)))
+    return d, e, w
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(signed_pencils(), graded_pencils(max_n=40)))
+def test_no_eigenvalue_lies_below_the_lower_bound(case):
+    # K - lo W is strictly diagonally dominant with a positive diagonal, so
+    # eig_pencil takes the count below lo as 0 without a Sturm count
+    d, e, w = case[:3]
+    assert pencil.inertia(d, e, w, [pencil.lower_bound(d, e, w)])[0] == 0
+
+
+def test_count_only_solve_makes_no_sturm_count(monkeypatch):
+    disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
+    d, e = disc.matrix(0)
+    want = pencil.eig_pencil(d, e, disc.w, lam_max=500.0)
+    assert len(want) > 5
+
+    def counted(*args):
+        raise AssertionError("Sturm count on a count-only solve")
+
+    monkeypatch.setattr(pencil, "inertia", counted)
+    assert np.array_equal(pencil.eig_pencil(d, e, disc.w, count=5), want[:5])
+
+
 def _solve_banded_polish(d, e, w, shift, rhs):
     n = len(d)
     ab = np.zeros((3, n))

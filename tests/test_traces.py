@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from conespec.coneop import (ConeOperator, discretize, grid_spectral_data,
-                             laplace_type, oracle_spectral_data)
+from conespec.coneop import (ConeOperator, SpectralData, discretize,
+                             grid_spectral_data, laplace_type,
+                             oracle_spectral_data)
 from conespec.errors import (ConfigurationError, InsufficientSpectrumError,
                              NumericalError)
 from conespec.opfile import parse_operator
@@ -167,6 +169,36 @@ def test_identity_weight_reduces_to_heat_trace(small_disc):
     sd = grid_spectral_data(small_disc, 3000.0)
     hs = heat_trace(sd, ts)
     assert np.max(np.abs(whs.values - hs.values) / hs.values) < 1e-12
+
+
+def test_identity_weighted_data_give_the_plain_traces_bitwise():
+    # a WeightedSpectralData is a SpectralData: the plain traces read its
+    # eigenvalues, Weyl fits and mode floors, which are those of the grid
+    disc = discretize(laplace_type(1.5, 20), -10.0, 400)
+    wsd = weighted_spectral_data(disc, identity_weight(), 3000.0)
+    assert isinstance(wsd, SpectralData)
+    ts = np.geomspace(0.02, 0.5, 9)
+    got = heat_trace(wsd, ts)
+    want = heat_trace(grid_spectral_data(disc, 3000.0), ts)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.tails, want.tails)
+
+
+def test_weighted_data_refuse_a_nonpositive_eigenvalue_before_the_fits():
+    # m^2 - 40 puts negative eigenvalues in the low modes; the refusal comes
+    # before the Weyl fit's square roots and the envelope fit's logarithms,
+    # and is the grid spectrum's
+    op = ConeOperator(2.0, (-2, 2), lambda m, x: [m * m - 40.0 + 0 * x,
+                                                   0.0, 1.0])
+    disc = discretize(op, -8.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as grid:
+            grid_spectral_data(disc, 500.0)
+        with pytest.raises(NumericalError) as weighted:
+            weighted_spectral_data(disc, WeightOperator(beta=1.0), 500.0)
+    assert str(weighted.value) == "nonpositive eigenvalue in positive model"
+    assert weighted.value.payload == grid.value.payload
 
 
 def _stride_loop_block_sum(f, k0, lam_of_k, coef, rest):
