@@ -48,6 +48,9 @@ from .errors import (ConditioningError, ConfigurationError, NumericalError,
                      ZetaPoleError)
 from .indexsets import IndexSet, extended_union
 
+# t lam past which heat sums, the zeta continuation and the contour heat
+# trace drop exp(-t lam), as e^-46 < 1e-20
+HEAT_CUTOFF_EXPONENT = 46.0
 _DETECT_FACTOR = 10.0
 _COND_LIMIT = 1e12
 _QUAD_TOL = 1e-11
@@ -236,6 +239,14 @@ def _weighted_lstsq(A, y, wts):
     return coef, resid, cond
 
 
+def check_sample_count(samples, columns, **payload):
+    """Refuse fewer than four samples a column (``payload`` first)."""
+    if samples < 4 * columns:
+        raise ConfigurationError("not enough samples for the requested terms",
+                                 **payload, samples=samples, terms=columns,
+                                 needed=4 * columns)
+
+
 def fit_expansion(series, terms, window=None, *, meta=None):
     """Weighted least squares fit of a log-polynomial expansion.
 
@@ -263,10 +274,7 @@ def fit_expansion(series, terms, window=None, *, meta=None):
         window = (float(np.min(x)), float(np.max(x)))
     # input pairs are (gamma, max log power); lower log powers are implied
     cols = expand_columns(terms)
-    if len(x) < 4 * len(cols):
-        raise ConfigurationError("not enough samples for the requested terms",
-                                 samples=len(x), terms=len(cols),
-                                 needed=4 * len(cols))
+    check_sample_count(len(x), len(cols))
     wts = 1.0 / np.maximum(np.abs(y), 1e-14 * np.max(np.abs(y)))
     A = _design(x, cols)
     coef, resid, cond = _weighted_lstsq(A, y, wts)
@@ -726,8 +734,8 @@ class ZetaContinuation:
     over (0, t0] + numerical integral over [t0, inf)] / Gamma(-z).  The
     reciprocal Gamma factor kills would-be poles at nonnegative integers.
     The numerical integral stops at t_max = t0 e^(v_max), where
-    e^(-lam_min t) is below e^(-46); ``truncation_bound`` bounds what that
-    leaves out.
+    lam_min t is past ``HEAT_CUTOFF_EXPONENT``; ``truncation_bound`` bounds
+    what that leaves out.
     """
 
     def __init__(self, spectral_source, fit, *, t0=0.1, meta=None):
@@ -740,7 +748,7 @@ class ZetaContinuation:
         # quadrature nodes for the entire piece over [t0, inf): substituting
         # t = t0 e^v the heat values are z independent and cached once
         lam_min = self.source.min_eig()
-        v_max = math.log(46.0 / (self.t0 * lam_min) + 2.0)
+        v_max = math.log(HEAT_CUTOFF_EXPONENT / (self.t0 * lam_min) + 2.0)
         self._lam_min = lam_min
         self._t_max = self.t0 * math.exp(v_max)
         self._vq, self._wq = _gauss_panels(np.linspace(0.0, v_max, 9), 48)

@@ -196,7 +196,7 @@ def run_spectrum(kv, runner, args):
 def run_heat(kv, runner, args):
     op = _operator(kv, args.config)
     t_min, t_max = _positive(kv, "t_min", 1e-3), _positive(kv, "t_max", 0.12)
-    lam_max = _cutoff(kv, "lam_max", 46.0 / t_min)
+    lam_max = _cutoff(kv, "lam_max", asymptotics.HEAT_CUTOFF_EXPONENT / t_min)
     ts = np.geomspace(t_min, t_max, _count(kv, "t_count", 120))
     k_max = _size(kv, "k_max", 4)
     window = (_f(kv, "window_lo", t_min), _f(kv, "window_hi", t_max))
@@ -235,13 +235,9 @@ def run_resolvent(kv, runner, args):
     k_max = _size(kv, "k_max", 4)
     terms = asymptotics.predict_terms(op.mu, 0.0, 0.0, op.n, k_max,
                                       kind="resolvent", N=N)
-    # the fit takes four samples a column: refused before any spectrum is
-    # built or any CSV written
-    columns = len(asymptotics.expand_columns(terms))
-    if 4 * columns > trace_count:
-        raise ConfigurationError("not enough samples for the requested terms",
-                                 key="trace_count", samples=trace_count,
-                                 terms=columns, needed=4 * columns)
+    # the fit's sample rule, before any spectrum is built or CSV written
+    asymptotics.check_sample_count(
+        trace_count, len(asymptotics.expand_columns(terms)), key="trace_count")
     sd = _spectral(kv, runner, op, lam_spec)
     norms = [coneop.resolvent_norm(sd, -m) for m in mags]
     rows = [("lam_abs", "norm")] + [(f"{m:.6e}", f"{v:.12e}")
@@ -264,7 +260,7 @@ def run_zeta(kv, runner, args):
     op = _operator(kv, args.config)
     t_min = _positive(kv, "t_min", 1e-3)
     t0 = _positive(kv, "t0", 0.1)
-    lam_max = _cutoff(kv, "lam_max", 46.0 / t_min)
+    lam_max = _cutoff(kv, "lam_max", asymptotics.HEAT_CUTOFF_EXPONENT / t_min)
     ts = np.geomspace(t_min, 1.2 * t0, _count(kv, "t_count", 120))
     k_max = _size(kv, "k_max", 4)
     z_eval = [parse_value("z_eval", z, complex)

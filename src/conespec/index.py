@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .asymptotics import adaptive_gk21, fit_expansion
+# fit_expansion is not called here: perfbench/tracer.py wraps it by this name
+from .asymptotics import adaptive_gk21, fit_expansion  # noqa: F401
 from .errors import ConfigurationError, NumericalError
-from .traces import TraceSeries
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ class MellinPerturbation:
     ``det1p`` one batched determinant per point.
     """
 
-    def __init__(self, terms, weight, *, check_line=True):
+    def __init__(self, terms, weight):
         self.terms = []
         dim = None
         for E, p, q in terms:
@@ -59,7 +59,7 @@ class MellinPerturbation:
             if min(abs(p.imag - line), abs(q.imag - line)) < 1e-9:
                 raise ConfigurationError("pole on the integration line",
                                          pole=p, line=line)
-        if check_line and self.terms:
+        if self.terms:
             u = np.linspace(-200.0, 200.0, 4001)
             dets = self.det1p(u - 1j * self.weight)
             i = int(np.argmin(np.abs(dets)))
@@ -100,18 +100,6 @@ class MellinPerturbation:
         for _, p, q in self.terms:
             r = max(r, abs(p), abs(q))
         return r
-
-    def reflected(self):
-        """The family with all poles (and zeros) reflected across the line.
-
-        G(sigma) = conj(H(conj(sigma) - 2 i weight)) is holomorphic with
-        the reflected pole set, so the below-line zero/pole census swaps
-        with the above-line one.
-        """
-        shift = 2j * self.weight
-        terms = [(np.conjugate(E), np.conjugate(p + shift), np.conjugate(q + shift))
-                 for E, p, q in self.terms]
-        return MellinPerturbation(terms, self.weight, check_line=False)
 
 
 def lorentzian_perturbation(c, b, weight):
@@ -210,7 +198,7 @@ def argument_principle_count(H: MellinPerturbation):
 
 
 # ---------------------------------------------------------------------------
-# McKean-Singer traces and the constant term
+# McKean-Singer traces
 
 
 def mckean_singer(B, t_list):
@@ -222,49 +210,8 @@ def mckean_singer(B, t_list):
     B = np.asarray(B, dtype=float) if np.isrealobj(B) else np.asarray(B, dtype=complex)
     s = np.linalg.svd(B, compute_uv=False)
     rows, cols = B.shape
-    out = []
-    for t in np.atleast_1d(t_list):
-        e = np.exp(-t * s * s)
-        val = (np.sum(e) + (cols - len(s))) - (np.sum(e) + (rows - len(s)))
-        out.append(float(val))
-    return np.asarray(out)
-
-
-@dataclass
-class OmegaResult:
-    value: float
-    undecided: bool
-    log_flags: list
-    residual: float
-    window_spread: float
-
-
-def omega_constant(B):
-    """Constant term of the heat-trace difference of a matrix map B.
-
-    Samples the difference at 48 times geometric in [0.05, 5] and fits it
-    with the constant plus probe columns at (0, 1) and (0, 2); log probes
-    that come out detected are flagged.  Values below 1e-10 count as zero;
-    returns UNDECIDED when the constant is not separated from noise.
-    """
-    B = np.asarray(B)
-    t_lo, t_hi, noise_floor = 0.05, 5.0, 1e-10
-    ts = np.geomspace(t_lo, t_hi, 48)
-    vals = mckean_singer(B, ts)
-    spread = float(np.max(vals) - np.min(vals))
-    if np.max(np.abs(vals)) < noise_floor:
-        return OmegaResult(0.0, False, [], 0.0, spread)
-    series = TraceSeries(ts, vals, np.zeros_like(ts), "heat", {"kind": "ms"})
-    fit = fit_expansion(series, [(0.0, 2)])
-    flags = [(t.gamma, t.logpow) for t in fit.detected_terms() if t.logpow > 0]
-    c = fit.coeff(0.0, 0).real
-    undecided = abs(c) > noise_floor and fit.residual > 0.25 * abs(c)
-    # window stability: refit on the upper half of the window
-    fit2 = fit_expansion(series, [(0.0, 2)],
-                         window=(math.sqrt(t_lo * t_hi), t_hi))
-    spread2 = abs(fit2.coeff(0.0, 0).real - c)
-    return OmegaResult(float(c), bool(undecided), flags, fit.residual,
-                       float(spread2))
+    e = np.sum(np.exp(-np.atleast_1d(t_list)[:, None] * s * s), axis=1)
+    return (e + (cols - len(s))) - (e + (rows - len(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +242,14 @@ class IndexReport:
 
 
 def index_assemble(fact: Factorization):
-    """Index = constant term of the factor's heat difference minus eta."""
-    om = omega_constant(fact.B)
-    if om.undecided:
-        raise NumericalError("constant term undecided", residual=om.residual)
+    """Index = constant term of the factor's heat difference minus eta; the
+    difference is the same at every t (``mckean_singer``): read at t = 1."""
+    omega = float(mckean_singer(fact.B, [1.0])[0])
     eta = eta_term(fact.H)
-    value = om.value - eta
+    value = omega - eta
     dist = abs(value - round(value))
-    flags = {"omega_log_flags": len(om.log_flags),
-             "eta_integer_distance": f"{abs(eta - round(eta)):.2e}"}
-    return IndexReport(om.value, eta, value, dist, flags)
+    flags = {"eta_integer_distance": f"{abs(eta - round(eta)):.2e}"}
+    return IndexReport(omega, eta, value, dist, flags)
 
 
 # ---------------------------------------------------------------------------

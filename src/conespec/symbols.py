@@ -35,11 +35,10 @@ from .errors import ConfigurationError, SymbolRejection
 
 @dataclass(frozen=True)
 class Sector:
-    """Closed sector arg w in [arg_min, arg_max], optionally with 0."""
+    """Closed sector arg w in [arg_min, arg_max], with 0."""
 
     arg_min: float
     arg_max: float
-    contains_origin: bool = True
 
     def __post_init__(self):
         span = self.arg_max - self.arg_min
@@ -49,7 +48,7 @@ class Sector:
     def contains(self, w):
         w = complex(w)
         if w == 0:
-            return self.contains_origin
+            return True
         phi = math.atan2(w.imag, w.real)
         # wrap into [arg_min, arg_min + 2*pi)
         while phi < self.arg_min - 1e-15:
@@ -58,11 +57,9 @@ class Sector:
             phi -= 2.0 * math.pi
         return self.arg_min <= phi <= self.arg_max
 
-    def rays(self, count=3):
-        """Sample ray angles, endpoints included."""
-        if count == 1:
-            return [0.5 * (self.arg_min + self.arg_max)]
-        return list(np.linspace(self.arg_min, self.arg_max, count))
+    def rays(self):
+        """Three sample ray angles: both edges and the bisector."""
+        return list(np.linspace(self.arg_min, self.arg_max, 3))
 
 
 LEFT_HALF_PLANE = Sector(math.pi / 2, 3 * math.pi / 2)
@@ -114,12 +111,10 @@ class ParamSymbol:
     ----------
     fn : callable (xi, lam) -> complex, broadcasting over arrays
     orders : (mu, p, d)
-    dlam : callable or None
-        Analytic derivative in lam, used to validate finite differences.
     sector : Sector or None
     """
 
-    def __init__(self, fn, orders, *, dlam=None, sector=None, label="symbol"):
+    def __init__(self, fn, orders, *, sector=None, label="symbol"):
         mu, p, d = orders
         if d <= 0:
             raise ConfigurationError("anisotropy d must be positive", d=d)
@@ -127,7 +122,6 @@ class ParamSymbol:
         self.mu = float(mu)
         self.p = float(p)
         self.d = float(d)
-        self.dlam = dlam
         self.sector = sector
         self.label = label
 
@@ -140,8 +134,7 @@ class ParamSymbol:
 
     def with_orders(self, orders):
         """Redeclare order metadata (for membership claims at other orders)."""
-        return ParamSymbol(self.fn, orders, dlam=self.dlam, sector=self.sector,
-                           label=self.label)
+        return ParamSymbol(self.fn, orders, sector=self.sector, label=self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +165,8 @@ def resolvent_symbol(a_fn, mu_a, sector, *, b_fn=None, mu_b=0.0, ell=1):
     def fn(xi, lam):
         return chi(xi) * b_fn(xi) * (a_fn(xi) - lam) ** (-ell)
 
-    def dlam(xi, lam):
-        return ell * chi(xi) * b_fn(xi) * (a_fn(xi) - lam) ** (-ell - 1)
-
     return ParamSymbol(fn, (mu_b - ell * mu_a, -ell * mu_a, mu_a),
-                       dlam=dlam, sector=sector, label=f"resolvent(ell={ell})")
+                       sector=sector, label=f"resolvent(ell={ell})")
 
 
 # ---------------------------------------------------------------------------

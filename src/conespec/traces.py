@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import pencil
-from .asymptotics import _gauss_panels
+from .asymptotics import HEAT_CUTOFF_EXPONENT, _gauss_panels
 from .coneop import Discretization, SpectralData, _spectral_data, eigenvalues
 from .errors import (ConfigurationError, InsufficientSpectrumError,
                      NumericalError)
@@ -152,17 +152,26 @@ class WeightOperator:
         return np.asarray(self.phi(x)) * np.asarray(x, dtype=float) ** (-self.beta)
 
 
-def identity_weight():
-    return WeightOperator(0.0, 0.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          label="identity")
-
-
-def _require_trace_class(meta, N, B):
-    mu, n = meta["mu"], meta["n"]
-    if N * mu - B.mu_prime <= n:
+def _require_trace_class(meta, N):
+    mu, mu_prime, n = meta["mu"], meta["mu_prime"], meta["n"]
+    if N * mu - mu_prime <= n:
         raise ConfigurationError(
             "trace does not converge: need N*mu - mu' > n",
-            N=N, mu=mu, mu_prime=B.mu_prime, n=n)
+            N=N, mu=mu, mu_prime=mu_prime, n=n)
+
+
+def _require_weight(wsd, B):
+    """Refuse a weight other than the one ``wsd`` was built with."""
+    built = wsd.meta["beta"], wsd.meta["mu_prime"], wsd.meta.get("weight")
+    if (B.beta, B.mu_prime, B.label) != built:
+        raise ConfigurationError("weight differs from the data's",
+                                 weight=B.label, data_weight=built[2])
+
+
+def _plain_meta(sd, N):
+    # a plain trace is the identity weight's, also on weighted data
+    return {**{k: v for k, v in sd.meta.items() if k != "weight"},
+            "mu_prime": 0.0, "beta": 0.0, "N": N}
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +190,13 @@ def heat_trace(sd: SpectralData, t_grid):
     vals, tails = sd.heat_sum(t_grid)
 
     def needed():
-        need = 40.0 / float(np.min(t_grid))
+        need = HEAT_CUTOFF_EXPONENT / float(np.min(t_grid))
         return {"lam_max_needed": need,
                 "count_needed": int(sd.count() * need / max(sd.lam_max, 1.0))}
 
     _refuse_large_tails("heat trace tail bound too large at small t", "t",
                         t_grid, vals, tails, needed)
-    return TraceSeries(t_grid, vals, tails, "heat", {**sd.meta, "N": 0}, sd)
+    return TraceSeries(t_grid, vals, tails, "heat", _plain_meta(sd, 0), sd)
 
 
 def complex_power_sum(sd: SpectralData, z):
@@ -335,14 +344,15 @@ def weighted_heat_trace(wsd: WeightedSpectralData, B: WeightOperator, t_grid):
     """Trace of B e^(-tA) as an eigenvalue sum with matrix elements.
 
     ``wsd`` holds the eigenpairs with the matrix elements of B (see
-    weighted_spectral_data).  For the identity weight on plain
-    SpectralData use heat_trace.
+    weighted_spectral_data); a B other than the one it was built with is
+    refused.  For the identity weight on plain SpectralData use heat_trace.
     """
+    _require_weight(wsd, B)
     t_grid = np.asarray(t_grid, dtype=float)
     vals, tails = _samples(wsd.heat_value, t_grid, float)
     _refuse_large_tails(
         "weighted heat trace tail too large", "t", t_grid, vals, tails,
-        lambda: {"lam_cap_needed": 40.0 / float(np.min(t_grid))})
+        lambda: {"lam_cap_needed": HEAT_CUTOFF_EXPONENT / float(t_grid.min())})
     return TraceSeries(t_grid, vals, tails, "heat", {**wsd.meta, "N": 0}, wsd)
 
 
@@ -350,12 +360,14 @@ def resolvent_power_trace(wsd: WeightedSpectralData, B: WeightOperator, N,
                           lam_grid):
     """Trace of B (A - lam)^(-N) on a grid of shifts.
 
-    Enforces the trace-class condition N*mu - mu' > n before computing.
-    With the identity weight the value reduces to sum (lam_j - lam)^(-N).
+    Refuses a B other than the one ``wsd`` was built with, then enforces
+    the trace-class condition N*mu - mu' > n before computing.  With the
+    identity weight the value reduces to sum (lam_j - lam)^(-N).
     """
+    _require_weight(wsd, B)
     N = int(N)
     lam_grid = np.asarray(lam_grid, dtype=complex)
-    _require_trace_class(wsd.meta, N, B)
+    _require_trace_class(wsd.meta, N)
     vals, tails = _samples(lambda lam: wsd.resolvent_power_value(lam, N),
                            lam_grid, complex)
     _refuse_large_tails("resolvent power trace tail too large", "lam",
@@ -370,7 +382,8 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
     lam_max / 2, is refused."""
     N = int(N)
     lam_grid = np.asarray(lam_grid, dtype=complex)
-    _require_trace_class(sd.meta, N, identity_weight())
+    meta = _plain_meta(sd, N)
+    _require_trace_class(meta, N)
     # |lam_j - lam| >= lam_j beyond the edge where Re lam <= 0, so the z = -N
     # tail applies there unscaled
     dist = np.where(lam_grid.real > 0, np.abs(lam_grid), 0.0)
@@ -385,8 +398,7 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
     vals = sd.eig_sums(lambda lam, lams: (lams - lam) ** (-float(N)), lam_grid)
     _, tail0 = sd.power_sum(-float(N))
     tails = tail0 * (sd.lam_max / (sd.lam_max - dist)) ** N
-    return TraceSeries(lam_grid, vals, tails, "resolvent",
-                       {**sd.meta, "N": N}, sd)
+    return TraceSeries(lam_grid, vals, tails, "resolvent", meta, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +434,7 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
         raise ConfigurationError("contour heat trace needs a finite t > 0",
                                  t=t)
     delta = math.pi / 4
-    u_max = 46.0 / (t * math.cos(delta))
+    u_max = HEAT_CUTOFF_EXPONENT / (t * math.cos(delta))
     # 24-point Gauss-Legendre on 14 geometrically growing panels
     nodes, weights = _gauss_panels(np.concatenate(
         [[0.0], np.geomspace(u_max / 2 ** 13, u_max, 14)]), 24)

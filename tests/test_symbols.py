@@ -28,7 +28,8 @@ def test_sector_contains():
 
 
 def test_sector_rays_span():
-    rays = SEC.rays(3)
+    rays = SEC.rays()
+    assert len(rays) == 3
     assert rays[0] == pytest.approx(math.pi / 2)
     assert rays[-1] == pytest.approx(3 * math.pi / 2)
 
@@ -81,17 +82,6 @@ def test_misdeclared_order_fails_with_linear_growth():
 def test_membership_monotone_in_first_order():
     loose = laplace_symbol().with_orders((-1.0, -2.0, 2.0))
     assert seminorm_check(loose, 1, 1, pts_per_decade=10).passed
-
-
-def test_finite_difference_matches_analytic_dlam():
-    q = laplace_symbol()
-    xi = np.array([2.0, 7.0, 40.0])
-    lam = np.array([-25.0 + 3j, -100.0 + 0j, -4.0 + 4j])
-    u = lam / np.abs(lam)
-    h = 1e-6 * np.abs(lam)
-    fd = (q(xi, lam + h * u) - q(xi, lam - h * u)) / (2 * h * u)
-    rel = np.abs(fd - q.dlam(xi, lam)) / np.abs(q.dlam(xi, lam))
-    assert np.max(rel) < 1e-6
 
 
 def test_non_finite_evaluator_is_rejected():

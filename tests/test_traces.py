@@ -8,16 +8,22 @@ import pytest
 from conespec.coneop import (ConeOperator, SpectralData, discretize,
                              grid_spectral_data, laplace_type,
                              oracle_spectral_data)
+from conespec.asymptotics import HEAT_CUTOFF_EXPONENT
 from conespec.errors import (ConfigurationError, InsufficientSpectrumError,
                              NumericalError)
 from conespec.opfile import parse_operator
 from conespec.traces import (_BLOCK_END, _BLOCK_K, _BLOCK_STRIDE,
                              WeightedSpectralData, WeightOperator,
                              _block_sums, _remainder, complex_power_sum,
-                             heat_trace, heat_trace_contour, identity_weight,
+                             heat_trace, heat_trace_contour,
                              resolvent_power_trace,
                              resolvent_power_trace_spectral,
                              weighted_heat_trace, weighted_spectral_data)
+
+
+def identity_weight():
+    return WeightOperator(0.0, 0.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                          label="identity")
 
 
 def single_mode_op():
@@ -96,7 +102,7 @@ def test_heat_trace_refusal_reports_first_refused_time():
     assert [(k, type(x)) for k, x in payload.items()] == [
         ("t", float), ("tail", float), ("value", float),
         ("lam_max_needed", float), ("count_needed", int)]
-    need = 40.0 / 1e-5
+    need = HEAT_CUTOFF_EXPONENT / 1e-5
     assert payload["lam_max_needed"] == need
     assert payload["count_needed"] == int(sd.count() * need / sd.lam_max)
 
@@ -182,6 +188,19 @@ def test_identity_weighted_data_give_the_plain_traces_bitwise():
     want = heat_trace(grid_spectral_data(disc, 3000.0), ts)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.tails, want.tails)
+
+
+def test_plain_traces_of_weighted_data_carry_plain_metadata():
+    disc = discretize(laplace_type(1.5, 4), -8.0, 300)
+    wsd = weighted_spectral_data(disc, WeightOperator(beta=1.0), 3000.0)
+    plain = grid_spectral_data(disc, 3000.0)
+    for got, want in [
+            (heat_trace(wsd, [0.05]), heat_trace(plain, [0.05])),
+            (resolvent_power_trace_spectral(wsd, 2, [-5.0]),
+             resolvent_power_trace_spectral(plain, 2, [-5.0]))]:
+        assert np.array_equal(got.values, want.values)
+        assert got.meta["mu_prime"] == got.meta["beta"] == 0.0
+        assert "weight" not in got.meta
 
 
 def test_weighted_data_refuse_a_nonpositive_eigenvalue_before_the_fits():
@@ -477,7 +496,7 @@ def test_weighted_heat_trace_refuses_first_large_tail():
                              ("lam_cap_needed", float)]
     v, tl = wsd.heat_value(3e-3)
     assert err.value.payload == {"t": 3e-3, "tail": tl, "value": v,
-                                 "lam_cap_needed": 40.0 / 1e-3}
+                                 "lam_cap_needed": HEAT_CUTOFF_EXPONENT / 1e-3}
 
 
 def test_resolvent_power_trace_refuses_first_large_tail():
@@ -540,8 +559,24 @@ def test_trace_class_precondition_enforced(small_disc):
     with pytest.raises(ConfigurationError):
         resolvent_power_trace(wsd, identity_weight(), 1, np.array([-5.0]))
     B_heavy = WeightOperator(beta=0.0, mu_prime=2.5)
-    with pytest.raises(ConfigurationError):
-        resolvent_power_trace(wsd, B_heavy, 2, np.array([-5.0]))
+    heavy = weighted_spectral_data(small_disc, B_heavy, 3000.0)
+    with pytest.raises(ConfigurationError) as err:
+        resolvent_power_trace(heavy, B_heavy, 2, np.array([-5.0]))
+    assert err.value.payload["mu_prime"] == 2.5
+
+
+def test_weighted_traces_refuse_a_weight_other_than_the_datas(small_disc):
+    # the data's mu' = 0 would pass the trace-class check that the weight's
+    # mu' = 2.5 fails; either way the weight is not the data's
+    wsd = weighted_spectral_data(small_disc, identity_weight(), 3000.0)
+    for B in (WeightOperator(beta=0.0, mu_prime=2.5), WeightOperator(beta=0.5)):
+        with pytest.raises(ConfigurationError) as heat:
+            weighted_heat_trace(wsd, B, np.array([0.05]))
+        with pytest.raises(ConfigurationError) as res:
+            resolvent_power_trace(wsd, B, 2, np.array([-5.0]))
+        for err in (heat, res):
+            assert err.value.payload == {"weight": B.label,
+                                         "data_weight": "identity"}
 
 
 def test_resolvent_power_spectral_matches_formula(sd_half):

@@ -33,7 +33,6 @@ from conespec import cli  # noqa: E402
 ALLOWED = {
     "coneop.resolvent_solve": "tip-resolvent study (ROADMAP item 19)",
     "coneop.kappa_scale": "tip-resolvent study (ROADMAP item 19)",
-    "index.MellinPerturbation.reflected": "builds the input of two eta tests",
     "coneop.SpectralData.count": "heat_trace's refusal payload",
     "indexsets.IndexSet.max_logpow": "IndexSet.__contains__, used by tests",
     "errors.ConespecError.payload_items": "CLI refusals; configs pass",
