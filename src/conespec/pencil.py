@@ -23,7 +23,10 @@ pair: a solve counts at one shift at most, and numpy's dispatch on arrays
 that small costs far more than the three flops of a pivot step.  The
 polish solves go straight to LAPACK gtsv.
 ``trace_weighted_resolvent`` takes traces of resolvent powers from power
-series of the pivots of K - lambda W, for many pencils and shifts at once.
+series of the pivots of K - lambda W, for many pencils and shifts at once:
+as the log-derivative of a determinant whose pivots are taken from both
+ends of the pencil, so that one step of ceil(n/2) takes a row from either
+end for every lane, and no pivot is stored.
 
 All public functions take the tridiagonal data as (d, e, w): diagonal,
 subdiagonal (length n-1) and weight.
@@ -43,10 +46,6 @@ _PIVMIN = 1e-300
 # absolute dstebz tolerance; LAPACK's default eps * ||T|| loses the low
 # eigenvalues (the first ACCEPT-01 eigenvalue reads 20.2092, not 20.19048)
 _ABSTOL = 1e-300
-# lanes ((mode, shift) pairs) per pivot sweep times the series order N, so
-# that the (n, N, lanes) pivot store of one sweep holds at most
-# n * _LANE_BUDGET complex numbers (6.5 MB at n = 150)
-_LANE_BUDGET = 2688
 
 
 def inertia(d, e, w, shifts):
@@ -248,24 +247,37 @@ def _series_neg_reciprocal(a, out):
     return out
 
 
+def _series_product(a, b, out):
+    """a b for power series truncated like a (coefficients along axis 0);
+    ``out`` must not overlap a or b."""
+    np.multiply(a[0], b, out=out)
+    for j in range(1, len(a)):
+        out[j:] += a[j] * b[:len(a) - j]
+    return out
+
+
 def trace_weighted_resolvent(d, e, w, lams, bdiag=None, N=1):
     """Tr[B ((K - lam W)^(-1) W)^N] = Tr B (A - lam)^(-N) for complex lam.
 
     B is the diagonal multiplier ``bdiag`` (identity when None) and
     A = W^(-1) K.  Since (A - lam - eps)^(-1) has the Taylor coefficients
     (A - lam)^(-k-1) in eps, the wanted trace is the eps^(N-1) coefficient
-    of Tr[B (K - (lam + eps) W)^(-1) W] = sum_i b_i w_i / (f_i + g_i - t_i),
-    with the forward pivots f_i = t_i - e_(i-1)^2 / f_(i-1) and the
-    backward pivots g_i = t_i - e_i^2 / g_(i+1) of t_i = d_i - (lam + eps) w_i.
-    Each is propagated as a power series in eps truncated after eps^(N-1),
-    starting from t_i = [d_i - lam w_i, -w_i, 0, ...], so the coefficient
-    is exact: no derivative is taken numerically.
+    of Tr B (A - lam - eps)^(-1) = -d/dz log det(K - (lam + eps) W - z B W)
+    at z = 0.  The determinant is the product of the forward pivots
+    f_i = t_i - e_(i-1)^2 / f_(i-1) of the top rows 0..k-1, k = ceil(n/2),
+    the backward pivots g_i = t_i - e_i^2 / g_(i+1) of the bottom rows
+    n-1..k and the join J = 1 - e_(k-1)^2 / (f_(k-1) g_k), of
+    t_i = d_i - (lam + eps) w_i - z b_i w_i.  Each pivot is propagated as
+    a power series in eps truncated after eps^(N-1), with its first
+    z-derivative, starting from t_i = [d_i - lam w_i, -w_i, 0, ...], so
+    the coefficient is exact: no derivative is taken numerically.
 
     ``d`` of shape (modes, n) holds one diagonal per mode, for pencils
     that share e and w; the result then has shape (modes, len(lams)).
-    Every (mode, shift) pair is a lane of one sweep over a row-major
-    (n, N, lanes) pivot store, in blocks of at most ``_LANE_BUDGET // N``
-    lanes; a lane costs O(n N^2).
+    Every (mode, shift) pair is a lane, and each of the ceil(n/2) steps of
+    the sweep takes one row from either end for all lanes at once.  A lane
+    costs O(n N^2); the sweep stores one (n, lanes) table of the t_i and
+    O(N lanes) of state.
     """
     N = operator.index(N)
     if N < 1:
@@ -273,51 +285,71 @@ def trace_weighted_resolvent(d, e, w, lams, bdiag=None, N=1):
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     dm = np.atleast_2d(np.asarray(d, dtype=float))
     n_modes, n = dm.shape
-    e2 = np.square(e)
-    bw = w if bdiag is None else w * bdiag
-    total = n_modes * len(lams)
-    out = np.empty(total, dtype=complex)
-    block = max(1, _LANE_BUDGET // N)
-    for lo in range(0, total, block):
-        lane = np.arange(lo, min(lo + block, total))
-        lam = lams[lane % len(lams)]
-        dl = np.ascontiguousarray(dm.T[:, lane // len(lams)])
-        out[lane] = _series_pivot_trace(dl, e2, w, bw, lam, N)
-    out = out.reshape(n_modes, len(lams))
+    w = np.asarray(w, dtype=float)
+    # the trace is linear in B: scaled by a power of two to unit size, B
+    # stays out of the subnormal range, where the z-derivative's products
+    # would lose digits, and the scale comes back in one rounding at the end
+    scale = 0
+    bw = w
+    if bdiag is not None:
+        scale = int(np.frexp(np.max(np.abs(bdiag), initial=0.0))[1])
+        bw = w * np.ldexp(bdiag, -scale)
+    # sweep order: rows 0, n-1, 1, n-2, ..., then the middle row of odd n;
+    # a row's coupling to the row before it on its side is e_(i-1)^2 from
+    # the top (even positions) and e_i^2 from the bottom (odd positions)
+    half = n // 2
+    top = np.arange(half)
+    rows = np.full(n, half)
+    rows[:2 * half] = np.column_stack([top, n - 1 - top]).ravel()
+    c = np.concatenate([[0.0], np.square(e), [0.0]])
+    couple = c[rows + np.arange(n) % 2]
+    # complex (n, 1) columns, which numpy broadcasts faster than real ones
+    col = lambda v: np.asarray(v, dtype=complex)[:, None]
+    t = np.empty((n, n_modes, len(lams)), dtype=complex)
+    np.multiply(w[rows, None, None], -lams, out=t)
+    t += dm.T[rows, :, None]
+    out = _series_pivot_trace(t.reshape(n, -1), col(couple), col(w[rows]),
+                              col(bw[rows]), c[n - half], N)
+    out = np.ldexp(out.view(float), scale).view(complex).reshape(n_modes, -1)
     return out if np.ndim(d) == 2 else out[0]
 
 
-def _series_pivot_trace(dl, e2, w, bw, lam, N):
-    # one block of lanes; dl[i] holds d_i of each lane's mode.  The sweeps
-    # carry rho_i = -1/f_i and sigma_i = -1/g_i, so that
-    # f_i = t_i + e_(i-1)^2 rho_(i-1) and g_i = t_i + e_i^2 sigma_(i+1).
-    n, lanes = dl.shape
-    t = dl - w[:, None] * lam[None, :]
-    # couplings e_(i-1)^2 (forward) and e_i^2 (backward), zero past the
-    # ends; complex scalars, which numpy broadcasts faster than real ones
-    c = np.concatenate([[0.0], e2, [0.0]]).astype(complex)
-    w = w.astype(complex)
-    neg_bw = -bw.astype(complex)
-    store = np.empty((n, N, lanes), dtype=complex)  # forward pivots f_i
-    rho = np.zeros((N, lanes), dtype=complex)
-    for i in range(n):
-        f = store[i]
-        np.multiply(rho, c[i], out=f)
-        f[0] += t[i]
+def _series_pivot_trace(t, couple, w, bw, join, N):
+    # t[p], couple[p], w[p] and bw[p] belong to the row at sweep position
+    # p, and join = e_(k-1)^2.  The state s[0] = rho = -1/f and
+    # s[1] = chi = d rho/dz of the last row taken on each side (axis 2:
+    # top, bottom) give the next pivot f = t + c rho and its z-derivative
+    # phi = -b w + c chi; then psi = rho phi = -d log f/dz adds into the
+    # trace, and chi = rho psi
+    n, lanes = t.shape
+    s = np.zeros((2, N, 2, lanes), dtype=complex)
+    fphi = np.empty_like(s)
+    psi = np.empty((N, 2, lanes), dtype=complex)
+    acc = np.zeros((2, lanes), dtype=complex)
+    for p in range(0, n, 2):
+        # two rows a step; the middle row of odd n is the top's alone
+        m = min(2, n - p)
+        state, f, ps = s[:, :, :m], fphi[:, :, :m], psi[:, :m]
+        np.multiply(state, couple[p:p + m], out=f)
+        f[0, 0] += t[p:p + m]
         if N > 1:
-            f[1] -= w[i]
-        _series_neg_reciprocal(f, rho)
-    acc = np.zeros(lanes, dtype=complex)
-    sigma = np.zeros((N, lanes), dtype=complex)
-    h = np.empty_like(sigma)
-    for i in range(n - 1, -1, -1):
-        np.multiply(sigma, c[i + 1], out=h)
-        # f_i + g_i - t_i = f_i + e_i^2 sigma_(i+1); its reciprocal is the
-        # diagonal of the inverse, -rho of the sum
-        x = np.add(store[i], h, out=store[i])
-        acc += neg_bw[i] * _series_neg_reciprocal(x, rho)[N - 1]
-        h[0] += t[i]
-        if N > 1:
-            h[1] -= w[i]
-        _series_neg_reciprocal(h, sigma)
+            f[0, 1] -= w[p:p + m]
+        f[1, 0] -= bw[p:p + m]
+        rho = _series_neg_reciprocal(f[0], state[0])
+        _series_product(rho, f[1], ps)
+        acc[:m] += ps[N - 1]
+        _series_product(rho, ps, state[1])
+    acc = acc.sum(axis=0)
+    if n > 1:
+        # -d log J/dz with J = 1 - join rho sigma, rho of the top's last row
+        # and sigma = -1/g of the bottom's
+        (rho, chi), (sigma, chi_g) = s[:, :, 0], s[:, :, 1]
+        new = lambda: np.empty_like(rho)
+        j = -join * _series_product(rho, sigma, new())
+        j[0] += 1.0
+        neg_inv = _series_neg_reciprocal(j, new())
+        # dJ/dz = -join dj; the eps^(N-1) coefficient of -dJ/dz / J
+        dj = _series_product(chi, sigma, new())
+        dj += _series_product(rho, chi_g, new())
+        acc -= join * np.sum(dj * neg_inv[::-1], axis=0)
     return acc

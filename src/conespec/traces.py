@@ -133,7 +133,8 @@ class WeightOperator:
 
     phi defaults to a smooth cutoff that is identically 1 for x <= 1/4 and
     vanishes for x >= 1/2.  The tangential part acts per circle mode as
-    (1 + m^2)^(mu_prime/2).
+    (1 + m^2)^(mu_prime/2).  The label names the weight in the weighted
+    traces' check against their data, so a custom phi needs one.
     """
 
     def __init__(self, beta=0.0, mu_prime=0.0, *, phi=None, label=None):
@@ -142,8 +143,11 @@ class WeightOperator:
         if phi is None:
             from .symbols import smoothstep
             phi = lambda x: 1.0 - smoothstep((np.asarray(x) - 0.25) / 0.25)
+        elif not label:
+            raise ConfigurationError("a weight with a custom phi needs a label",
+                                     beta=self.beta, mu_prime=self.mu_prime)
         self.phi = phi
-        self.label = label or f"x^(-{beta})*phi, mu'={mu_prime}"
+        self.label = label or f"x^(-{self.beta})*phi, mu'={self.mu_prime}"
 
     def mode_factor(self, m):
         return (1.0 + m * m) ** (self.mu_prime / 2.0)
@@ -334,7 +338,8 @@ def weighted_spectral_data(disc: Discretization, B: WeightOperator, lam_cap):
             bfit = (float(np.max(np.abs(bs))) * 2.0 + 1e-300, 0.0)
         return {"bs": bs, "bfit": bfit, "bmax": rho * bound}
 
-    meta = {"mu_prime": B.mu_prime, "beta": B.beta, "weight": B.label}
+    meta = {"s_min": disc.s_min, "npoints": disc.npoints,
+            "mu_prime": B.mu_prime, "beta": B.beta, "weight": B.label}
     return _spectral_data(disc.op, map(solve, disc.mode_classes()), lam_cap,
                           "discretization", meta, WeightedSpectralData,
                           elements)
@@ -414,8 +419,10 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     eps^(N-1) Taylor coefficient of Tr[B (K - (lam + eps) W)^(-1) W],
     computed exactly from power series of the tridiagonal pivots
     (``pencil.trace_weighted_resolvent``), with every mode class and node
-    as a lane of one pivot sweep, each class weighted by its size; a node
-    costs O(grid size * N^2) per class.
+    as a lane of one pivot sweep, each class weighted by its size.  The
+    sweep takes pivots from both ends of the grid, ceil(grid size / 2)
+    steps for all lanes at once; a node costs O(grid size * N^2) per
+    class, and the sweep's memory is one (grid size, lanes) table.
 
     The contour must enclose the whole spectrum: one Sturm count per class
     at the vertex lam = -1 raises if any eigenvalue lies to its left, and a

@@ -1,3 +1,7 @@
+import cmath
+import math
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,9 +10,11 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from conespec import pencil
+from conespec.asymptotics import HEAT_CUTOFF_EXPONENT, _gauss_panels
 from conespec.coneop import (Discretization, discretize, eigenvalues,
                              laplace_type)
 from conespec.errors import ConfigurationError, NumericalError
+from conespec.traces import WeightOperator
 
 # first eigenvalue of the ACCEPT-01 problem as the hand-rolled pencil
 # bisection computed it; LAPACK bisection at its default abstol gives 20.2092
@@ -96,6 +102,99 @@ def test_trace_weighted_resolvent_matches_dense_power(case, N):
     got = pencil.trace_weighted_resolvent(d, e, w, [lam], bdiag=b, N=N)
     assert got.shape == (1,)
     assert abs(got[0] - ref) <= 1e-12 * abs(ref)
+
+
+def _dense_weighted_trace(d, e, w, lam, b, N):
+    K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    R = np.linalg.solve(K - lam * np.diag(w), np.diag(w))  # (A - lam)^(-1)
+    return np.sum(b * np.diag(np.linalg.matrix_power(R, N)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_trace_weighted_resolvent_of_one_to_three_rows(n, N):
+    # the top side alone, an even split, and an odd middle row taken by
+    # the top side before the join
+    d = np.array([2.5, 3.0, 2.0])[:n]
+    e = np.array([-0.7, -0.9])[:n - 1]
+    w = np.array([1e-3, 0.5, 2.0])[:n]
+    b = np.array([1.5, -0.5, 0.8])[:n]
+    lams = [complex(-1.0, 2.0), complex(3.0, -0.5)]
+    got = pencil.trace_weighted_resolvent(d, e, w, lams, bdiag=b, N=N)
+    for lam, value in zip(lams, got):
+        ref = _dense_weighted_trace(d, e, w, lam, b, N)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def _store_sweep_reference(d, e, w, lams, bdiag, N):
+    """Forward sweep with a stored (n, N, lanes) pivot table, then a
+    backward sweep: Tr B (A - lam)^(-N) as sum_i b_i w_i / (f_i + g_i - t_i)
+    of the forward pivots f_i and backward pivots g_i, as power series."""
+    lams = np.asarray(lams, dtype=complex)
+    n = d.shape[1]
+    lane_d = np.repeat(d.T, len(lams), axis=1)
+    t = lane_d - w[:, None] * np.tile(lams, len(d))[None, :]
+    lanes = t.shape[1]
+    c = np.concatenate([[0.0], np.square(e), [0.0]]).astype(complex)
+    neg_bw = -(w * bdiag).astype(complex)
+    store = np.empty((n, N, lanes), dtype=complex)
+    rho = np.zeros((N, lanes), dtype=complex)
+    for i in range(n):
+        f = store[i]
+        np.multiply(rho, c[i], out=f)
+        f[0] += t[i]
+        if N > 1:
+            f[1] -= w[i]
+        pencil._series_neg_reciprocal(f, rho)
+    acc = np.zeros(lanes, dtype=complex)
+    sigma = np.zeros((N, lanes), dtype=complex)
+    h = np.empty_like(sigma)
+    for i in range(n - 1, -1, -1):
+        np.multiply(sigma, c[i + 1], out=h)
+        x = np.add(store[i], h, out=store[i])
+        acc += neg_bw[i] * pencil._series_neg_reciprocal(x, rho)[N - 1]
+        h[0] += t[i]
+        if N > 1:
+            h[1] -= w[i]
+        pencil._series_neg_reciprocal(h, sigma)
+    return acc.reshape(len(d), len(lams))
+
+
+def _contour_case(npoints):
+    # heat_trace_contour's 336 nodes at t = 45 / 700 on four mode classes,
+    # weighted by x^(-1) phi, as the weighted benchmark studies sweep them
+    disc = discretize(laplace_type(1.5, mode_cap=3), -6.0, npoints)
+    ds = np.array([disc.matrix(modes[0])[0] for modes in disc.mode_classes()])
+    e = disc.matrix(0)[1]
+    t = 45.0 / 700.0
+    u_max = HEAT_CUTOFF_EXPONENT / (t * math.cos(math.pi / 4))
+    nodes, _ = _gauss_panels(np.concatenate(
+        [[0.0], np.geomspace(u_max / 2 ** 13, u_max, 14)]), 24)
+    lams = -1.0 + nodes * cmath.exp(1j * math.pi / 4)
+    return ds, e, disc.w, lams, WeightOperator(beta=1.0).multiplier(disc.x)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_trace_weighted_resolvent_matches_the_store_sweep(N):
+    ds, e, w, lams, b = _contour_case(150)
+    assert ds.shape == (4, 150) and lams.shape == (336,)
+    got = pencil.trace_weighted_resolvent(ds, e, w, lams, bdiag=b, N=N)
+    ref = _store_sweep_reference(ds, e, w, lams, b, N)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_trace_weighted_resolvent_memory_stays_bounded():
+    # half the 97 MB of a sweep that stores every forward pivot; the
+    # two-ended sweep keeps one (n, lanes) table of the t_i (32 MB here)
+    # and O(N lanes) of state, so lanes need no blocking
+    ds, e, w, lams, b = _contour_case(1500)
+    tracemalloc.start()
+    try:
+        pencil.trace_weighted_resolvent(ds, e, w, lams, bdiag=b, N=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
 
 
 def _inertia_reference(d, e, w, shifts):

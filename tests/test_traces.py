@@ -579,6 +579,33 @@ def test_weighted_traces_refuse_a_weight_other_than_the_datas(small_disc):
                                          "data_weight": "identity"}
 
 
+def test_weight_label_reads_the_converted_arguments(small_disc):
+    # integer and float arguments name one weight
+    data_weight = WeightOperator(beta=1, mu_prime=0)
+    B = WeightOperator(beta=1.0, mu_prime=0.0)
+    assert data_weight.label == B.label == "x^(-1.0)*phi, mu'=0.0"
+    wsd = weighted_spectral_data(small_disc, data_weight, 3000.0)
+    assert np.all(np.isfinite(weighted_heat_trace(wsd, B, [0.05]).values))
+
+
+def test_weight_with_a_custom_phi_needs_a_label():
+    # the default label would name the default phi, so the weight check
+    # would accept data built with another
+    with pytest.raises(ConfigurationError):
+        WeightOperator(beta=1.0, phi=lambda x: np.ones_like(x))
+    assert identity_weight().label == "identity"
+
+
+def test_weighted_data_carry_the_grid_metadata():
+    disc = discretize(laplace_type(1.5, 4), -8.0, 300)
+    weighted = weighted_spectral_data(disc, WeightOperator(beta=1.0), 3000.0)
+    plain = grid_spectral_data(disc, 3000.0)
+    weight_keys = {"mu_prime", "beta", "weight"}
+    strip = lambda meta: {k: v for k, v in meta.items() if k not in weight_keys}
+    assert strip(weighted.meta) == strip(plain.meta)
+    assert weighted.meta["s_min"] == -8.0 and weighted.meta["npoints"] == 300
+
+
 def test_resolvent_power_spectral_matches_formula(sd_half):
     lam = np.array([-3.0, -40.0], dtype=complex)
     series = resolvent_power_trace_spectral(sd_half, 2, lam)
