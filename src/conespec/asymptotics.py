@@ -227,16 +227,17 @@ def _design(x, cols):
 
 
 def _weighted_lstsq(A, y, wts):
+    """(coefficients, rms weighted residual, column-equilibrated weighted
+    design) of the fit."""
     Aw = A * wts[:, None]
     yw = y * wts
     scale = np.linalg.norm(Aw, axis=0)
     scale[scale == 0] = 1.0
     An = Aw / scale[None, :]
-    cond = float(np.linalg.cond(An))
     coef, _, _, _ = np.linalg.lstsq(An, yw, rcond=None)
     coef = coef / scale
     resid = float(np.linalg.norm(Aw @ coef - yw) / math.sqrt(len(yw)))
-    return coef, resid, cond
+    return coef, resid, An
 
 
 def check_sample_count(samples, columns, **payload):
@@ -277,7 +278,8 @@ def fit_expansion(series, terms, window=None, *, meta=None):
     check_sample_count(len(x), len(cols))
     wts = 1.0 / np.maximum(np.abs(y), 1e-14 * np.max(np.abs(y)))
     A = _design(x, cols)
-    coef, resid, cond = _weighted_lstsq(A, y, wts)
+    coef, resid, An = _weighted_lstsq(A, y, wts)
+    cond = float(np.linalg.cond(An))  # of the full design only
     if cond > _COND_LIMIT:
         raise ConditioningError(
             "design too ill conditioned; shrink the term list or the window",
@@ -335,28 +337,20 @@ def fitted_leading_exponent(series, window):
 class ExpansionVerdict:
     passed: bool
     detected: list
-    predicted: list
-    absent: list
-    extra_detected: list
-    residual: float
 
 
 def _verdict(expansion, predicted_cols):
     detected = [(t.gamma, t.logpow) for t in expansion.detected_terms()]
-    pred = set(predicted_cols)
-    extra = [c for c in detected if c not in pred]
-    absent = [c for c in predicted_cols if c not in detected]
-    passed = not extra and expansion.residual < 1e-5
-    return ExpansionVerdict(bool(passed), detected, list(predicted_cols),
-                            absent, extra, expansion.residual)
+    passed = set(detected) <= set(predicted_cols) and expansion.residual < 1e-5
+    return ExpansionVerdict(passed, detected)
 
 
 def _fit_against_union(x_grid, vals, union, kind):
     """Fit against the columns of ``union`` the grid resolves, plus probes.
 
     The verdict fails if a probe (or any other non-predicted term) is
-    detected; predicted but absent terms are reported informationally.
-    All-zero values pass with no terms.
+    detected; a predicted term may be absent.  All-zero values pass with
+    no terms.
     """
     predicted = columns_from_indexset(union, _resolvable_cap(x_grid, union))
     if not predicted:
@@ -364,7 +358,7 @@ def _fit_against_union(x_grid, vals, union, kind):
     if np.max(np.abs(vals)) < 1e-14:
         exp = LogPolyExpansion([], (float(x_grid.min()), float(x_grid.max())),
                                0.0, 1.0, {"kind": kind})
-        return exp, ExpansionVerdict(True, [], predicted, predicted, [], 0.0)
+        return exp, ExpansionVerdict(True, [])
     lo = min(g for g, _ in predicted)
     probes = [(lo - _PROBE_OFFSET, 0), (lo + _PROBE_OFFSET, 0)]
     cols = sorted(set(predicted) | set(probes))

@@ -20,7 +20,6 @@ norm is the weighted grid norm used throughout.
 """
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -275,8 +274,9 @@ class Discretization:
     def matrix(self, m):
         """Tridiagonal data (diagonal, subdiagonal) of the conjugated operator.
 
-        The grid carries c0(x) and a constant c2: a coeff[1] or coeff[2]
-        that differs from its conormal value on the grid is refused."""
+        The grid carries a real c0(x) and a constant c2: a coeff[1] or
+        coeff[2] that differs from its conormal value on the grid, or a
+        coeff[0] with an imaginary part on it, is refused."""
         if m not in self._cache:
             tip = self.op.indicial(m)
             c = self.op.coeffs(m, self.x)
@@ -286,6 +286,9 @@ class Discretization:
                         "grid realization requires a coefficient constant in x",
                         key=f"coeff[{j}]", mode=m)
             c0 = np.real_if_close(c[0], tol=1e6)
+            if np.iscomplexobj(c0):
+                raise ConfigurationError("grid realization requires a real "
+                                         "coefficient", key="coeff[0]", mode=m)
             c2 = tip[2].real
             d = (2.0 * c2 / self.h ** 2) + np.asarray(c0, dtype=float)
             e = np.full(self.npoints - 1, -c2 / self.h ** 2)
@@ -433,12 +436,11 @@ _HALLEY_ITERATIONS = 40
 _SCALAR_LANES = 32
 
 
-def bessel_zeros(nu, count=None, j_max=None):
-    """Positive zeros of J_nu for one order, or for a 1-D array of orders.
+def bessel_zeros(orders, j_max):
+    """Positive zeros at most ``j_max`` of J_nu for each nu of 1-D ``orders``.
 
-    Returns the first ``count`` zeros, or all zeros at most ``j_max``: one
-    array for a scalar ``nu``, a list with one array per order otherwise.
-    An order's zeros do not depend on the other orders of the call.
+    Returns a list with one ascending array per order.  An order's zeros do
+    not depend on the other orders of the call.
 
     No Bessel function is evaluated.  At a point x the ratios
     R_k = J_(nu+k)(x) / J_(nu+k-1)(x), k = K, ..., 1, come from one
@@ -486,13 +488,9 @@ def bessel_zeros(nu, count=None, j_max=None):
       v'' + Q v = 0, consecutive zeros are at least pi / sqrt(Q) = 3.07
       apart, so a step of 1.5 never holds two zeros.
 
-    With ``j_max`` an order is sampled up to one step past
+    An order is sampled up to one step past
     start + step ceil((j_max - start) / step), and orders nu >= j_max give
-    no zeros.  With ``count`` the same grid runs up to 2 nu + 3.7 count + 1,
-    which lies past the count-th zero: from X = max(2 nu, start) on,
-    q >= 3/4, so every interval of length pi / sqrt(3/4) = 3.63 holds a zero
-    (Sturm comparison again).  Both paths share the grid formula, hence the
-    brackets and the zeros.
+    no zeros.
 
     Refinement.  The brackets of a block are refined together by Halley's
     iteration z -> z - u / (1 - u v / 2), with u = J_nu / J_nu' =
@@ -514,52 +512,30 @@ def bessel_zeros(nu, count=None, j_max=None):
     operations in the same order and agree bitwise (tested).  The Halley
     steps themselves always run on numpy arrays, one call per iteration.
     """
-    orders = np.asarray(nu, dtype=float)
-    if orders.ndim > 1:
-        raise ConfigurationError("orders must be a scalar or a 1-D array",
+    orders = np.asarray(orders, dtype=float)
+    if orders.ndim != 1:
+        raise ConfigurationError("orders must be a 1-D array",
                                  shape=orders.shape)
-    flat = np.atleast_1d(orders)
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(orders)):
         raise ConfigurationError("order nu must be finite",
-                                 nu=float(flat[~np.isfinite(flat)][0]))
-    if np.any(flat < 0):
+                                 nu=float(orders[~np.isfinite(orders)][0]))
+    if np.any(orders < 0):
         raise ConfigurationError("order nu must be nonnegative",
-                                 nu=float(flat[flat < 0][0]))
-    if (count is None) == (j_max is None):
-        raise ConfigurationError("need exactly one of count and j_max")
-    if count is not None:
-        try:
-            count = operator.index(count)
-        except TypeError:
-            raise ConfigurationError("count must be an integer",
-                                     count=count) from None
-        if count < 1:
-            raise ConfigurationError("count must be positive", count=count)
-        limit = 2.0 * flat + 3.7 * count + 1.0
-    else:
-        if not math.isfinite(j_max):
-            raise ConfigurationError("j_max must be finite", j_max=j_max)
-        limit = np.full(len(flat), float(j_max))
-    lanes, zeros = _scan_zeros(flat, limit)
-    counts = np.bincount(lanes, minlength=len(flat))
+                                 nu=float(orders[orders < 0][0]))
+    if not math.isfinite(j_max):
+        raise ConfigurationError("j_max must be finite", j_max=j_max)
+    lanes, zeros = _scan_zeros(orders, float(j_max))
+    counts = np.bincount(lanes, minlength=len(orders))
     per_order = [zeros[end - k:end]
                  for k, end in zip(counts, np.cumsum(counts))]
-    if count is not None:
-        if np.any(counts < count):
-            raise RootFindingError("zero scan ended short of count",
-                                   nu=float(flat[counts < count][0]),
-                                   count=count)
-        per_order = [z[:count] for z in per_order]
-    else:
-        per_order = [z[z <= j_max] for z in per_order]
-    return per_order[0] if orders.ndim == 0 else per_order
+    return [z[z <= j_max] for z in per_order]
 
 
-def _scan_zeros(orders, limit):
-    """Zeros of J_nu bracketed on start + step i up to one step past each
-    order's limit, as (order index, zero) arrays in scan order."""
+def _scan_zeros(orders, j_max):
+    """Zeros of J_nu bracketed on start + step i up to one step past j_max,
+    as (order index, zero) arrays in scan order."""
     start = np.maximum(orders, 1e-6)
-    points = np.where(start < limit, np.ceil((limit - start) / _ZERO_STEP) + 2,
+    points = np.where(start < j_max, np.ceil((j_max - start) / _ZERO_STEP) + 2,
                       0).astype(np.int64)
     ends = np.cumsum(points)
     total = int(ends[-1]) if len(ends) else 0
@@ -575,7 +551,7 @@ def _scan_zeros(orders, limit):
         n, r1 = _ratio_sweep(nu, x, depth)
         jump = n[1:] - n[:-1]
         i = np.flatnonzero((lane[:-1] == lane[1:]) & (jump != 0)
-                           & (x[:-1] <= limit[lane[:-1]]))
+                           & (x[:-1] <= j_max))
         bad = i[jump[i] != 1]
         if len(bad):
             k = bad[0]
@@ -742,13 +718,11 @@ class SpectralData:
 
     # -- tail machinery -----------------------------------------------------
 
-    def heat_sum(self, t):
-        """(sum of exp(-t lam), upper tail bound) at a time t or 1-D array of times.
-
-        A scalar t gives two floats, an array two arrays.  A time's value is
-        one sum over every eigenvalue, the same in any array of times.
-        """
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    def heat_sum(self, ts):
+        """(sums of exp(-t lam), upper tail bounds), two arrays over the times
+        t of 1-D ``ts``.  A time's value is one sum over every eigenvalue,
+        the same in any array of times."""
+        ts = np.asarray(ts, dtype=float)
         val = self.eig_sums(lambda tb, lam: np.exp(-tb * lam), ts)
         half_root = 0.5 * np.sqrt(math.pi / ts)[:, None]
         root_t = np.sqrt(ts)[:, None]
@@ -759,8 +733,6 @@ class SpectralData:
         c1 = float(np.min(self._c1)) if len(self._c1) else math.pi
         tail += np.sum(half_root * erfc(root_t * self.extra_nus) / c1
                        + np.exp(-ts[:, None] * self.extra_nus ** 2), axis=1)
-        if np.ndim(t) == 0:
-            return float(val[0]), float(tail[0])
         return val, tail
 
     def power_sum(self, z):
@@ -843,7 +815,7 @@ def _frozen_nu(op, m):
     return math.sqrt(c0.real)
 
 
-def oracle_spectral_data(op, lam_max, *, meta=None):
+def oracle_spectral_data(op, lam_max):
     """Exact per-mode spectra of a frozen Laplace type operator up to lam_max.
 
     Requires mu = 2, indicial polynomials sigma^2 + nu_m^2 with nu_m^2 > 0.
@@ -861,7 +833,7 @@ def oracle_spectral_data(op, lam_max, *, meta=None):
     zeros = bessel_zeros([_frozen_nu(op, modes[0]) for modes in classes],
                          j_max=math.sqrt(lam_max))
     return _spectral_data(op, [(modes, z * z) for modes, z in zip(classes, zeros)],
-                          lam_max, "oracle", meta or {})
+                          lam_max, "oracle", {})
 
 
 def _mode_nu_floor(op, m):

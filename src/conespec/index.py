@@ -111,10 +111,14 @@ def lorentzian_perturbation(c, b, weight):
 # eta integral and the argument-principle oracle
 
 
-def eta_term(H: MellinPerturbation, *, R_max=80.0):
+# half-length of the segment of the eta line integrated by quadrature
+_R_MAX = 80.0
+
+
+def eta_term(H: MellinPerturbation):
     """Logarithmic-derivative integral of det(1+H) along Im sigma = -weight.
 
-    The finite segment |Re sigma| <= R_max is integrated to 1e-11 by
+    The finite segment |Re sigma| <= ``_R_MAX`` is integrated to 1e-11 by
     adaptive 21-point Gauss-Kronrod (``asymptotics.adaptive_gk21``), each
     round one batched solve of (1 + H) M = H' over all its nodes; the two
     tails are added exactly as boundary values of log det(1 + H), which is
@@ -129,11 +133,12 @@ def eta_term(H: MellinPerturbation, *, R_max=80.0):
         M = np.linalg.solve(np.eye(H.dim) + H(sigma), H.dsigma(sigma))
         return np.trace(M, axis1=-2, axis2=-1)
 
-    val, err = adaptive_gk21(g, -R_max, R_max, tol)
+    val, err = adaptive_gk21(g, -_R_MAX, _R_MAX, tol)
     if not err <= 100 * tol * max(1.0, abs(val)):
         raise NumericalError("eta quadrature did not converge", error=float(err))
     # exact tails: the integrand is d/dsigma log det(1+H)
-    tail = -cmath.log(H.det1p(R_max + line)) + cmath.log(H.det1p(-R_max + line))
+    tail = (-cmath.log(H.det1p(_R_MAX + line))
+            + cmath.log(H.det1p(-_R_MAX + line)))
     total = val + tail
     eta = -(total / (2j * math.pi))
     if abs(eta.imag) > 1e-8:

@@ -273,18 +273,18 @@ def trace_weighted_resolvent(d, e, w, lams, bdiag=None, N=1):
     the coefficient is exact: no derivative is taken numerically.
 
     ``d`` of shape (modes, n) holds one diagonal per mode, for pencils
-    that share e and w; the result then has shape (modes, len(lams)).
-    Every (mode, shift) pair is a lane, and each of the ceil(n/2) steps of
-    the sweep takes one row from either end for all lanes at once.  A lane
-    costs O(n N^2); the sweep stores one (n, lanes) table of the t_i and
-    O(N lanes) of state.
+    that share e and w, and ``lams`` is 1-D; the result has shape
+    (modes, len(lams)).  Every (mode, shift) pair is a lane, and each of
+    the ceil(n/2) steps of the sweep takes one row from either end for all
+    lanes at once.  A lane costs O(n N^2); the sweep stores one (n, lanes)
+    table of the t_i and O(N lanes) of state.
     """
     N = operator.index(N)
     if N < 1:
         raise ConfigurationError("resolvent power must be positive", N=N)
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    dm = np.atleast_2d(np.asarray(d, dtype=float))
-    n_modes, n = dm.shape
+    lams = np.asarray(lams, dtype=complex)
+    d = np.asarray(d, dtype=float)
+    n_modes, n = d.shape
     w = np.asarray(w, dtype=float)
     # the trace is linear in B: scaled by a power of two to unit size, B
     # stays out of the subnormal range, where the z-derivative's products
@@ -307,11 +307,10 @@ def trace_weighted_resolvent(d, e, w, lams, bdiag=None, N=1):
     col = lambda v: np.asarray(v, dtype=complex)[:, None]
     t = np.empty((n, n_modes, len(lams)), dtype=complex)
     np.multiply(w[rows, None, None], -lams, out=t)
-    t += dm.T[rows, :, None]
+    t += d.T[rows, :, None]
     out = _series_pivot_trace(t.reshape(n, -1), col(couple), col(w[rows]),
                               col(bw[rows]), c[n - half], N)
-    out = np.ldexp(out.view(float), scale).view(complex).reshape(n_modes, -1)
-    return out if np.ndim(d) == 2 else out[0]
+    return np.ldexp(out.view(float), scale).view(complex).reshape(n_modes, -1)
 
 
 def _series_pivot_trace(t, couple, w, bw, join, N):

@@ -412,7 +412,8 @@ def test_mellin_closed_form_matches_quadrature():
 def test_zeta_single_mode_pipeline():
     # indicial constant 1/4: trace is exactly (pi t)^(-1/2)/2 - 1/2 + small
     op = ConeOperator(2.0, (0, 0), lambda m, x: [0.25, 0.0, 1.0])
-    sd = oracle_spectral_data(op, 4.0e6, meta={"n": 1})
+    op.n = 1
+    sd = oracle_spectral_data(op, 4.0e6)
     # the fit window must stay below the dual theta regime exp(-1/t)
     ts = np.geomspace(1e-3, 0.06, 100)
     series = heat_trace(sd, ts)
@@ -458,7 +459,8 @@ def test_zeta_truncation_bound_finite_past_exp_overflow():
     # lam_min t_max = 46 + 2 t0 lam_min is about 1230 here, beyond
     # where exp overflows; the bound must stay a finite number
     op = ConeOperator(2.0, (0, 0), lambda m, x: [0.25, 0.0, 1.0])
-    sd = oracle_spectral_data(op, 1.0e3, meta={"n": 1})
+    op.n = 1
+    sd = oracle_spectral_data(op, 1.0e3)
     from conespec.asymptotics import FittedTerm, LogPolyExpansion
     fit = LogPolyExpansion([FittedTerm(-0.5, 0, 0.2820947917738781, True)],
                            (1e-3, 63.0), 1e-9, 1.0, {"mu": 2.0, "n": 1})
@@ -469,7 +471,8 @@ def test_zeta_truncation_bound_finite_past_exp_overflow():
 
 def test_zeta_pole_evaluation_guard():
     op = ConeOperator(2.0, (0, 0), lambda m, x: [0.25, 0.0, 1.0])
-    sd = oracle_spectral_data(op, 1.0e5, meta={"n": 1})
+    op.n = 1
+    sd = oracle_spectral_data(op, 1.0e5)
     ts = np.geomspace(1e-3, 0.12, 80)
     series = heat_trace(sd, ts)
     fit = fit_expansion(series, [(-0.5, 0), (0.0, 0)], window=(1e-3, 0.105))
@@ -482,7 +485,8 @@ def test_zeta_pole_evaluation_guard():
 def test_pole_order_matches_log_power():
     # synthetic expansion with a genuine log^1 term away from the integers
     op = ConeOperator(2.0, (0, 0), lambda m, x: [0.25, 0.0, 1.0])
-    sd = oracle_spectral_data(op, 1.0e5, meta={"n": 1})
+    op.n = 1
+    sd = oracle_spectral_data(op, 1.0e5)
     ts = np.geomspace(1e-3, 0.12, 80)
     series = heat_trace(sd, ts)
     from conespec.asymptotics import FittedTerm, LogPolyExpansion

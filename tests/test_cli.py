@@ -371,6 +371,19 @@ def test_grid_refuses_x_dependent_higher_coefficients(tmp_path, coeffs, key):
     assert not (tmp_path / "out" / "spectral.csv").exists()
 
 
+def test_grid_heat_refuses_a_complex_mode_constant(tmp_path):
+    # m^0.5 is complex at negative m, and the grid holds real diagonals
+    (tmp_path / "c.op").write_text(LAPLACE_OP.replace(
+        "coeff[0] = m^2 + 2.25", "coeff[0] = m^2 + 2.25 + m^0.5"))
+    cfg = write_cfg(tmp_path / "h.cfg", "operator = c.op\nspectrum = grid\n"
+                    "npoints = 400\nt_min = 0.02\nt_count = 40\nk_max = 2\n")
+    out = tmp_path / "out"
+    assert main(["heat", "--config", cfg, "--out", str(out)]) == 2
+    manifest = (out / "MANIFEST").read_text()
+    assert "status: incomplete" in manifest and "key=coeff[0]" in manifest
+    assert not (out / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("line, key", [("npoints = 100000000", "npoints"),
                                        ("s_min = -1000", "s_min"),
                                        ("s_min = -151", "s_min"),

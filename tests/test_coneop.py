@@ -150,6 +150,18 @@ def test_grid_agrees_with_oracle_no_spurious():
         assert np.max(rel) < 1e-3
 
 
+def test_grid_refuses_a_complex_mode_constant():
+    # m^0.5 is complex at negative m: refused, not cast to its real part
+    op = ConeOperator(2.0, (-2, 2),
+                      lambda m, x: [m * m + 2.25 + m ** 0.5, 0.0, 1.0])
+    disc = discretize(op, -10.0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError) as err:
+            grid_spectral_data(disc, 500.0)
+    assert err.value.payload == {"key": "coeff[0]", "mode": -2}
+
+
 def test_real_spectra_for_real_models():
     disc = discretize(perturbed_laplace(1.5, mode_cap=0), -9.0, 400)
     vals = eigenvalues(disc, 0, count=5)
@@ -160,13 +172,18 @@ def test_real_spectra_for_real_models():
 # Bessel oracle
 
 
+# a j_max 1.0 above a zero lies below the next one: consecutive zeros lie
+# at least 3.07 apart
+
+
 def test_bessel_nu_three_halves_first_zero():
-    z = bessel_zeros(1.5, count=1)[0]
-    assert abs(z - tan_root_oracle()) < 1e-11
+    z = bessel_zeros([1.5], j_max=tan_root_oracle() + 1.0)[0]
+    assert len(z) == 1 and abs(z[0] - tan_root_oracle()) < 1e-11
 
 
 def test_bessel_half_integer_closed_form():
-    z = bessel_zeros(0.5, count=6)
+    z = bessel_zeros([0.5], j_max=6 * np.pi + 1.0)[0]
+    assert len(z) == 6
     assert np.max(np.abs(z - np.pi * np.arange(1, 7))) < 1e-11
 
 
@@ -175,25 +192,25 @@ def test_bessel_zeros_match_mpmath(nu):
     # independent oracle: mpmath's besseljzero at 30 significant digits
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besseljzero(nu, k)) for k in range(1, 21)])
-    z = bessel_zeros(nu, count=20)
+    z = bessel_zeros([nu], j_max=ref[-1] + 1.0)[0]
     assert len(z) == 20
     assert np.max(np.abs(z - ref) / ref) < 1e-13
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 40.0, 110.0])
 def test_bessel_zeros_j_max_scan_matches_count_scan(nu):
-    # the j_max scan cuts its last block one step past j_max; the count
-    # scan runs full 512-step blocks (230.4 long), so the j_max values
-    # below and above nu + 230 put the cut on both sides of a block edge
+    # the scan cuts its last block one step past j_max: each cut keeps the
+    # Sturm count N(nu, j_max) of zeros, bitwise those of a longer scan
+    longer = bessel_zeros([nu], j_max=nu + 600.0)[0]
     for j_max in (nu + 12.0, nu + 100.0, nu + 229.0, nu + 231.0, nu + 500.0):
-        z = bessel_zeros(nu, j_max=j_max)
-        k = len(z)
-        assert k > 0 and z[-1] <= j_max
-        assert np.array_equal(z, bessel_zeros(nu, count=k))
-        assert bessel_zeros(nu, count=k + 1)[-1] > j_max
-    assert len(bessel_zeros(nu, j_max=0.5 * nu)) == 0
+        z = bessel_zeros([nu], j_max=j_max)[0]
+        x, order = np.array([j_max]), np.array([nu])
+        count, _ = coneop._ratio_sweep(order, x, coneop._sweep_depth(order, x))
+        assert len(z) == count[0] > 0 and z[-1] <= j_max
+        assert np.array_equal(z, longer[:len(z)])
+    assert len(bessel_zeros([nu], j_max=0.5 * nu)[0]) == 0
     with pytest.raises(ConfigurationError):
-        bessel_zeros(nu, j_max=math.inf)
+        bessel_zeros([nu], j_max=math.inf)
 
 
 # mpmath.besseljzero(347.5, 1) at mpmath.workdps(30).  The call takes about
@@ -229,7 +246,8 @@ def test_bessel_zeros_match_mpmath_at_large_order(nu):
         else:
             ref = [mpmath.besseljzero(nu, k) for k in range(1, 21)]
         ref = np.array([float(z) for z in ref])
-    z = bessel_zeros(nu, count=20)
+    z = bessel_zeros([nu], j_max=ref[-1] + 1.0)[0]
+    assert len(z) == 20
     assert np.max(np.abs(z - ref) / ref) < 1e-13
 
 
@@ -240,7 +258,8 @@ def test_bessel_zeros_converge_to_roundoff(nu):
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besseljzero(nu, k))
                         for k in range(1, 31)])
-    z = bessel_zeros(nu, count=30)
+    z = bessel_zeros([nu], j_max=ref[-1] + 1.0)[0]
+    assert len(z) == 30
     assert np.max(np.abs(z - ref) / ref) < 2e-15
 
 
@@ -250,27 +269,26 @@ def test_bessel_zeros_array_call_equals_scalar_calls():
         batch = bessel_zeros(nus, j_max=j_max)
         assert len(batch) == len(nus)
         for nu, z in zip(nus, batch):
-            assert np.array_equal(z, bessel_zeros(nu, j_max=j_max))
+            assert np.array_equal(z, bessel_zeros([nu], j_max=j_max)[0])
             if nu >= j_max:
                 assert z.shape == (0,)
-    for nu, z in zip(nus, bessel_zeros(nus, count=7)):
-        assert np.array_equal(z, bessel_zeros(nu, count=7))
     assert bessel_zeros([], j_max=10.0) == []
 
 
+# 0.5 lies below the finite order 1.0, whose scan then has no point
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("limit", [{"j_max": 50.0}, {"count": 3}])
+@pytest.mark.parametrize("limit", [{"j_max": 50.0}, {"j_max": 0.5}])
 def test_bessel_zeros_rejects_nonfinite_order(bad, limit):
     with pytest.raises(ConfigurationError):
-        bessel_zeros(bad, **limit)
+        bessel_zeros([bad], **limit)
     with pytest.raises(ConfigurationError):
         bessel_zeros([1.0, bad], **limit)
 
 
-@pytest.mark.parametrize("count", [0, -2, 2.5])
-def test_bessel_zeros_rejects_bad_count(count):
+@pytest.mark.parametrize("orders", [1.5, [[1.5]]])
+def test_bessel_zeros_refuses_orders_not_1d(orders):
     with pytest.raises(ConfigurationError):
-        bessel_zeros(1.5, count=count)
+        bessel_zeros(orders, j_max=10.0)
 
 
 def _nan_ratios(monkeypatch):
@@ -303,7 +321,7 @@ def test_bessel_zeros_refuses_a_count_jump_of_two(monkeypatch):
 
     monkeypatch.setattr(coneop, "_ratio_sweep", doubled)
     with pytest.raises(RootFindingError) as info:
-        bessel_zeros(0.5, j_max=20.0)
+        bessel_zeros([0.5], j_max=20.0)
     lo, hi = info.value.payload["interval"]
     assert lo < math.pi < hi and info.value.payload["counts"] == (0, 2)
 
@@ -321,9 +339,9 @@ def test_bessel_zeros_reports_nonconvergence_on_vector_lanes(monkeypatch):
 # sweep replaced, kept to cross-check it
 
 
-def _jv_scan_zeros(orders, limit):
+def _jv_scan_zeros(orders, j_max):
     start = np.maximum(orders, 1e-6)
-    points = np.where(start < limit, np.ceil((limit - start) / 1.5) + 2,
+    points = np.where(start < j_max, np.ceil((j_max - start) / 1.5) + 2,
                       0).astype(np.int64)
     ends = np.cumsum(points)
     total = int(ends[-1]) if len(ends) else 0
@@ -335,7 +353,7 @@ def _jv_scan_zeros(orders, limit):
         f = jv(orders[lane], x)
         i = np.flatnonzero((lane[:-1] == lane[1:])
                            & (np.signbit(f[:-1]) != np.signbit(f[1:]))
-                           & (x[:-1] <= limit[lane[:-1]]))
+                           & (x[:-1] <= j_max))
         lanes.append(lane[i])
         zeros.append(_jv_halley_zeros(orders[lane[i]], x[i], x[i + 1],
                                       f[i], f[i + 1]))
@@ -371,7 +389,7 @@ def _jv_halley_zeros(nu, a, b, fa, fb):
 
 
 def _jv_bessel_zeros(orders, j_max):
-    lanes, zeros = _jv_scan_zeros(orders, np.full(len(orders), j_max))
+    lanes, zeros = _jv_scan_zeros(orders, j_max)
     return [zeros[(lanes == i) & (zeros <= j_max)] for i in range(len(orders))]
 
 
@@ -436,7 +454,8 @@ def test_sturm_count_across_an_exact_zero_of_a_higher_order(monkeypatch):
     # Sweeping J_0 there with one more step repeats the same arithmetic one
     # order up, so J_1(x) = 0 shows as R_2 = inf and R_1 = -0.0, and the
     # count must still see the one zero of J_0 below x
-    x = bessel_zeros(1.0, count=1)
+    x = bessel_zeros([1.0], j_max=5.0)[0]  # j_(1,1) = 3.83, j_(1,2) = 7.02
+    assert len(x) == 1
     depth = coneop._sweep_depth(np.array([1.0]), x)
     for lanes in (coneop._SCALAR_LANES, 0):  # float lanes, numpy lanes
         monkeypatch.setattr(coneop, "_SCALAR_LANES", lanes)
@@ -466,8 +485,9 @@ BITWISE_ORDERS = np.array([0.0, 0.5, 1.0, 1.5, math.sqrt(3.25), 2.5,
                            40.0, 110.0, 150.0, 347.5])
 
 
+# 361.0 lies just above the first zero of J_347.5
 @pytest.mark.parametrize("limit", [{"j_max": 14.0}, {"j_max": 151.0},
-                                   {"count": 9}])
+                                   {"j_max": 361.0}])
 def test_bessel_zeros_float_lanes_equal_vector_lanes(monkeypatch, limit):
     runs = []
     for lanes in (0, 10 ** 9):  # every sweep on numpy lanes, then on floats
@@ -478,16 +498,17 @@ def test_bessel_zeros_float_lanes_equal_vector_lanes(monkeypatch, limit):
 
 
 def test_bessel_zeros_batch_equals_scalar_with_exact_zero_hits():
-    for limit in ({"j_max": 60.0}, {"count": 12}):
-        batch = bessel_zeros(BITWISE_ORDERS, **limit)
+    for j_max in (60.0, 361.0):
+        batch = bessel_zeros(BITWISE_ORDERS, j_max=j_max)
         for nu, z in zip(BITWISE_ORDERS, batch):
-            assert np.array_equal(z, bessel_zeros(nu, **limit))
+            assert np.array_equal(z, bessel_zeros([nu], j_max=j_max)[0])
 
 
 def test_bessel_zeros_unchanged_by_doubled_depth(monkeypatch):
     before = bessel_zeros(np.append(HEAT_ORDERS, BITWISE_ORDERS),
                           j_max=HEAT_J_MAX)
-    counted = bessel_zeros(BITWISE_ORDERS, count=20)
+    # every order has zeros up to 420, 347.5 included
+    high = bessel_zeros(BITWISE_ORDERS, j_max=420.0)
     depth = coneop._sweep_depth
     monkeypatch.setattr(coneop, "_sweep_depth",
                         lambda nu, x: 2 * depth(nu, x))
@@ -495,7 +516,7 @@ def test_bessel_zeros_unchanged_by_doubled_depth(monkeypatch):
                          j_max=HEAT_J_MAX)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert all(np.array_equal(a, b) for a, b in
-               zip(counted, bessel_zeros(BITWISE_ORDERS, count=20)))
+               zip(high, bessel_zeros(BITWISE_ORDERS, j_max=420.0)))
 
 
 def test_oracle_spectral_data_matches_per_mode_zeros():
@@ -507,7 +528,7 @@ def test_oracle_spectral_data_matches_per_mode_zeros():
     extra = []
     for m in op.mode_list():
         nu = math.sqrt(m * m + 2.25)
-        z = bessel_zeros(nu, j_max=math.sqrt(lam_max))
+        z = bessel_zeros([nu], j_max=math.sqrt(lam_max))[0]
         if len(z) == 0:
             extra.append(nu)
             assert m not in sd.eigs
@@ -520,9 +541,10 @@ def test_oracle_spectral_data_matches_per_mode_zeros():
 
 def test_mcmahon_asymptotics():
     nu = 2.25
-    z = bessel_zeros(nu, count=60)
     k = np.arange(1, 61)
     mcmahon = (k + nu / 2 - 0.25) * np.pi
+    z = bessel_zeros([nu], j_max=mcmahon[-1] + 1.0)[0]
+    assert len(z) == 60
     diff = np.abs(z - mcmahon)
     assert diff[59] < diff[19] < diff[4]
     # the remaining gap decays like the first correction term 1/(8 beta)

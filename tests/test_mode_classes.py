@@ -121,7 +121,7 @@ def _per_mode_oracle_spectral_data(op, lam_max):
     eigs, weyl, extra = {}, {}, []
     for m in op.mode_list():
         nu = _frozen_nu(op, m)
-        z = bessel_zeros(nu, j_max=math.sqrt(lam_max))
+        z = bessel_zeros([nu], j_max=math.sqrt(lam_max))[0]
         if len(z):
             eigs[m] = z * z
             weyl[m] = _weyl_fit(z * z)

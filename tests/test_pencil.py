@@ -99,7 +99,7 @@ def test_trace_weighted_resolvent_matches_dense_power(case, N):
     K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     R = np.linalg.solve(K - lam * np.diag(w), np.diag(w))  # (A - lam)^(-1)
     ref = np.sum(b * np.diag(np.linalg.matrix_power(R, N)))
-    got = pencil.trace_weighted_resolvent(d, e, w, [lam], bdiag=b, N=N)
+    got = pencil.trace_weighted_resolvent(d[None], e, w, [lam], bdiag=b, N=N)[0]
     assert got.shape == (1,)
     assert abs(got[0] - ref) <= 1e-12 * abs(ref)
 
@@ -120,8 +120,8 @@ def test_trace_weighted_resolvent_of_one_to_three_rows(n, N):
     w = np.array([1e-3, 0.5, 2.0])[:n]
     b = np.array([1.5, -0.5, 0.8])[:n]
     lams = [complex(-1.0, 2.0), complex(3.0, -0.5)]
-    got = pencil.trace_weighted_resolvent(d, e, w, lams, bdiag=b, N=N)
-    for lam, value in zip(lams, got):
+    got = pencil.trace_weighted_resolvent(d[None], e, w, lams, bdiag=b, N=N)
+    for lam, value in zip(lams, got[0]):
         ref = _dense_weighted_trace(d, e, w, lam, b, N)
         assert abs(value - ref) <= 1e-12 * abs(ref)
 
