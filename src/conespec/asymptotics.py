@@ -48,15 +48,15 @@ from .errors import (ConditioningError, ConfigurationError, NumericalError,
                      ZetaPoleError)
 from .indexsets import IndexSet, extended_union
 
-# t lam past which heat sums, the zeta continuation and the contour heat
-# trace drop exp(-t lam), as e^-46 < 1e-20
+# t lam past which heat sums and the zeta continuation drop exp(-t lam), as
+# e^-46 < 1e-20 (the contour heat trace has its own nodes, traces.py)
 HEAT_CUTOFF_EXPONENT = 46.0
 _DETECT_FACTOR = 10.0
 _COND_LIMIT = 1e12
 _QUAD_TOL = 1e-11
 _PROBE_OFFSET = 0.37
-# Gauss-Legendre rules by size: 24 points for the composite oracles and the
-# contour heat trace, 48 for the zeta continuation's upper integral
+# Gauss-Legendre rules by size: 24 points for the composite oracles, 48 for
+# the zeta continuation's upper integral
 _GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48)}
 _START_PANELS = 4
 _MAX_PANELS = 4096

@@ -144,8 +144,15 @@ def _operator(kv, config_path):
 
 
 def _spectral(kv, runner, op, lam_max):
-    """Spectral data up to lam_max on every mode with spectrum below it."""
+    """Spectral data up to lam_max on every mode with spectrum below it;
+    a note names the mode range run when it is not the declared one."""
+    declared = op.modes
     op = op.with_modes(int(math.sqrt(lam_max)) + 2)
+    if op.modes != declared:
+        runner.notes.append(
+            f"modes {op.modes[0]}..{op.modes[1]} run in place of the declared "
+            f"{declared[0]}..{declared[1]}: a trace takes every mode with "
+            f"spectrum below lam_max")
     kind = kv.get("spectrum", "oracle")
     if kind == "oracle":
         if not op.is_frozen:

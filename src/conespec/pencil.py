@@ -37,8 +37,7 @@ import math
 import operator
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import ConfigurationError, NumericalError
 
@@ -180,14 +179,7 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
         if count < 1:
             raise ConfigurationError("count must be positive", count=count)
     n = len(d)
-    # the diagonal of the congruent tridiagonal; a weight too small for it
-    # (a grid reaching far into the tip) leaves nothing bisection can solve
-    with np.errstate(over="ignore"):
-        dw = d / w
-    if not np.all(np.isfinite(dw)):
-        raise NumericalError("pencil diagonal overflows: the weight is too "
-                             "small for the congruent tridiagonal",
-                             w_min=float(np.min(w)))
+    congruent = _congruent(d, e, w)
     # the wanted eigenvalues are the lowest nhi, with no count below lo:
     # lower_bound takes lo <= (d_i - r_i) / w_i - 1 for the Gershgorin radii
     # r_i = |e_(i-1)| + |e_i|, so the diagonal d_i - lo w_i >= r_i + w_i of
@@ -200,14 +192,7 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
         nhi = min(nhi, count)
     vals = np.empty(0)
     if nhi > 0:
-        s = np.sqrt(w)
-        try:
-            vals = eigh_tridiagonal(dw, e / (s[:-1] * s[1:]), eigvals_only=True,
-                                    select="i", select_range=(0, nhi - 1),
-                                    lapack_driver="stebz", tol=_ABSTOL)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("LAPACK bisection did not converge",
-                                 detail=str(exc)) from None
+        vals = _bisect(*congruent, nhi)
         top = np.inf if lam_max is None else lam_max
         slack = 1e-12 * np.abs(vals)
         if np.any(vals < lo - slack) or np.any(vals > top + slack):
@@ -230,6 +215,43 @@ def eig_pencil(d, e, w, *, lam_max=None, count=None, vectors=False):
         out_vecs = out_vecs[:, order]
         return out_vals, out_vecs
     return out_vals
+
+
+def _congruent(d, e, w):
+    """Diagonal and subdiagonal of T = W^(-1/2) K W^(-1/2).
+
+    A weight too small for it (a grid reaching far into the tip) leaves
+    nothing bisection can solve, and raises NumericalError.
+    """
+    s = np.sqrt(w)
+    with np.errstate(over="ignore"):
+        dt, et = d / w, e / (s[:-1] * s[1:])
+    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(et))):
+        raise NumericalError("pencil diagonal overflows: the weight is too "
+                             "small for the congruent tridiagonal",
+                             w_min=float(np.min(w)))
+    return dt, et
+
+
+def _bisect(dt, et, count):
+    """The lowest ``count`` eigenvalues of the symmetric tridiagonal (dt, et)
+    by LAPACK dstebz to the absolute tolerance ``_ABSTOL``, in ascending
+    order; called straight, as ``eigh_tridiagonal`` ends in the same call
+    after input checks.  A bisection that does not converge raises
+    NumericalError.
+    """
+    if len(dt) == 1:  # the wrapper takes no empty off-diagonal
+        return dt.copy()
+    m, vals, _, _, info = dstebz(dt, et, 2, 0.0, 0.0, 1, count, _ABSTOL, "E")
+    if info != 0:
+        raise NumericalError("LAPACK bisection did not converge", info=int(info))
+    return vals[:m]
+
+
+def _lowest_eigenvalue(d, e, w):
+    """The lowest eigenvalue of the pencil (K, W), by bisection alone: no
+    Sturm count picks it and no inverse iteration polishes it."""
+    return float(_bisect(*_congruent(d, e, w), 1)[0])
 
 
 def _series_neg_reciprocal(a, out):

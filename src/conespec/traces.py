@@ -21,13 +21,15 @@ from types import MappingProxyType
 import numpy as np
 
 from . import pencil
-from .asymptotics import HEAT_CUTOFF_EXPONENT, _gauss_panels
+from .asymptotics import HEAT_CUTOFF_EXPONENT
 from .coneop import Discretization, SpectralData, _spectral_data, eigenvalues
 from .errors import (ConfigurationError, InsufficientSpectrumError,
                      NumericalError)
 
 _TAIL_REFUSAL = 0.01
 _POWER_SUM_TAIL_REFUSAL = 1e-6
+# the contour heat trace's parabola has 2 _CONTOUR_NODES + 1 trapezoid nodes
+_CONTOUR_NODES = 18
 
 
 def _block_offsets():
@@ -413,21 +415,37 @@ def resolvent_power_trace_spectral(sd: SpectralData, N, lam_grid):
 def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     """Heat trace by contour quadrature of the N-th resolvent power.
 
-    Evaluates the Cauchy integral of exp(-t lam) against Tr B (A - lam)^(-N)
-    after N-1 integrations by parts, on the contour lam = -1 + u e^(+-i pi/4),
-    u >= 0.  The resolvent power trace at each quadrature node is the
-    eps^(N-1) Taylor coefficient of Tr[B (K - (lam + eps) W)^(-1) W],
-    computed exactly from power series of the tridiagonal pivots
+    Evaluates the Bromwich integral of exp(-t lam) against
+    Tr B (A - lam)^(-N) after N-1 integrations by parts, by the trapezoid
+    rule on the Weideman-Trefethen parabola (Math. Comp. 76, 2007):
+    lam = sigma - z(u), z(u) = mu (1 + i u)^2, mu = pi NQ / (12 t),
+    u_k = k h, h = 3 / NQ, |k| <= NQ = ``_CONTOUR_NODES``.  With
+    g_k = e^(z_k t) Tr B (A - lam_k)^(-N) z'(u_k), the value is
+    e^(-sigma t) (N-1)! t^(-(N-1)) (h / 2 pi i) [g_0 + 2i sum_(k>=1) Im g_k],
+    since g(-u) = -conj g(u) for a real pencil: only the NQ + 1 nodes with
+    u >= 0 are swept.  The parabola encloses the lam with
+    |Im lam|^2 < 4 mu (Re lam - sigma + mu), the whole real axis right of
+    sigma - mu among them.
+
+    The resolvent power trace at each node is the eps^(N-1) Taylor
+    coefficient of Tr[B (K - (lam + eps) W)^(-1) W], computed exactly from
+    power series of the tridiagonal pivots
     (``pencil.trace_weighted_resolvent``), with every mode class and node
     as a lane of one pivot sweep, each class weighted by its size.  The
     sweep takes pivots from both ends of the grid, ceil(grid size / 2)
-    steps for all lanes at once; a node costs O(grid size * N^2) per
-    class, and the sweep's memory is one (grid size, lanes) table.
+    steps for all lanes at once.
 
-    The contour must enclose the whole spectrum: one Sturm count per class
-    at the vertex lam = -1 raises if any eigenvalue lies to its left, and a
-    non-finite trace raises.  The result must agree with the eigenvalue
-    sum; a last-panel contribution above 1e-8 of the value raises.
+    The shift is sigma = max(-1, lam_min - 1/t), lam_min the lowest
+    eigenvalue over the classes by one LAPACK bisection each.  It keeps
+    (lam_min - sigma) t at 1 wherever it can: the node sum then cancels by
+    about e^(pi NQ / 12 + 1) at every t, instead of growing as
+    e^(-t lam_min) shrinks, and the poles of the integrand stay apart
+    enough for the trapezoid rule to resolve N = 4.  Before the bisection,
+    one Sturm count per class at -1 raises if any eigenvalue lies left of
+    -1.  A non-finite value raises, and so do a node sum whose rounding
+    eps sum |g_k| exceeds 1e-10 of |sum g_k|, an end-node term (k = NQ,
+    scaled like the value) above 1e-8 of the value, and a large imaginary
+    part.
     """
     try:
         N = operator.index(N)
@@ -440,13 +458,6 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
     if not (math.isfinite(t) and t > 0):
         raise ConfigurationError("contour heat trace needs a finite t > 0",
                                  t=t)
-    delta = math.pi / 4
-    u_max = HEAT_CUTOFF_EXPONENT / (t * math.cos(delta))
-    # 24-point Gauss-Legendre on 14 geometrically growing panels
-    nodes, weights = _gauss_panels(np.concatenate(
-        [[0.0], np.geomspace(u_max / 2 ** 13, u_max, 14)]), 24)
-    e_dir = complex(math.cos(delta), math.sin(delta))
-    lam_nodes = -1.0 + nodes * e_dir
 
     # mode classes share the subdiagonal unless the leading coefficient
     # depends on the mode; the classes of one subdiagonal are one sweep,
@@ -457,9 +468,9 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
         classes, ds = groups.setdefault(e.tobytes(), (e, [], []))[1:]
         classes.append(modes)
         ds.append(d)
-    tr_n = np.zeros(len(lam_nodes), dtype=complex)
-    for e, classes, ds in groups.values():
-        ds, size = np.array(ds), np.array([len(modes) for modes in classes])
+    groups = [(e, classes, np.array(ds), np.array([len(m) for m in classes]))
+              for e, classes, ds in groups.values()]
+    for e, classes, ds, size in groups:
         below = pencil.inertia(ds, e, disc.w, [-1.0])[:, 0]
         if np.any(below):
             raise NumericalError(
@@ -467,25 +478,38 @@ def heat_trace_contour(disc: Discretization, t, *, N=3, bdiag=None):
                 modes=sorted(m for modes, k in zip(classes, below) if k
                              for m in modes),
                 count=int(size @ below))
-        tr_n += size @ pencil.trace_weighted_resolvent(
-            ds, e, disc.w, lam_nodes, bdiag=bdiag, N=N)
+    lam_min = min(pencil._lowest_eigenvalue(d, e, disc.w)
+                  for e, _, ds, _ in groups for d in ds)
+    sigma = max(-1.0, lam_min - 1.0 / t)
 
-    integrand = np.exp(-t * lam_nodes) * tr_n * e_dir
-    upper = np.sum(weights * integrand)
-    # counterclockwise: upper ray traversed inward, lower ray (the complex
-    # conjugate for a real pencil) outward
-    total = np.conjugate(upper) - upper
-    # contribution of the last panel (its 24 nodes)
-    lastw = weights[-24:]
-    lasti = integrand[-24:]
-    last = abs(np.sum(lastw * lasti))
+    nq = _CONTOUR_NODES
+    mu = math.pi * nq / (12.0 * t)
+    h = 3.0 / nq
+    u = h * np.arange(nq + 1)
+    z = mu * (1.0 + 1j * u) ** 2
+    dz = 2j * mu * (1.0 + 1j * u)
+    tr_n = np.zeros(nq + 1, dtype=complex)
+    for e, _, ds, size in groups:
+        tr_n += size @ pencil.trace_weighted_resolvent(
+            ds, e, disc.w, sigma - z, bdiag=bdiag, N=N)
+
+    g = np.exp(z * t) * tr_n * dz
+    total = g[0] + 2j * np.sum(g[1:].imag)
     # the constant is pinned by the one-eigenvalue residue computation
-    value = (1j / (2 * math.pi)) * math.factorial(N - 1) * t ** (-(N - 1)) * total
+    scale = (math.exp(-sigma * t) * math.factorial(N - 1) * t ** (-(N - 1))
+             * h / (2 * math.pi))
+    value = -1j * scale * total
     if not np.isfinite(value):
         raise NumericalError("contour trace is not finite", value=complex(value))
-    if last > 1e-8 * max(abs(value), 1e-300):
+    rounding = np.finfo(float).eps * (abs(g[0]) + 2.0 * np.sum(np.abs(g[1:])))
+    if rounding > 1e-10 * abs(total):
+        raise NumericalError("contour sum cancels below its rounding",
+                             rounding=float(rounding * scale),
+                             value=complex(value))
+    end = 2.0 * scale * abs(g[-1])
+    if end > 1e-8 * max(abs(value), 1e-300):
         raise NumericalError("contour quadrature not converged",
-                             last_panel=float(last), value=complex(value))
+                             end_node=float(end), value=complex(value))
     if abs(value.imag) > 1e-6 * max(abs(value), 1.0):
         raise NumericalError("contour trace has a large imaginary part",
                              value=complex(value))

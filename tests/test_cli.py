@@ -434,6 +434,30 @@ def test_spectral_cutoff_cap_refuses_before_widening_modes(tmp_path,
     assert "status: incomplete" in manifest and f"key={key}" in manifest
 
 
+def test_trace_subcommands_name_the_mode_range_they_run(tmp_path):
+    # a trace takes every mode below lam_max = 4600, -69..69, whatever the
+    # .op declares; the MANIFEST says so, and the CSVs do not depend on it
+    outs = {}
+    for declared in ("-2..2", "-69..69"):
+        (tmp_path / "op.op").write_text(
+            LAPLACE_OP.replace("modes = -8..8", f"modes = {declared}"))
+        cfg = write_cfg(tmp_path / "h.cfg", "operator = op.op\nt_min = 0.01\n"
+                        "lam_max = 4600\nt_count = 40\nk_max = 2\n")
+        out = tmp_path / declared
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
+        outs[declared] = out
+    notes = [line for line in (outs["-2..2"] / "MANIFEST").read_text()
+             .splitlines() if line.startswith("note: modes")]
+    assert notes == ["note: modes -69..69 run in place of the declared -2..2: "
+                     "a trace takes every mode with spectrum below lam_max"]
+    assert "note: modes" not in (outs["-69..69"] / "MANIFEST").read_text()
+    for name in ("trace.csv", "fit.csv", "summary.csv"):
+        # past the provenance line, which digests the operator file
+        narrow, wide = ((outs[k] / name).read_bytes().split(b"\n", 1)[1]
+                        for k in ("-2..2", "-69..69"))
+        assert narrow == wide
+
+
 @pytest.mark.parametrize("sub", ["heat", "spectrum"])
 def test_non_positive_model_exits_invalid(tmp_path, sub):
     # m^2 - 9 vanishes at m = 3 and is negative below it, so the low modes

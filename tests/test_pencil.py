@@ -14,7 +14,7 @@ from conespec.asymptotics import HEAT_CUTOFF_EXPONENT, _gauss_panels
 from conespec.coneop import (Discretization, discretize, eigenvalues,
                              laplace_type)
 from conespec.errors import ConfigurationError, NumericalError
-from conespec.traces import WeightOperator
+from conespec.traces import _CONTOUR_NODES, WeightOperator
 
 # first eigenvalue of the ACCEPT-01 problem as the hand-rolled pencil
 # bisection computed it; LAPACK bisection at its default abstol gives 20.2092
@@ -31,8 +31,7 @@ def test_lapack_values_outside_the_pencil_count_are_refused(monkeypatch):
     disc = discretize(laplace_type(1.5, mode_cap=0), -12.0, 400)
     d, e = disc.matrix(0)
     vals = pencil.eig_pencil(d, e, disc.w, lam_max=100.0)
-    monkeypatch.setattr(pencil, "eigh_tridiagonal",
-                        lambda *args, **kwargs: vals * (1 + 1e-9))
+    monkeypatch.setattr(pencil, "_bisect", lambda *args: vals * (1 + 1e-9))
     with pytest.raises(NumericalError):
         pencil.eig_pencil(d, e, disc.w, lam_max=vals[-1])
 
@@ -161,8 +160,9 @@ def _store_sweep_reference(d, e, w, lams, bdiag, N):
 
 
 def _contour_case(npoints):
-    # heat_trace_contour's 336 nodes at t = 45 / 700 on four mode classes,
-    # weighted by x^(-1) phi, as the weighted benchmark studies sweep them
+    # a fixed stress set of 336 shifts: 14 geometric panels of 24 Gauss
+    # nodes on the ray -1 + u e^(i pi/4), reaching u = 46 / (t cos(pi/4)) at
+    # t = 45 / 700, on four mode classes weighted by x^(-1) phi
     disc = discretize(laplace_type(1.5, mode_cap=3), -6.0, npoints)
     ds = np.array([disc.matrix(modes[0])[0] for modes in disc.mode_classes()])
     e = disc.matrix(0)[1]
@@ -174,6 +174,15 @@ def _contour_case(npoints):
     return ds, e, disc.w, lams, WeightOperator(beta=1.0).multiplier(disc.x)
 
 
+def _parabola_nodes(ds, e, w, t):
+    # heat_trace_contour's 19 swept nodes sigma - mu (1 + i u)^2 at t
+    lam_min = min(pencil._lowest_eigenvalue(d, e, w) for d in ds)
+    sigma = max(-1.0, lam_min - 1.0 / t)
+    nq = _CONTOUR_NODES
+    mu = math.pi * nq / (12.0 * t)
+    return sigma - mu * (1.0 + 1j * (3.0 / nq) * np.arange(nq + 1)) ** 2
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_trace_weighted_resolvent_matches_the_store_sweep(N):
     ds, e, w, lams, b = _contour_case(150)
@@ -181,6 +190,27 @@ def test_trace_weighted_resolvent_matches_the_store_sweep(N):
     got = pencil.trace_weighted_resolvent(ds, e, w, lams, bdiag=b, N=N)
     ref = _store_sweep_reference(ds, e, w, lams, b, N)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("t", [45.0 / 700.0, 1.0, 5.0])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_trace_weighted_resolvent_matches_the_store_sweep_on_the_parabola(N, t):
+    ds, e, w, _, b = _contour_case(150)
+    lams = _parabola_nodes(ds, e, w, t)
+    assert lams.shape == (19,)
+    got = pencil.trace_weighted_resolvent(ds, e, w, lams, bdiag=b, N=N)
+    ref = _store_sweep_reference(ds, e, w, lams, b, N)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_lowest_eigenvalue_equals_the_polished_one():
+    # bisection alone, without eig_pencil's Sturm count and polish
+    disc = discretize(laplace_type(1.5, mode_cap=3), -12.0, 2000)
+    for m in disc.mode_list():
+        d, e = disc.matrix(m)
+        ref = pencil.eig_pencil(d, e, disc.w, count=1)[0]
+        got = pencil._lowest_eigenvalue(d, e, disc.w)
+        assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_trace_weighted_resolvent_memory_stays_bounded():

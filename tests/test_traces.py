@@ -139,6 +139,30 @@ def test_contour_equals_eigen_sums_to_roundoff(small_disc, N):
     assert abs(con - w_val) <= 1e-10 * w_val
 
 
+@pytest.mark.parametrize("t", [1.0, 2.0, 5.0])
+def test_contour_equals_eigen_sums_at_large_times(small_disc, t):
+    # the vertex follows the lowest eigenvalue, so the node sum does not
+    # cancel as exp(-t lam_min) shrinks
+    (eig_val,), _ = grid_spectral_data(small_disc, 6000.0).heat_sum([t])
+    assert abs(heat_trace_contour(small_disc, t) - eig_val) <= 1e-10 * eig_val
+    B = WeightOperator(beta=1.0)
+    w_val, _ = weighted_spectral_data(small_disc, B, 6000.0).heat_value(t)
+    con = heat_trace_contour(small_disc, t, bdiag=B.multiplier(small_disc.x))
+    assert abs(con - w_val) <= 1e-10 * w_val
+
+
+def test_contour_refuses_a_trace_that_cancels(small_disc):
+    # b1 - (T1 / T2) b2 for the two half-grid indicators has trace 0 up to
+    # rounding, which the node sum cannot resolve
+    t = 0.02
+    b1 = (np.arange(small_disc.npoints) < small_disc.npoints // 2) * 1.0
+    b2 = 1.0 - b1
+    T1, T2 = (heat_trace_contour(small_disc, t, bdiag=b) for b in (b1, b2))
+    with pytest.raises(NumericalError, match="rounding") as err:
+        heat_trace_contour(small_disc, t, bdiag=b1 - (T1 / T2) * b2)
+    assert err.value.payload["rounding"] > abs(err.value.payload["value"]) * 1e-10
+
+
 @pytest.mark.parametrize("t", [0.0, -0.01, math.nan, math.inf])
 def test_contour_rejects_bad_time(small_disc, t):
     with pytest.raises(ConfigurationError):
