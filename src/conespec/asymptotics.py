@@ -755,9 +755,14 @@ class ZetaContinuation:
 
     # -- raw pieces ---------------------------------------------------------
 
-    def _upper_integral(self, z):
-        total = np.sum(self._wq * np.exp(-z * self._vq) * self._fq)
-        return self.t0 ** (-z) * total
+    def _upper_integral(self, zs):
+        """int_t0^t_max t^(-z-1) Theta(t) dt for each z of the sequence
+        ``zs``, as t0^(-z) times the sum over the nodes v of w e^(-z v)
+        Theta(t0 e^v): one (len(zs), nodes) array, summed along the nodes.
+        t0^(-z) is taken per z, with the type each z comes in."""
+        z = np.asarray(zs, dtype=complex)[:, None]
+        total = np.sum(self._wq * np.exp(-z * self._vq) * self._fq, axis=1)
+        return np.array([self.t0 ** (-z) for z in zs]) * total
 
     def truncation_bound(self, z):
         """Bound on |zeta(z)| dropped by stopping the integral at t_max.
@@ -781,10 +786,15 @@ class ZetaContinuation:
         return float(self._theta_max * piece * abs(rgamma(-z)))
 
     def mellin_value(self, z):
-        total = self._upper_integral(z)
+        return self._mellin_values([z])[0]
+
+    def _mellin_values(self, zs):
+        """Gamma(-z) zeta(z) for each z of the sequence ``zs``."""
+        total = self._upper_integral(zs)
         for term in self.fit.terms:
-            total += term.coeff * mellin_t_power(term.gamma, term.logpow,
-                                                 self.t0, z)
+            total += term.coeff * np.array(
+                [mellin_t_power(term.gamma, term.logpow, self.t0, z)
+                 for z in zs])
         return total
 
     def value(self, z):
@@ -806,10 +816,17 @@ class ZetaContinuation:
         which automatically accounts for the zeros of 1/Gamma at
         nonnegative integers.  A Laurent coefficient counts as present when
         it exceeds 1e-6 times the circle maximum (in circle units).
+
+        With real heat values and real fitted coefficients, zeta(conj z) =
+        conj zeta(z), so the residue at a (real) fitted exponent is real:
+        only the real part of the circle's Laurent coefficient is kept, its
+        imaginary part being roundoff.
         """
         if self._poles is not None:
             return self._poles
         radius, M = 0.03, 32
+        real = np.isrealobj(self._fq) and all(
+            complex(term.coeff).imag == 0 for term in self.fit.terms)
         out = []
         seen = set()
         for term in self.fit.terms:
@@ -819,7 +836,7 @@ class ZetaContinuation:
             seen.add(g)
             z0 = complex(term.gamma)
             zs = z0 + radius * np.exp(2j * math.pi * np.arange(M) / M)
-            vals = np.array([self.mellin_value(z) * rgamma(-z) for z in zs])
+            vals = self._mellin_values(zs) * rgamma(-zs)
             v_scale = float(np.max(np.abs(vals)))
             co = {k: np.mean(vals * np.exp(2j * math.pi * k * np.arange(M) / M))
                   * radius ** k for k in (1, 2, 3)}
@@ -831,7 +848,8 @@ class ZetaContinuation:
             if order == 0:
                 continue
             tag = self._lattice_tag(term.gamma)
-            out.append(PoleInfo(z0, order, co[1], tag))
+            residue = complex(co[1].real) if real else complex(co[1])
+            out.append(PoleInfo(z0, order, residue, tag))
         out.sort(key=lambda p: p.z.real)
         self._poles = out
         return out

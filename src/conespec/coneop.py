@@ -19,6 +19,7 @@ weight e^(mu s) of a generalized eigenproblem, solved by pencil bisection
 norm is the weighted grid norm used throughout.
 """
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -53,9 +54,15 @@ class ConeOperator:
     mu : positive float, weight order (the x^(-mu) prefactor).
     modes : (mmin, mmax) inclusive mode range.
     coeffs : callable (m, x) -> coefficient list [c0, c1, ..., cdeg], smooth
-        on [0, 1]; its value at x = 0 is the conormal data.
+        on [0, 1]; its value at x = 0 is the conormal data.  Every mode's
+        list has the same length deg + 1.
     x_dependent : False reads the rule at x = 0 only (frozen coefficients).
     alpha : weight line of the intended realization.
+
+    The rule is evaluated at x = 0 once per mode, one mode at a time, at
+    construction: ``_table`` holds the conormal data, a read-only complex
+    array with one row per mode in mode order, which the checks and the
+    mode classes read as a whole.
     """
 
     # dimension of the cone (0, 1] x S^1: the radial variable and the circle
@@ -73,19 +80,32 @@ class ConeOperator:
         self.is_frozen = not x_dependent
         self.alpha = float(alpha)
         self.label = label
-        self._tip = {}
-        self._validate()
+        self._table = self._indicial_table()
+        self._tip = dict(zip(self.mode_list(), self._table))
+        lead = self._table[:, -1]
+        bad = np.flatnonzero(np.abs(lead) < 1e-8)
+        if len(bad):
+            i = bad[0]
+            raise ConfigurationError(
+                "leading indicial coefficient degenerates (not b-elliptic)",
+                mode=self.modes[0] + int(i), leading=complex(lead[i]))
 
-    def _validate(self):
-        for m in self.mode_list():
-            base = self.indicial(m)
-            if base.ndim != 1 or len(base) < 1:
-                raise ConfigurationError("indicial coefficients must be a flat list",
-                                         mode=m)
-            if abs(base[-1]) < 1e-8:
-                raise ConfigurationError(
-                    "leading indicial coefficient degenerates (not b-elliptic)",
-                    mode=m, leading=complex(base[-1]))
+    def _indicial_table(self):
+        """The rule at x = 0, one row per mode; a mode whose list is not
+        flat, is empty or differs in length from the first is refused."""
+        rows = [self._rule(m, 0.0) for m in self.mode_list()]
+        try:
+            table = np.array(rows, dtype=complex)
+        except ValueError:  # lists of different lengths
+            table = None
+        if table is None or table.ndim != 2 or table.shape[1] < 1:
+            width = np.size(rows[0])
+            for m, row in zip(self.mode_list(), rows):
+                if np.ndim(row) != 1 or len(row) == 0 or len(row) != width:
+                    raise ConfigurationError(
+                        "indicial coefficients must be a flat list", mode=m)
+        table.flags.writeable = False
+        return table
 
     def mode_list(self):
         return list(range(self.modes[0], self.modes[1] + 1))
@@ -93,16 +113,14 @@ class ConeOperator:
     def mode_classes(self):
         """Modes with bitwise equal indicial coefficients, one list per
         class, in mode order: each class poses one conormal problem."""
-        return _classes((m, self.indicial(m).tobytes())
-                        for m in self.mode_list())
+        row_bytes = self._table.itemsize * self._table.shape[1]
+        rows = self._table.view(f"V{row_bytes}").ravel().tolist()
+        return _classes(zip(self.mode_list(), rows))
 
     def indicial(self, m):
-        """The conormal coefficients [c0(0), ..., cdeg(0)] of mode m, a
-        read-only complex array."""
-        if m not in self._tip:
-            tip = np.array(self._rule(m, 0.0), dtype=complex)
-            tip.flags.writeable = False
-            self._tip[m] = tip
+        """The conormal coefficients [c0(0), ..., cdeg(0)] of mode m, its
+        row of the indicial table: the same read-only complex array on
+        every call."""
         return self._tip[m]
 
     def coeffs(self, m, x):
@@ -113,11 +131,14 @@ class ConeOperator:
                 for c in values]
 
     def frozen(self):
-        """The dilation-invariant model obtained by freezing coefficients at x=0."""
+        """The dilation-invariant model obtained by freezing coefficients at
+        x=0; it shares this operator's indicial table."""
         if self.is_frozen:
             return self
-        return ConeOperator(self.mu, self.modes, self._rule,
-                            alpha=self.alpha, label=self.label + ":frozen")
+        out = copy.copy(self)
+        out.is_frozen = True
+        out.label = self.label + ":frozen"
+        return out
 
     def with_modes(self, mode_cap):
         """Rematerialize the same coefficient rule on a wider mode window."""
@@ -315,19 +336,20 @@ _MIN_WEIGHT_EXPONENT = -300.0
 
 
 def _check_degree2(op):
-    for m in op.mode_list():
-        base = op.indicial(m)
-        if len(base) != 3:
-            raise ConfigurationError(
-                "grid realization supports degree 2 polynomials", mode=m)
-        if abs(base[1]) > 1e-14:
-            raise ConfigurationError(
-                "grid realization requires a vanishing first order coefficient",
-                mode=m)
-        if abs(base[2].imag) > 1e-14 or base[2].real <= 0:
-            raise ConfigurationError(
-                "grid realization requires a positive real leading coefficient",
-                mode=m)
+    table = op._table
+    if table.shape[1] != 3:
+        raise ConfigurationError(
+            "grid realization supports degree 2 polynomials", mode=op.modes[0])
+    first = np.abs(table[:, 1]) > 1e-14
+    lead = (np.abs(table[:, 2].imag) > 1e-14) | (table[:, 2].real <= 0)
+    bad = np.flatnonzero(first | lead)
+    if len(bad):
+        i = bad[0]
+        raise ConfigurationError(
+            "grid realization requires a vanishing first order coefficient"
+            if first[i] else
+            "grid realization requires a positive real leading coefficient",
+            mode=op.modes[0] + int(i))
 
 
 def discretize(op, s_min, npoints):
@@ -688,6 +710,19 @@ class SpectralData:
         modes = self.modes()
         self._lams = np.concatenate([np.empty(0)] + [self.eigs[m] for m in modes])
         self._lams.flags.writeable = False
+        # the eigenvalues of one mode per class of bitwise equal spectra (m
+        # and -m, when the coefficients depend on m^2); entry j of mode m
+        # in _lams is entry start[m] + j of _distinct
+        classes = _classes((m, self.eigs[m].tobytes()) for m in modes)
+        self._distinct = np.concatenate(
+            [np.empty(0)] + [self.eigs[ms[0]] for ms in classes])
+        sizes = [len(self.eigs[ms[0]]) for ms in classes]
+        start = {m: s for ms, s in zip(classes, np.cumsum([0] + sizes))
+                 for m in ms}
+        counts = np.array([len(self.eigs[m]) for m in modes], dtype=np.int64)
+        shift = np.array([start[m] for m in modes], dtype=np.int64) - (
+            np.cumsum(counts) - counts)
+        self._gather = np.repeat(shift, counts) + np.arange(len(self._lams))
         # tail row (c1, edge) of a mode: its missing eigenvalues continue the
         # Weyl fit (slope at least 1e-3) from k = n + 1 on, above lam_max
         c1, c0, n = np.reshape([(*self.weyl.get(m, (math.pi, 0.0)),
@@ -710,10 +745,15 @@ class SpectralData:
         return self._lams
 
     def eig_sums(self, f, params):
-        """Per p of 1-D ``params``, the sum of f(p, lam) over the eigenvalues."""
+        """Per p of 1-D ``params``, the sum of f(p, lam) over the eigenvalues.
+
+        f is evaluated once per distinct spectrum of a mode class, and one
+        gather lays the values out per mode, so every summand and the
+        summation order are those of summing f(p, lam) over ``_lams``."""
         step = max(1, 2 ** 14 // max(len(self._lams), 1))  # <= 2^14 elements
         return np.concatenate([np.empty(0)] + [
-            np.sum(f(params[i:i + step, None], self._lams), axis=1)
+            np.sum(np.take(f(params[i:i + step, None], self._distinct),
+                           self._gather, axis=1), axis=1)
             for i in range(0, len(params), step)])
 
     # -- tail machinery -----------------------------------------------------
@@ -740,7 +780,8 @@ class SpectralData:
         rez = complex(z).real
         if rez >= -0.5:
             raise ConfigurationError("power sums need Re z < -1/2", z=complex(z))
-        val = np.sum(self._lams.astype(complex) ** complex(z))
+        val = np.sum(np.take(self._distinct.astype(complex) ** complex(z),
+                             self._gather))
         # integral of (c1 k + c0)^(2 Re z) dk from each row's edge; for an
         # unmaterialized mode its first term plus that integral at slope pi
         nus = np.maximum(self.extra_nus, 1.0)
@@ -758,13 +799,19 @@ class SpectralData:
 
 
 def _weyl_fit(lams):
+    """(c1, c0) of the least-squares line sqrt(lam_k) ~ c1 k + c0, k = 1,
+    2, ..., through the top half of the eigenvalues: the estimator of
+    ``np.polyfit(k, sqrt(lam), 1)``, from sums centered on the mean k.
+    Under four eigenvalues the line has slope pi through the first."""
     lams = np.asarray(lams, dtype=float)
     if len(lams) < 4:
         return (math.pi, float(np.sqrt(lams[0])) - math.pi if len(lams) else 0.0)
-    k = np.arange(1, len(lams) + 1, dtype=float)
     half = len(lams) // 2
-    c1, c0 = np.polyfit(k[half:], np.sqrt(lams[half:]), 1)
-    return float(c1), float(c0)
+    y = np.sqrt(lams[half:])
+    n = len(y)
+    dk = np.arange(n) - 0.5 * (n - 1)  # k - mean k, exact
+    c1 = float(np.sum(dk * y)) / (n * (n * n - 1) / 12.0)
+    return c1, float(np.mean(y)) - c1 * 0.5 * (half + 1 + len(lams))
 
 
 def _spectral_data(op, solved, lam_max, provenance, meta, cls=SpectralData,
@@ -800,19 +847,23 @@ def _spectral_data(op, solved, lam_max, provenance, meta, cls=SpectralData,
             for key, value in elements(m, vals, *data).items():
                 fields.setdefault(key, {})[m] = value
     floor = _frozen_nu if provenance == "oracle" else _mode_nu_floor
-    extra = sorted(floor(op, m) for m in op.mode_list() if m not in eigs)
+    extra = np.sort(floor(op, [m for m in op.mode_list() if m not in eigs]))
     meta = {"mu": op.mu, "n": op.n, "mu_prime": 0.0, "beta": 0.0,
             "operator": op.label, **meta}
-    return cls(eigs, float(lam_max), provenance, meta, weyl,
-               np.asarray(extra), **fields)
+    return cls(eigs, float(lam_max), provenance, meta, weyl, extra, **fields)
 
 
-def _frozen_nu(op, m):
-    c0 = op.indicial(m)[0]
-    if abs(c0.imag) > 1e-12 or c0.real <= 0:
+def _frozen_nu(op, modes):
+    """sqrt(c0(0)) of each mode of ``modes``; the first mode whose constant
+    is not positive real is refused."""
+    modes = np.asarray(modes, dtype=np.int64)
+    c0 = op._table[modes - op.modes[0], 0]
+    bad = np.flatnonzero((np.abs(c0.imag) > 1e-12) | (c0.real <= 0))
+    if len(bad):
+        i = bad[0]
         raise ConfigurationError("mode constant must be positive real",
-                                 mode=m, value=complex(c0))
-    return math.sqrt(c0.real)
+                                 mode=int(modes[i]), value=complex(c0[i]))
+    return np.sqrt(c0.real)
 
 
 def oracle_spectral_data(op, lam_max):
@@ -830,17 +881,23 @@ def oracle_spectral_data(op, lam_max):
     _check_degree2(op)
     # one order per mode class; the zeros of all of them come from one call
     classes = op.mode_classes()
-    zeros = bessel_zeros([_frozen_nu(op, modes[0]) for modes in classes],
+    zeros = bessel_zeros(_frozen_nu(op, [modes[0] for modes in classes]),
                          j_max=math.sqrt(lam_max))
     return _spectral_data(op, [(modes, z * z) for modes, z in zip(classes, zeros)],
                           lam_max, "oracle", {})
 
 
-def _mode_nu_floor(op, m):
-    """Lower bound for sqrt of the lowest eigenvalue of one mode."""
-    c0 = op.indicial(m)[0]
-    shift = op.coeffs(m, np.linspace(0.0, 1.0, 33))[0] - c0
-    return math.sqrt(max(c0.real - float(np.max(np.abs(shift))), 0.25))
+def _mode_nu_floor(op, modes):
+    """Lower bounds for sqrt of the lowest eigenvalue of each mode of
+    ``modes``: sqrt(c0(0) - max |c0(x) - c0(0)|), at least 1/2."""
+    modes = np.asarray(modes, dtype=np.int64)
+    c0 = op._table[modes - op.modes[0], 0]
+    shift = 0.0
+    if not op.is_frozen:
+        x = np.linspace(0.0, 1.0, 33)
+        shift = np.array([float(np.max(np.abs(op.coeffs(m, x)[0] - c)))
+                          for m, c in zip(modes.tolist(), c0)])
+    return np.sqrt(np.maximum(c0.real - shift, 0.25))
 
 
 def grid_spectral_data(disc, lam_max):

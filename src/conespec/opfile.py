@@ -11,12 +11,14 @@ nesting.  Operator files use the keys
     coeff[2] = 1                 # optionally with x dependence
 
 The coefficients form one rule (m, x) -> [c0, ..., cdeg] whose value at
-x = 0 is the conormal data.  The operator depends on x when an expression
-names x (``0*x`` counts); the grid refuses an x-dependent coeff[1] or
-coeff[2].  Every number is checked at parse time: ``mu`` and ``alpha``
-must be finite, and each coefficient must evaluate to a finite value at
-x = 0 for every declared mode (and wherever it is evaluated later);
-anything else is a ConfigurationError naming the key.
+x = 0 is the conormal data; every mode's list has the operator's degree,
+a missing coeff[j] below it being 0.  The operator depends on x when an
+expression names x (``0*x`` counts); the grid refuses an x-dependent
+coeff[1] or coeff[2].  Every number is checked at parse time: ``mu``
+and ``alpha`` must be finite, and each coefficient must evaluate to a
+finite value at x = 0 for every declared mode (and wherever it is
+evaluated later, such as the modes of a wider window); anything else is
+a ConfigurationError naming the key.
 """
 
 import cmath
@@ -81,7 +83,8 @@ def _finite_coeff(j, fn, m, x):
     """fn(m, x), or a ConfigurationError if it fails or is not finite."""
     try:
         v = fn(m, x)
-        finite = bool(np.all(np.isfinite(np.asarray(v, dtype=complex))))
+        finite = (bool(np.all(np.isfinite(np.asarray(v, dtype=complex))))
+                  if isinstance(v, np.ndarray) else cmath.isfinite(v))
     except (ArithmeticError, ValueError):
         finite = False
     if not finite:

@@ -434,6 +434,41 @@ def test_zeta_single_mode_pipeline():
     assert abs(v.real - 1.0 / 90.0) < 1e-8
 
 
+def test_pole_circle_is_mellin_value_node_by_node(zeta_cont):
+    # the 32 circle nodes are evaluated in one array: each node's value is
+    # mellin_value's, and the residue is the circle's first Laurent
+    # coefficient (real: real heat values and real fitted coefficients)
+    radius, M = 0.03, 32
+    nodes = np.exp(2j * math.pi * np.arange(M) / M)
+    poles = zeta_cont.pole_report()
+    assert len(poles) >= 3
+    for pole in poles:
+        zs = pole.z + radius * nodes
+        one_by_one = np.array([zeta_cont.mellin_value(z) for z in zs])
+        assert np.array_equal(zeta_cont._mellin_values(zs), one_by_one)
+        co1 = np.mean(one_by_one * rgamma(-zs) * nodes) * radius
+        assert pole.residue == complex(co1.real)
+
+
+def test_complex_fitted_coefficient_keeps_imaginary_residue():
+    # c t^(-1/2) contributes the residue -c / Gamma(1/2) at z = -1/2; with
+    # a complex c, zeta(conj z) = conj zeta(z) fails and Im survives
+    op = ConeOperator(2.0, (0, 0), lambda m, x: [0.25, 0.0, 1.0])
+    op.n = 1
+    sd = oracle_spectral_data(op, 1.0e5)
+    from conespec.asymptotics import FittedTerm, LogPolyExpansion
+    c = 0.2820947917738781 + 0.1j
+    fit = LogPolyExpansion([FittedTerm(-0.5, 0, c, True)], (1e-3, 0.105),
+                           1e-9, 1.0, {"mu": 2.0, "n": 1})
+    (pole,) = ZetaContinuation(sd, fit, t0=0.1).pole_report()
+    assert pole.z == -0.5 and pole.order == 1
+    assert abs(pole.residue.imag + 0.1 / math.sqrt(math.pi)) < 1e-9
+    real_fit = LogPolyExpansion([FittedTerm(-0.5, 0, c.real, True)],
+                                (1e-3, 0.105), 1e-9, 1.0, {"mu": 2.0, "n": 1})
+    (pole,) = ZetaContinuation(sd, real_fit, t0=0.1).pole_report()
+    assert pole.residue.imag == 0.0
+
+
 def test_zeta_truncation_bound_covers_neglected_integral(zeta_cont):
     # the continuation integrates the heat trace over t0 e^v, v in
     # [0, v_max]; measure the piece beyond v_max directly on [v_max, v_max + 5]

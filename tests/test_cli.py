@@ -355,6 +355,38 @@ def test_malformed_operator_file_exits_invalid(tmp_path, old, new, key):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("expr, mode", [
+    ("1/(m - 5) + 2.25", 5),
+    ("m^2 + 2.25 + 1e308/(1 + (m^2 - 25)^2)*10", -5),
+    ("m^2 + 2.25 + (1e308/(1 + (m^2 - 25)^2)*10 - 1e308/(1 + (m^2 - 25)^2)*10)",
+     -5),
+], ids=["pole", "inf", "nan"])
+def test_coefficient_not_finite_on_a_wider_window_is_refused(tmp_path, expr,
+                                                             mode):
+    # finite on the declared modes -2..2, not at m = 5 (and -5): widening
+    # the window names the key and the first such mode
+    (tmp_path / "w.op").write_text(LAPLACE_OP.replace(
+        "modes = -8..8", "modes = -2..2").replace(
+        "coeff[0] = m^2 + 2.25", f"coeff[0] = {expr}"))
+    op = parse_operator(tmp_path / "w.op")
+    with pytest.raises(ConfigurationError, match="not finite") as err:
+        op.with_modes(6)
+    assert err.value.payload["key"] == "coeff[0]"
+    assert err.value.payload["m"] == mode
+
+
+def test_shipped_zeta_writes_real_residues(tmp_path):
+    # real heat values and real fitted coefficients: zeta(conj z) is
+    # conj zeta(z), so every residue at a fitted exponent is real
+    out = tmp_path / "out"
+    assert main(["zeta", "--config", str(CONFIGS / "zeta.cfg"),
+                 "--out", str(out)]) == 0
+    rows = (out / "poles.csv").read_text().splitlines()[2:]
+    assert len(rows) == 5
+    for row in rows:
+        assert row.split(",")[4] == "0.000000000000e+00"
+
+
 @pytest.mark.parametrize("coeffs, key", [
     ("coeff[1] = 0.3*x\ncoeff[2] = 1 + 3*x", "coeff[1]"),
     ("coeff[2] = 1 + 3*x", "coeff[2]"),

@@ -97,6 +97,34 @@ def test_one_coefficient_rule_gives_conormal_data_and_x_values():
     assert np.array_equal(wide.coeffs(4, x)[0], 18.25 + 0.5 * x * np.cos(1.3 * x))
 
 
+def test_rule_whose_lists_differ_in_length_between_modes_is_refused():
+    # every mode's list has the operator's degree: mode 1 drops c2
+    op_rule = lambda m, x: [m * m + 2.25, 0.0, 1.0] if m < 1 else [m * m + 2.25, 1.0]
+    with pytest.raises(ConfigurationError, match="flat list") as err:
+        ConeOperator(2.0, (-2, 2), op_rule)
+    assert err.value.payload["mode"] == 1
+
+
+def test_leading_coefficient_degenerating_on_a_wider_window_is_refused():
+    # c2 vanishes at m = -5 and 5 only: the declared window is fine, and
+    # widening it is refused at the first such mode
+    op = ConeOperator(2.0, (-2, 2),
+                      lambda m, x: [m * m + 2.25, 0.0, 1.0 - (m * m == 25)])
+    with pytest.raises(ConfigurationError, match="not b-elliptic") as err:
+        op.with_modes(6)
+    assert err.value.payload["mode"] == -5
+    assert err.value.payload["leading"] == 0.0
+
+
+def test_indicial_table_rows_are_the_rule_at_zero_per_mode():
+    op = perturbed_laplace(1.5, mode_cap=3, strength=0.5)
+    for m in op.mode_list():
+        assert np.array_equal(op.indicial(m), [m * m + 2.25, 0.0, 1.0])
+        assert not op.indicial(m).flags.writeable
+    # the frozen model reads the same table
+    assert all(op.frozen().indicial(m) is op.indicial(m) for m in op.mode_list())
+
+
 # ---------------------------------------------------------------------------
 # discretization
 
@@ -537,6 +565,21 @@ def test_oracle_spectral_data_matches_per_mode_zeros():
         assert sd.weyl[m] == _weyl_fit(z * z)
     assert np.array_equal(sd.extra_nus, sorted(extra))
     assert not np.shares_memory(sd.eigs[3], sd.eigs[-3])
+
+
+def test_weyl_fit_agrees_with_polyfit_on_every_class(laplace_sd):
+    # the closed-form least-squares line is np.polyfit's estimator; the
+    # intercept is compared on the scale of the fitted sqrt(lam)
+    for m in range(0, 349):
+        lams = laplace_sd.eigs.get(m)
+        if lams is None or len(lams) < 4:
+            continue
+        half = len(lams) // 2
+        k = np.arange(1, len(lams) + 1, dtype=float)
+        p1, p0 = np.polyfit(k[half:], np.sqrt(lams[half:]), 1)
+        c1, c0 = _weyl_fit(lams)
+        assert abs(c1 - p1) <= 1e-13 * abs(p1)
+        assert abs(c0 - p0) <= 1e-13 * math.sqrt(lams[-1])
 
 
 def test_mcmahon_asymptotics():

@@ -56,7 +56,7 @@ def _per_mode_grid_spectral_data(disc, lam_max):
         if len(vals):
             eigs[m] = vals
             weyl[m] = _weyl_fit(vals)
-    extra = sorted(_mode_nu_floor(op, m) for m in op.mode_list()
+    extra = sorted(_mode_nu_floor(op, [m])[0] for m in op.mode_list()
                    if m not in eigs)
     return eigs, weyl, np.asarray(extra)
 
@@ -82,8 +82,8 @@ def _per_mode_weighted_spectral_data(disc, B, lam_cap):
                        float(min(max(q, 0.0), 1.5)))
         else:
             bfit[m] = (float(np.max(np.abs(bs))) * 2.0 + 1e-300, 0.0)
-    extra = np.asarray(sorted(_mode_nu_floor(op, m) for m in op.mode_list()
-                              if m not in pairs))
+    extra = np.asarray(sorted(_mode_nu_floor(op, [m])[0]
+                              for m in op.mode_list() if m not in pairs))
     return pairs, weyl, bfit, bmax, extra
 
 
@@ -120,7 +120,7 @@ def _per_mode_boundary_spectrum(op, strip):
 def _per_mode_oracle_spectral_data(op, lam_max):
     eigs, weyl, extra = {}, {}, []
     for m in op.mode_list():
-        nu = _frozen_nu(op, m)
+        nu = _frozen_nu(op, [m])[0]
         z = bessel_zeros([nu], j_max=math.sqrt(lam_max))[0]
         if len(z):
             eigs[m] = z * z
@@ -183,6 +183,29 @@ def test_oracle_spectral_data_equals_per_mode_zeros(odd_op):
         assert np.array_equal(sd.extra_nus, extra)
         assert sd.eigs and len(extra)
         _assert_unaliased(sd.eigs.values())
+
+
+def test_eigenvalue_sums_equal_the_sum_over_every_mode(odd_op):
+    # the sums evaluate f once per distinct spectrum and gather it per
+    # mode: every summand and the order of summation are those of the sum
+    # over every mode's eigenvalues, on oracle and grid data alike
+    ts = np.geomspace(1e-3, 0.5, 9)
+    shifts = -np.linspace(10.0, 150.0, 5).astype(complex)
+    resolvent = lambda lam, lams: (lams - lam) ** (-2.0)
+    for op in _operators(odd_op):
+        for sd in (oracle_spectral_data(op.frozen(), 1500.0),
+                   grid_spectral_data(discretize(op, -8.0, 300), 4000.0)):
+            lams = sd.all_eigs()
+            if op is not odd_op:
+                assert len(sd._distinct) < len(lams)  # m and -m pair
+            vals, _ = sd.heat_sum(ts)
+            assert all(v == np.sum(np.exp(-t * lams)) for t, v in zip(ts, vals))
+            sums = sd.eig_sums(resolvent, shifts)
+            assert all(v == np.sum(resolvent(lam, lams))
+                       for lam, v in zip(shifts, sums))
+            for z in (-2.0, -1.5 + 0.3j):
+                assert sd.power_sum(z)[0] == np.sum(lams.astype(complex)
+                                                    ** complex(z))
 
 
 def test_boundary_spectrum_equals_per_mode_roots(odd_op):
