@@ -28,7 +28,7 @@ from . import __version__, asymptotics, coneop, traces
 from . import index as indextools
 from . import oracles
 from .errors import ConespecError, ConfigurationError
-from .opfile import config_digest, parse_operator, parse_value, read_kv
+from .opfile import config_digest, parse_kv, parse_operator, parse_value
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -42,8 +42,16 @@ MAX_VERIFY_CASES = 100_000
 MAX_SPECTRAL_CUTOFF = 2.6e6
 
 
+def _digest(data):
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
 class Runner:
-    """Output collector: CSV files plus a MANIFEST with digests."""
+    """Output collector: CSV files plus a MANIFEST with digests.
+
+    ``operator_text`` is the text of the operator file the config names,
+    as ``main`` read it for the provenance digest (None when there is no
+    such file)."""
 
     def __init__(self, out_dir, provenance):
         self.out = Path(out_dir)
@@ -52,23 +60,29 @@ class Runner:
         self.files = []
         self.status = "complete"
         self.notes = []
+        self.operator_text = None
+        self._written = {}  # path -> (sha256, size) of each CSV written
 
     def write_csv(self, name, rows):
         path = self.out / name
         lines = [f"# provenance: {self.provenance}"]
         for row in rows:
             lines.append(",".join(str(c) for c in row))
-        path.write_text("\n".join(lines) + "\n")
+        data = ("\n".join(lines) + "\n").encode()
+        path.write_bytes(data)
         self.files.append(path)
+        self._written[path] = _digest(data)
         return path
 
     def finish(self):
+        """Write the MANIFEST: the digests of the CSVs as written, and of
+        any other listed file (a plot) as read back."""
         lines = [f"# provenance: {self.provenance}", f"status: {self.status}"]
         for note in self.notes:
             lines.append(f"note: {note}")
         for path in self.files:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{path.name} sha256:{digest} bytes:{path.stat().st_size}")
+            digest, size = self._written.get(path) or _digest(path.read_bytes())
+            lines.append(f"{path.name} sha256:{digest} bytes:{size}")
         (self.out / "MANIFEST").write_text("\n".join(lines) + "\n")
 
 
@@ -136,11 +150,12 @@ def _operator_path(kv, config_path):
     return op_path
 
 
-def _operator(kv, config_path):
+def _operator(kv, runner, config_path):
+    """The operator the config names, parsed from the text ``main`` read."""
     op_path = _operator_path(kv, config_path)
     if not op_path.exists():
         raise ConfigurationError("operator file not found", path=str(op_path))
-    return parse_operator(op_path)
+    return parse_operator(op_path, runner.operator_text)
 
 
 def _spectral(kv, runner, op, lam_max):
@@ -171,7 +186,7 @@ def _spectral(kv, runner, op, lam_max):
 
 
 def run_spectrum(kv, runner, args):
-    op = _operator(kv, args.config)
+    op = _operator(kv, runner, args.config)
     strip = _size(kv, "strip", 8.0, read=_f)
     lam_max = _cutoff(kv, "lam_max", 500.0)
     bspec = coneop.boundary_spectrum(op, strip)
@@ -201,7 +216,7 @@ def run_spectrum(kv, runner, args):
 
 
 def run_heat(kv, runner, args):
-    op = _operator(kv, args.config)
+    op = _operator(kv, runner, args.config)
     t_min, t_max = _positive(kv, "t_min", 1e-3), _positive(kv, "t_max", 0.12)
     lam_max = _cutoff(kv, "lam_max", asymptotics.HEAT_CUTOFF_EXPONENT / t_min)
     ts = np.geomspace(t_min, t_max, _count(kv, "t_count", 120))
@@ -231,7 +246,7 @@ def run_heat(kv, runner, args):
 
 
 def run_resolvent(kv, runner, args):
-    op = _operator(kv, args.config)
+    op = _operator(kv, runner, args.config)
     lam_spec = _cutoff(kv, "lam_max_spec", 2e4)
     mags = np.geomspace(_positive(kv, "lam_min", 1e2),
                         _positive(kv, "lam_max", 1e6), _count(kv, "count", 40))
@@ -264,7 +279,7 @@ def run_resolvent(kv, runner, args):
 
 
 def run_zeta(kv, runner, args):
-    op = _operator(kv, args.config)
+    op = _operator(kv, runner, args.config)
     t_min = _positive(kv, "t_min", 1e-3)
     t0 = _positive(kv, "t0", 0.1)
     lam_max = _cutoff(kv, "lam_max", asymptotics.HEAT_CUTOFF_EXPONENT / t_min)
@@ -312,7 +327,7 @@ def run_index(kv, runner, args):
     oracle = indextools.argument_principle_count(H)
     runner.notes.append(f"argument principle count {oracle}")
     if "operator" in kv:
-        op = _operator(kv, args.config)
+        op = _operator(kv, runner, args.config)
         disc = coneop.discretize(op, _f(kv, "s_min", -10.0),
                                  _i(kv, "npoints", 600))
         taus = [2.0 ** -k for k in range(2, 9)]
@@ -410,17 +425,22 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    # each input is read once, for its digest and its parse
     config_path = Path(args.config)
-    found = config_path.exists()
-    digest = config_digest(config_path) if found else "missing"
+    data = config_path.read_bytes() if config_path.exists() else None
+    digest = "missing" if data is None else config_digest(data)
     runner = Runner(args.out, f"config={digest} seed={args.seed}")
     try:
-        if not found:
+        if data is None:
             raise ConfigurationError("config not found", path=str(config_path))
-        kv = read_kv(config_path)
+        kv = parse_kv(data.decode(), config_path)
         if "operator" in kv:
             op_path = _operator_path(kv, config_path)
-            op_digest = config_digest(op_path) if op_path.is_file() else "missing"
+            op_digest = "missing"
+            if op_path.is_file():
+                op_data = op_path.read_bytes()
+                runner.operator_text = op_data.decode()
+                op_digest = config_digest(op_data)
             runner.provenance += f" operator={op_digest}"
         runner.provenance += f" conespec={__version__}"
         code = SUBCOMMANDS[args.subcommand](kv, runner, args)

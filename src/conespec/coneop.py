@@ -201,15 +201,31 @@ class BoundarySpectrum:
         return out
 
 
-def _polish_root(coeffs, z):
-    # four Newton steps on p(z); coeffs ascending
-    p = np.polynomial.Polynomial(coeffs)
-    dp = p.deriv()
+# the default domain map z -> 0 + 1 z of np.polynomial.Polynomial, whose
+# sum turns a -0.0 real part into +0.0
+_DOMAIN_OFF, _DOMAIN_SCL = np.float64(0.0), np.float64(1.0)
+
+
+def _poly_value(c, z):
+    """Polynomial(c)(z) without the object: the domain map, then Horner's
+    rule from the top as ``polyval`` runs it, on the same scalar types; c
+    ascending, integer dtypes promoted to float as ``polyval`` does."""
+    if c.dtype.char in "?bBhHiIlLqQpP":
+        c = c + 0.0
+    x = _DOMAIN_OFF + _DOMAIN_SCL * z
+    value = c[-1] + x * 0
+    for a in c[-2::-1]:
+        value = a + value * x
+    return value
+
+
+def _polish_root(c, dc, z):
+    # four Newton steps on p(z), coefficients c of p and dc of p' ascending
     for _ in range(4):
-        dz = dp(z)
+        dz = _poly_value(dc, z)
         if abs(dz) < 1e-14:
             break
-        z = z - p(z) / dz
+        z = z - _poly_value(c, z) / dz
     return z
 
 
@@ -227,7 +243,8 @@ def boundary_spectrum(op, strip):
         coeffs = op.indicial(m)
         if len(coeffs) == 1:
             continue  # constant invertible family, no roots
-        roots = np.polynomial.Polynomial(coeffs).roots()
+        poly = np.polynomial.Polynomial(coeffs)
+        roots = poly.roots()
         scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
         # cluster into multiplicities
         used = np.zeros(len(roots), dtype=bool)
@@ -242,12 +259,12 @@ def boundary_spectrum(op, strip):
                     group.append(roots[jdx])
                     used[jdx] = True
             clusters.append(group)
-        p = np.polynomial.Polynomial(coeffs)
+        dcoeffs = poly.deriv().coef
         for group in clusters:
             center = complex(np.mean(group))
             if len(group) == 1:
-                center = complex(_polish_root(coeffs, center))
-            resid = abs(p(center))
+                center = complex(_polish_root(coeffs, dcoeffs, center))
+            resid = abs(_poly_value(coeffs, center))
             tol = 1e-9 * (1.0 + np.sum(np.abs(coeffs)) * (1.0 + abs(center)) ** (len(coeffs) - 1))
             if resid > tol:
                 raise RootFindingError("indicial root failed to converge",
@@ -317,14 +334,19 @@ class Discretization:
         return self._cache[m]
 
     def apply(self, m, u):
-        """A u = x^(-mu) K u on the grid."""
+        """A u = x^(-mu) K u on the grid; a stack of vectors u along the
+        last axis gives the stack of A u."""
         return pencil._tridiag_matvec(*self.matrix(m), u) / self.w
 
     def inner_w(self, u, v):
-        return self.h * np.sum(np.conjugate(u) * v * self.w)
+        """Weighted grid inner product along the last axis: one value per
+        pair of vectors of the stacks u and v."""
+        return self.h * np.sum(np.conjugate(u) * v * self.w, axis=-1)
 
     def norm_w(self, u):
-        return math.sqrt(abs(self.inner_w(u, u)))
+        """Weighted grid norm along the last axis: one value per vector of
+        the stack u."""
+        return np.sqrt(np.abs(self.inner_w(u, u)))
 
 
 # 50 times the largest grid of any shipped config, test or benchmark (2000)
@@ -693,8 +715,10 @@ class SpectralData:
     ``eigs[m]`` holds every eigenvalue of mode m up to ``lam_max``
     (ascending).  ``weyl[m]`` is the linear fit sqrt(lam_k) ~ c1*(k+1)+c0
     used for tail bounds; ``extra_nus`` are square roots of the lowest
-    eigenvalue bound of the modes beyond the materialized range.  The sums
-    read one read-only array of all eigenvalues and one tail row per mode.
+    eigenvalue bound of the modes beyond the materialized range;
+    ``classes`` lists the modes of each solved class, which share one
+    spectrum.  The sums read one read-only array of all eigenvalues and
+    one tail row per mode.
     ``traces.WeightedSpectralData`` adds matrix elements; plain data are
     the identity weight's, whose mu' = beta = 0 ``meta`` carries.
     """
@@ -705,19 +729,19 @@ class SpectralData:
     meta: dict
     weyl: dict
     extra_nus: np.ndarray
+    classes: list
 
     def __post_init__(self):
         modes = self.modes()
         self._lams = np.concatenate([np.empty(0)] + [self.eigs[m] for m in modes])
         self._lams.flags.writeable = False
-        # the eigenvalues of one mode per class of bitwise equal spectra (m
-        # and -m, when the coefficients depend on m^2); entry j of mode m
-        # in _lams is entry start[m] + j of _distinct
-        classes = _classes((m, self.eigs[m].tobytes()) for m in modes)
+        # the eigenvalues of one mode per class (m and -m, when the
+        # coefficients depend on m^2); entry j of mode m in _lams is entry
+        # start[m] + j of _distinct
         self._distinct = np.concatenate(
-            [np.empty(0)] + [self.eigs[ms[0]] for ms in classes])
-        sizes = [len(self.eigs[ms[0]]) for ms in classes]
-        start = {m: s for ms, s in zip(classes, np.cumsum([0] + sizes))
+            [np.empty(0)] + [self.eigs[ms[0]] for ms in self.classes])
+        sizes = [len(self.eigs[ms[0]]) for ms in self.classes]
+        start = {m: s for ms, s in zip(self.classes, np.cumsum([0] + sizes))
                  for m in ms}
         counts = np.array([len(self.eigs[m]) for m in modes], dtype=np.int64)
         shift = np.array([start[m] for m in modes], dtype=np.int64) - (
@@ -816,12 +840,13 @@ def _weyl_fit(lams):
 
 def _spectral_data(op, solved, lam_max, provenance, meta, cls=SpectralData,
                    elements=lambda *_: {}):
-    """``cls`` from (modes, eigenvalues, *data) per mode class; each mode
+    """``cls`` from (modes, eigenvalues, *data) per mode class; the
+    classes with eigenvalues are its ``classes``, and each of their modes
     gets a copy of the eigenvalues, the class's Weyl fit and the subclass
     fields (name -> value) of ``elements(m, eigenvalues, *data)``.  A mode
     with no eigenvalues gives its floor to ``extra_nus``.  The metadata are
     the operator's mu, n and label, mu' = beta = 0 and ``meta``."""
-    eigs, weyl, fields = {}, {}, {}
+    eigs, weyl, fields, classes = {}, {}, {}, []
     for modes, vals, *data in solved:
         if not len(vals):
             continue
@@ -841,6 +866,7 @@ def _spectral_data(op, solved, lam_max, provenance, meta, cls=SpectralData,
                                      "quadratic counting law", mode=modes[0],
                                      drift=float(drift))
         fit = _weyl_fit(vals)
+        classes.append(list(modes))
         for m in modes:
             eigs[m] = vals.copy()
             weyl[m] = fit
@@ -850,7 +876,8 @@ def _spectral_data(op, solved, lam_max, provenance, meta, cls=SpectralData,
     extra = np.sort(floor(op, [m for m in op.mode_list() if m not in eigs]))
     meta = {"mu": op.mu, "n": op.n, "mu_prime": 0.0, "beta": 0.0,
             "operator": op.label, **meta}
-    return cls(eigs, float(lam_max), provenance, meta, weyl, extra, **fields)
+    return cls(eigs, float(lam_max), provenance, meta, weyl, extra, classes,
+               **fields)
 
 
 def _frozen_nu(op, modes):

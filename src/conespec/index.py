@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 # fit_expansion is not called here: perfbench/tracer.py wraps it by this name
 from .asymptotics import adaptive_gk21, fit_expansion  # noqa: F401
@@ -281,35 +281,30 @@ def invariance_red_to_const(disc, tau_list):
     op = disc.op
     disc0 = type(disc)(op.frozen(), disc.s_min, disc.s_max, disc.npoints)
     rng = np.random.default_rng(0)
-    mu = op.mu
+    # test vector i has the envelope x^(mu/2 + delta), delta the (i mod 3)-th
+    # decay, and the sine of frequency k = 1 + i mod 4, each made once
+    envs = [disc.x ** (op.mu / 2.0 + delta) for delta in (0.05, 0.3, 0.8)]
+    span, ds = disc.s_max - disc.s_min, disc.s - disc.s_min
+    sines = [np.sin(math.pi * k * ds / span + 0.0) for k in range(1, 5)]
+    wave = np.sin(2 * math.pi * ds / span)
     tests = []
-    decays = [0.05, 0.3, 0.8]
     for i in range(12):
-        delta = decays[i % len(decays)]
-        env = disc.x ** (mu / 2.0 + delta)
-        k = 1 + i % 4
+        env = envs[i % 3]
         phase = rng.uniform(0, 2 * math.pi)
-        u = env * np.sin(math.pi * k * (disc.s - disc.s_min)
-                         / (disc.s_max - disc.s_min) + 0.0) * math.cos(phase)
-        u = u + 0.3 * env * rng.standard_normal() * np.sin(
-            2 * math.pi * (disc.s - disc.s_min) / (disc.s_max - disc.s_min))
-        tests.append(u)
+        u = env * sines[i % 4] * math.cos(phase)
+        tests.append(u + 0.3 * env * rng.standard_normal() * wave)
     m0 = 0  # the reduction acts mode by mode; mode zero exercises it fully
-    # (A - A_0) u and the graph norm of u do not depend on tau
-    gaps, denoms = [], []
-    for u in tests:
-        au = disc.apply(m0, u)
-        gaps.append(au - disc0.apply(m0, u))
-        denoms.append(max(disc.norm_w(u) + disc.norm_w(au), 1e-300))
-    ratios = []
+    # (A - A_0) u and the graph norm of u do not depend on tau: one pass
+    # over the stack of test vectors, rows along the last axis
+    tests = np.array(tests)
+    au = disc.apply(m0, tests)
+    gaps = au - disc0.apply(m0, tests)
+    denoms = np.maximum(disc.norm_w(tests) + disc.norm_w(au), 1e-300)
     taus = np.asarray(sorted(tau_list, reverse=True), dtype=float)
-    for tau in taus:
+    ratios = np.empty(len(taus))
+    for i, tau in enumerate(taus):
         phi_tau = 1.0 - smoothstep(disc.x / tau - 1.0)
-        worst = 0.0
-        for gap, denom in zip(gaps, denoms):
-            worst = max(worst, disc.norm_w(phi_tau * gap) / denom)
-        ratios.append(worst)
-    ratios = np.asarray(ratios)
+        ratios[i] = np.max(disc.norm_w(phi_tau * gaps) / denoms)
     ok = ratios > 1e-14
     if ok.sum() >= 2:
         slope = float(np.polyfit(np.log(taus[ok]), np.log(ratios[ok]), 1)[0])
@@ -335,19 +330,55 @@ class SobolevReductionReport:
                    for r in self.rows)
 
 
+def _kernel_census(d, e):
+    """(kernel count, ambiguous) of the symmetric tridiagonal (d, e), by
+    Sturm counts alone (see ``invariance_red_to_sobolev``).  An order-1 or
+    zero matrix has neither a kernel count nor an ambiguity, and reaches no
+    LAPACK call: the wrapper takes no empty off-diagonal, and dstebz
+    refuses the empty interval (0, 0].
+    """
+    n = len(d)
+    if n == 1 or not (np.any(d) or np.any(e)):
+        return 0, False
+    # dstebz range 2 takes the eigenvalues of index il..iu, range 1 those
+    # in (vl, vu]; tolerance 0 is LAPACK's default
+    top = max(abs(_dstebz(d, e, 2, 0.0, 0.0, k)[1][0]) for k in (1, n))
+    small, band = (_dstebz(d, e, 1, -t, t, 0)[0]
+                   for t in (1e-8 * top, 1e-7 * top))
+    return small, band > small
+
+
+def _dstebz(d, e, kind, vl, vu, k):
+    """(count, eigenvalues) of one dstebz call with il = iu = k; a
+    bisection that does not converge raises NumericalError."""
+    m, vals, _, _, info = dstebz(d, e, kind, vl, vu, k, k, 0.0, "E")
+    if info != 0:
+        raise NumericalError("LAPACK bisection did not converge",
+                             info=int(info))
+    return int(m), vals
+
+
 def invariance_red_to_sobolev(disc, eps_list):
     """Kernel and cokernel dimensions of the weight-shifted realizations.
 
     On the truncated grid the factor x^eps is an invertible diagonal, so
     the dimensions are read from the singular values of the polynomial
     part.  That part is symmetric tridiagonal, so they are the absolute
-    values of its eigenvalues (LAPACK on the tridiagonal, once per mode
-    class; no dense matrix is built): those below 1e-8 of the largest
-    count as kernel, and those within a further factor 10 give an
-    UNDECIDED (None) dimension rather than a count.  An eps is flagged as a crossing when shifting the
-    weight by eps moves a boundary-spectrum pole (searched in
-    |Im sigma| <= mu + max |eps| + 2) across one of the reference lines
-    Im sigma = +-mu/2.
+    values of its eigenvalues, and they are counted, not solved for, once
+    per mode class (``_kernel_census``; no dense matrix is built).  Two
+    LAPACK bisections (dstebz) give the extreme eigenvalues, and with them
+    the largest absolute value ``top``.  By Sylvester's law of inertia, two
+    dstebz interval counts give the eigenvalues in (-t, t] at t = 1e-8 top,
+    which count as kernel, and at t = 1e-7 top: one more at the wider
+    threshold gives an UNDECIDED (None) dimension rather than a count.  An
+    interval count bisects only the eigenvalues inside it.  All run at
+    LAPACK's default tolerance, so an eigenvalue within its rounding (about
+    1e-16 top) of a threshold may count on either side; at 1e-8 top it
+    moves between kernel and undecided, which the band is there to absorb.
+
+    An eps is flagged as a crossing when shifting the weight by eps moves
+    a boundary-spectrum pole (searched in |Im sigma| <= mu + max |eps| + 2)
+    across one of the reference lines Im sigma = +-mu/2.
 
     On the grid the dimensions are therefore eps-invariant by construction
     and only ``crossing`` depends on eps; the polynomial part is symmetric,
@@ -360,13 +391,9 @@ def invariance_red_to_sobolev(disc, eps_list):
     ims = [p.sigma.imag for p in bspec.poles]
     total, undecided = 0, False
     for modes in disc.mode_classes():
-        sv = np.abs(eigvalsh_tridiagonal(*disc.matrix(modes[0])))
-        top = np.max(sv)
-        small = sv < 1e-8 * top
-        amb = (~small) & (sv < 10 * 1e-8 * top)
-        if np.any(amb):
-            undecided = True
-        total += len(modes) * int(np.sum(small))
+        count, ambiguous = _kernel_census(*disc.matrix(modes[0]))
+        undecided = undecided or ambiguous
+        total += len(modes) * count
     dim = None if undecided else total
     rows = []
     for eps in eps_list:

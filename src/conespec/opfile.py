@@ -37,8 +37,12 @@ _COEFF_RE = re.compile(r"^coeff\[(\d+)\]$")
 
 def read_kv(path):
     """Ordered key -> string value mapping from a flat config file."""
+    return parse_kv(Path(path).read_text(), path)
+
+
+def parse_kv(text, path):
+    """``read_kv`` on the text of the file ``path``, read by the caller."""
     out = {}
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,8 +55,9 @@ def read_kv(path):
     return out
 
 
-def config_digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+def config_digest(data):
+    """The provenance digest of a config or operator file's bytes."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _parse_modes(text):
@@ -93,9 +98,10 @@ def _finite_coeff(j, fn, m, x):
     return v
 
 
-def parse_operator(path):
-    """Build a ConeOperator from a definition file."""
-    kv = read_kv(path)
+def parse_operator(path, text=None):
+    """Build a ConeOperator from a definition file, or from its ``text``
+    when the caller has read it."""
+    kv = read_kv(path) if text is None else parse_kv(text, path)
     try:
         mu = parse_value("mu", kv["mu"])
         modes = _parse_modes(kv["modes"])

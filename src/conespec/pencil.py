@@ -145,9 +145,10 @@ def _start_vector(n):
 
 
 def _tridiag_matvec(d, e, v):
+    """K v along the last axis of v, a vector or a stack of vectors."""
     out = d * v
-    out[:-1] += e * v[1:]
-    out[1:] += e * v[:-1]
+    out[..., :-1] += e * v[..., 1:]
+    out[..., 1:] += e * v[..., :-1]
     return out
 
 

@@ -1,5 +1,5 @@
 """The paired-run summary of ``tools/bench.py --against``, on synthetic
-records: no subprocess and no worktree."""
+records: no subprocess and no copy of another revision."""
 
 import importlib.util
 import sys

@@ -127,8 +127,9 @@ npoints = 400
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         lines.append((out / "spectral.csv").read_text().splitlines()[0])
         assert lines[-1] == (
-            f"# provenance: config={config_digest(cfg)} seed=0 "
-            f"operator={config_digest(op)} conespec={conespec.__version__}")
+            f"# provenance: config={config_digest(Path(cfg).read_bytes())} "
+            f"seed=0 operator={config_digest(op.read_bytes())} "
+            f"conespec={conespec.__version__}")
         assert (out / "MANIFEST").read_text().splitlines()[0] == lines[-1]
     assert lines[0] != lines[1]
 
@@ -274,6 +275,24 @@ k_max = 2
     digest = hashlib.sha256(svg).hexdigest()
     assert (f"fit.svg sha256:{digest} bytes:{len(svg)}"
             in (out / "MANIFEST").read_text().splitlines())
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "heat", "resolvent", "zeta",
+                                 "index", "verify"])
+def test_manifest_digests_the_files_on_disk(tmp_path, sub):
+    # the digests and sizes are those of the bytes written; every output
+    # file is listed once
+    out = tmp_path / "out"
+    argv = [sub, "--config", str(CONFIGS / f"{sub}.cfg"), "--out", str(out)]
+    assert main(argv + ["--svg"] * (sub == "heat")) == 0
+    listed = [line.split() for line in (out / "MANIFEST").read_text().splitlines()
+              if " sha256:" in line]
+    assert sorted(name for name, _, _ in listed) == sorted(
+        p.name for p in out.iterdir() if p.name != "MANIFEST")
+    for name, digest, size in listed:
+        data = (out / name).read_bytes()
+        assert digest == f"sha256:{hashlib.sha256(data).hexdigest()}"
+        assert size == f"bytes:{len(data)}"
 
 
 OP_LINE = f"operator = {CONFIGS / 'laplace_a1.5.op'}\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, hessenberg
 
 from conespec import asymptotics
 from conespec import index as indexmod
@@ -404,26 +404,27 @@ def test_red_to_sobolev_flags_crossing():
     assert flags == [False, True, True]
 
 
-def _count_solves(monkeypatch):
+def _count_censuses(monkeypatch):
     calls = []
+    census = indexmod._kernel_census
 
     def counted(d, e):
         calls.append(len(d))
-        return eigvalsh_tridiagonal(d, e)
+        return census(d, e)
 
-    monkeypatch.setattr(indexmod, "eigvalsh_tridiagonal", counted)
+    monkeypatch.setattr(indexmod, "_kernel_census", counted)
     return calls
 
 
 def test_red_to_sobolev_solves_m_and_minus_m_once(monkeypatch):
-    # the shipped index study: modes -4..4 depend on m^2, so 5 solves
+    # the shipped index study: modes -4..4 depend on m^2, so 5 censuses
     op = parse_operator(CONFIGS / "laplace_perturbed.op")
     disc = discretize(op, -10.0, 600)
     total, undecided = 0, False
     for m in disc.mode_list():
         count, amb = _kernel_census(np.abs(eigvalsh_tridiagonal(*disc.matrix(m))))
         total, undecided = total + count, undecided or amb
-    calls = _count_solves(monkeypatch)
+    calls = _count_censuses(monkeypatch)
     eps = [0.0, 0.1, 0.3]
     rep = invariance_red_to_sobolev(disc, eps)
     assert len(calls) == 5
@@ -440,7 +441,61 @@ def test_red_to_sobolev_solves_every_mode_of_an_operator_odd_in_m(
     (tmp_path / "odd.op").write_text(text)
     op = parse_operator(tmp_path / "odd.op")
     disc = discretize(op, -6.0, 120)
-    calls = _count_solves(monkeypatch)
+    calls = _count_censuses(monkeypatch)
     rep = invariance_red_to_sobolev(disc, [0.0])
     assert len(calls) == len(disc.mode_list()) == 17
     assert rep.rows[0].dim_kernel == 0
+
+
+def _planted_tridiagonal(rng, values):
+    # a symmetric tridiagonal with the given eigenvalues, up to rounding:
+    # the Householder tridiagonal of Q diag(values) Q^T, Q random orthogonal
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    t = hessenberg((q * values) @ q.T)
+    return np.diag(t).copy(), np.diag(t, -1).copy()
+
+
+def _log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def test_interval_census_matches_dense_svd_on_planted_spectra():
+    # eigenvalues planted below 1e-8 of the largest, in the band up to
+    # 1e-7 and above it, each at least 1e-6 relative from both thresholds,
+    # with random signs and a random largest absolute value
+    rng = np.random.default_rng(7)
+    near = 1.0 + 1e-6
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        kernel, band = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        kernel, band = min(kernel, n - 1), min(band, n - 1 - min(kernel, n - 1))
+        rest = n - 1 - kernel - band
+        top = _log_uniform(rng, 1e-3, 1e3, 1)[0]
+        mags = np.concatenate([
+            [1.0],
+            _log_uniform(rng, 1e-14, 1e-8 / near, kernel),
+            _log_uniform(rng, 1e-8 * near, 1e-7 / near, band),
+            _log_uniform(rng, 1e-7 * near, 1.0, rest)])
+        values = top * mags * rng.choice([-1.0, 1.0], n)
+        d, e = _planted_tridiagonal(rng, values)
+        dense = np.linalg.svd(np.diag(d) + np.diag(e, 1) + np.diag(e, -1),
+                              compute_uv=False)
+        assert indexmod._kernel_census(d, e) == _kernel_census(dense) == \
+            (kernel, band > 0)
+
+
+@pytest.mark.parametrize("d, e", [([0.0], []), ([3.0], []), ([-2e-9], []),
+                                  ([0.0] * 2, [0.0]), ([0.0] * 7, [0.0] * 6)],
+                         ids=["order1_zero", "order1", "order1_tiny",
+                              "zero2", "zero7"])
+def test_census_of_order_one_and_zero_matrices_needs_no_lapack(
+        monkeypatch, d, e):
+    d, e = np.array(d), np.array(e)
+    today = _kernel_census(np.abs(eigvalsh_tridiagonal(d, e)))
+    assert today == (0, False)
+
+    def refused(*args):
+        raise AssertionError("reached LAPACK")
+
+    monkeypatch.setattr(indexmod, "dstebz", refused)
+    assert indexmod._kernel_census(d, e) == today

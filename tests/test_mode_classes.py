@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conespec import coneop, pencil
+from conespec import pencil
 from conespec.cli import main
 from conespec.coneop import (PoleEntry, _frozen_nu, _mode_nu_floor, _weyl_fit,
                              bessel_zeros, boundary_spectrum, discretize,
@@ -87,6 +87,18 @@ def _per_mode_weighted_spectral_data(disc, B, lam_cap):
     return pairs, weyl, bfit, bmax, extra
 
 
+def _polish_with_polynomials(coeffs, z):
+    # four Newton steps through np.polynomial.Polynomial objects
+    p = np.polynomial.Polynomial(coeffs)
+    dp = p.deriv()
+    for _ in range(4):
+        dz = dp(z)
+        if abs(dz) < 1e-14:
+            break
+        z = z - p(z) / dz
+    return z
+
+
 def _per_mode_boundary_spectrum(op, strip):
     poles = []
     for m in op.mode_list():
@@ -110,7 +122,7 @@ def _per_mode_boundary_spectrum(op, strip):
         for group in clusters:
             center = complex(np.mean(group))
             if len(group) == 1:
-                center = complex(coneop._polish_root(coeffs, center))
+                center = complex(_polish_with_polynomials(coeffs, center))
             if abs(center.imag) <= strip + 1e-12:
                 poles.append(PoleEntry(center, len(group), m))
     poles.sort(key=lambda p: (p.mode, p.sigma.real, p.sigma.imag))

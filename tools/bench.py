@@ -10,16 +10,16 @@ time; the commit, whether tracked files differ from it (the default label,
 the short hash, then ends in ``-dirty``), library versions and ``nproc``.
 All else goes to a temporary directory (``record.py`` uses ``.perfbench/``).
 
-With ``--against REV`` it writes BENCH_<label>-vs-<rev>.json instead: REV
-is checked out by ``git worktree add --detach`` into a temporary directory,
-and each of K pairs (default 8) runs ``perfbench/run.py --trace 0`` for
-the ``run_seconds`` of ``BENCHMARK.json`` once from REV's tree and once
-from this one, with the pair's seed (401, 402, ...), REV first in even
+With ``--against REV`` it writes BENCH_<label>-vs-<rev>.json instead: REV's
+tree is unpacked by ``git archive`` into a temporary directory, which
+leaves the repository's git metadata untouched, and each of K pairs
+(default 8) runs ``perfbench/run.py --trace 0`` for the ``run_seconds``
+of ``BENCHMARK.json`` once from REV's tree and once from this one, with the pair's seed (401, 402, ...), REV first in even
 pairs and this tree first in odd ones.  The file
 holds every run's end-to-end metrics, each pair's ratio this / REV, and
 per metric the median ratio, the pairs this tree wins (strictly better in
 the metric's direction in ``BENCHMARK.json``) and REV's interquartile
-range over its median.  The worktree is removed on exit, also on failure.
+range over its median.  The copy is removed on exit, also on failure.
 """
 
 import argparse
@@ -141,35 +141,33 @@ def paired(args, label, dirty):
                                           "commit": git("rev-parse", args.against)},
               "seconds": spec["run_seconds"], "versions": versions(),
               "nproc": len(os.sched_getaffinity(0)), "workloads": {}}
-    # a terminated run unwinds too, so the finally below removes the worktree
+    # a terminated run unwinds too, so the temporary directory is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory() as d:
         base_tree = Path(d) / "base"
-        git("worktree", "add", "--detach", str(base_tree), args.against)
+        base_tree.mkdir()
+        archive = subprocess.run(["git", "archive", args.against], cwd=REPO,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive,
+                       check=True)
         trees = {"base": base_tree, "this": REPO}
-        try:
-            for workload in workloads:
-                pairs, runs = [], []
-                for i in range(args.pairs):
-                    seed = FIRST_SEED + i
-                    order = ["base", "this"] if i % 2 == 0 else ["this", "base"]
-                    got = {side: run_bench(trees[side], workload, seed,
-                                           spec["run_seconds"])
-                           for side in order}
-                    runs.append({"seed": seed, "first": order[0], **got})
-                    pairs.append((got["base"]["metrics"], got["this"]["metrics"]))
-                    print(f"{workload} seed {seed}: " + ", ".join(
-                        f"{side} {got[side]['metrics']['studies_per_min']:.0f}"
-                        for side in ("base", "this")) + " studies/min",
-                        flush=True)
-                result["workloads"][workload] = {
-                    "runs": runs,
-                    "summary": summarize_pairs(pairs, spec["end_to_end"])}
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(base_tree)], cwd=REPO, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=REPO,
-                           capture_output=True)
+        for workload in workloads:
+            pairs, runs = [], []
+            for i in range(args.pairs):
+                seed = FIRST_SEED + i
+                order = ["base", "this"] if i % 2 == 0 else ["this", "base"]
+                got = {side: run_bench(trees[side], workload, seed,
+                                       spec["run_seconds"])
+                       for side in order}
+                runs.append({"seed": seed, "first": order[0], **got})
+                pairs.append((got["base"]["metrics"], got["this"]["metrics"]))
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} {got[side]['metrics']['studies_per_min']:.0f}"
+                    for side in ("base", "this")) + " studies/min",
+                    flush=True)
+            result["workloads"][workload] = {
+                "runs": runs,
+                "summary": summarize_pairs(pairs, spec["end_to_end"])}
     path = REPO / f"BENCH_{label}-vs-{rev}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(path)
