@@ -467,8 +467,8 @@ def test_interval_census_matches_dense_svd_on_planted_spectra():
     near = 1.0 + 1e-6
     for _ in range(300):
         n = int(rng.integers(2, 41))
-        kernel, band = int(rng.integers(0, 4)), int(rng.integers(0, 3))
-        kernel, band = min(kernel, n - 1), min(band, n - 1 - min(kernel, n - 1))
+        kernel = int(rng.integers(0, min(3, n - 1) + 1))
+        band = int(rng.integers(0, min(2, n - 1 - kernel) + 1))
         rest = n - 1 - kernel - band
         top = _log_uniform(rng, 1e-3, 1e3, 1)[0]
         mags = np.concatenate([
