@@ -144,6 +144,8 @@ def _count(kv, key, default):
 
 
 def _operator_path(kv, config_path):
+    if "operator" not in kv:
+        raise ConfigurationError("config names no operator", key="operator")
     op_path = Path(kv["operator"])
     if not op_path.is_absolute():
         op_path = Path(config_path).parent / op_path

@@ -210,10 +210,10 @@ def _lam_axis(sector, d, pts_per_decade):
 
 
 # rows of the doubled xi grid per block of the sweep: a temporary then holds
-# 16 x 723 complex values at 40 points per decade, not 803 x 723.  A level
-# keeps up to three pairs' sums and amplitudes, three lam offsets and the
-# centre values at once, so 32 rows doubled the peak memory of the sweep
-_ROW_BLOCK = 16
+# 8 x 723 complex values at 40 points per decade, not 803 x 723.  All nine
+# pairs' sums and amplitudes, three lam offsets and the stencil values are
+# live at once, so 16 rows about double the peak memory of the sweep
+_ROW_BLOCK = 8
 
 _STENCILS = {
     0: ((0, 1.0),),
@@ -221,25 +221,10 @@ _STENCILS = {
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
 }
 
-
-def _step_levels(max_alpha, max_beta):
-    """Derivative pairs grouped by total order a + b, which fixes the steps.
-
-    Each level lists its distinct stencil points (oi, oj) in lexicographic
-    order, each with the (pair, weight) terms that use it.  Every pair's
-    own points then come in the order of its nested stencil loops.
-    """
-    levels = []
-    for s in range(max_alpha + max_beta + 1):
-        pairs = [(a, s - a) for a in range(max_alpha + 1) if 0 <= s - a <= max_beta]
-        terms = {}
-        for a, b in pairs:
-            for oi, wi in _STENCILS[a]:
-                for oj, wj in _STENCILS[b]:
-                    terms.setdefault((oi, oj), []).append(((a, b), wi * wj))
-        rel = max(1e-5, np.finfo(float).eps ** (1.0 / (s + 2)))
-        levels.append((rel, pairs, sorted(terms.items())))
-    return levels
+# the relative step of every derivative pair, that of the highest pair the
+# stencils support (see seminorm_check).  It does not depend on the maxima a
+# caller asks for, so no row depends on which other rows were asked
+_FD_REL = max(1e-5, np.finfo(float).eps ** (1.0 / 6))
 
 
 def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
@@ -254,20 +239,26 @@ def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
     evaluator returns a non-finite value, reporting the offending grid
     point.
 
-    Derivatives are centered finite differences.  Step sizes are scale
-    aware and grow with the total derivative order (the optimal step for a
+    Derivatives are centered finite differences with one scale-aware
+    relative step, ``_FD_REL``, for every pair.  The optimal step of a
     k-th difference balances truncation against cancellation at roughly
-    eps^(1/(k+2))).  The xi step is relative to max(1, |xi|); the lam step
-    is relative to the anisotropic scale (1+|xi|+|lam|^(1/d))^d on which
-    the symbol varies, along the sampled ray.
+    eps^(1/(k+2)); the highest order, a + b = 4, loses the most digits to
+    cancellation, so its step eps^(1/6) is used throughout.  A lower order
+    then pays a larger O(step^2) truncation than at its own optimum; on
+    the tests' pinned symbols that moves a ratio by at most 1.1e-4
+    relative and changes no verdict.  The xi step is relative to
+    max(1, |xi|); the lam step is relative to the anisotropic scale
+    (1+|xi|+|lam|^(1/d))^d on which the symbol varies, along the sampled
+    ray.
 
     Only the doubled grid is swept.  The grid at ``pts_per_decade`` is an
     exact subgrid of it (every other point of each geometric half axis and
     of each ray, plus xi = 0), and every step, value and ratio is
     pointwise, so the base grid's ratios are read off the doubled sweep.
-    Pairs with equal a + b share their steps, so each distinct stencil
-    point of a level is evaluated once and added into every pair that uses
-    it, in the order of that pair's own stencil loops.
+    All pairs share the step, so the symbol is evaluated once at each
+    stencil point of {-1, 0, 1}^2 that some pair uses, and each value is
+    added into every pair that uses it, in lexicographic point order,
+    which is the order of that pair's own stencil loops.
     """
     sector = sym.sector
     if sector is None:
@@ -287,9 +278,15 @@ def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
     u = DIR[None, :]
     lam_root = np.abs(LAM)[None, :] ** (1.0 / d)
     tiny = 64.0 * np.finfo(float).eps
-    levels = _step_levels(max_alpha, max_beta)
-    env_fine = {pair: np.empty(len(XI)) for _, pairs, _ in levels for pair in pairs}
-    env_base = {pair: np.empty(len(XI)) for pair in env_fine}
+    pairs = [(a, b) for a in range(max_alpha + 1) for b in range(max_beta + 1)]
+    terms = {}
+    for a, b in pairs:
+        for oi, wi in _STENCILS[a]:
+            for oj, wj in _STENCILS[b]:
+                terms.setdefault((oi, oj), []).append(((a, b), wi * wj))
+    terms = sorted(terms.items())
+    env_fine = {pair: np.empty(len(XI)) for pair in pairs}
+    env_base = {pair: np.empty(len(XI)) for pair in pairs}
 
     # row blocks bound the (xi, lam) temporaries; every step is pointwise or
     # a max, so for an evaluator that acts pointwise the blocks change no
@@ -298,50 +295,56 @@ def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
         xi = XI[lo:lo + _ROW_BLOCK]
         absxi = np.abs(xi)[:, None]
         scale = 1.0 + absxi + lam_root
-        scale_d = scale ** d
+        hxi = _FD_REL * np.maximum(1.0, absxi)
+        hu = _FD_REL * scale ** d * u
         bound_xi = [(1.0 + absxi) ** (mu - p - a) for a in range(max_alpha + 1)]
         bound_lam = [scale ** (p - d * b) for b in range(max_beta + 1)]
-        centre = None
-        bad = []
-        for rel, pairs, terms in levels:
-            hxi = (rel * np.maximum(1.0, np.abs(xi)))[:, None]
-            hlam = rel * scale_d
-            xi_at = {o: xi[:, None] + o * hxi for o in (-1, 0, 1)}
-            lam_at = {}
-            acc = dict.fromkeys(pairs, 0.0)
-            amp = dict.fromkeys(pairs, 0.0)
-            for (oi, oj), uses in terms:
-                if (oi, oj) == (0, 0) and centre is not None:
-                    vals, mag = centre
-                else:
-                    if oj not in lam_at:
-                        lam_at[oj] = LAM[None, :] + oj * hlam * u
-                    vals = sym.fn(xi_at[oi], lam_at[oj])
-                    mag = np.abs(vals)
-                    if (oi, oj) == (0, 0):
-                        centre = (vals, mag)
-                for pair, w in uses:
-                    acc[pair] = acc[pair] + w * vals
-                    amp[pair] = np.maximum(amp[pair], mag)
-            for a, b in pairs:
-                scale_xi = hxi ** a
-                scale_lam = (hlam * u) ** b
-                deriv = acc[a, b] / (scale_xi * scale_lam)
-                finite = np.isfinite(deriv)
-                if not np.all(finite):
-                    i, j = np.argwhere(~finite)[0]
-                    bad.append((i, a, b, j))
+        xi_at = {}
+        lam_at = {}
+        acc = {}
+        amp = {}
+        for (oi, oj), uses in terms:
+            if oi not in xi_at:
+                xi_at[oi] = xi[:, None] + oi * hxi
+            if oj not in lam_at:
+                # offset 0 keeps the (rows, lam) shape of the other offsets
+                lam_at[oj] = (LAM[None, :] - hu if oj < 0
+                              else LAM[None, :] + (hu if oj else 0 * hu))
+            vals = sym.fn(xi_at[oi], lam_at[oj])
+            mag = np.abs(vals)
+            for pair, w in uses:
+                if pair not in acc:
+                    acc[pair] = vals if w == 1.0 else w * vals
+                    amp[pair] = mag
                     continue
-                # cancellation noise floor of the stencil; values below it
-                # are not distinguishable from zero and must not enter sup
-                # ratios
-                noise = tiny * amp[a, b] / (scale_xi * np.abs(scale_lam))
-                size = np.abs(deriv)
-                ratio = (np.where(size > noise, size, 0.0)
-                         / (bound_xi[a] * bound_lam[b]))
-                env_fine[a, b][lo:lo + len(xi)] = np.max(ratio, axis=1)
-                env_base[a, b][lo:lo + len(xi)] = np.max(
-                    ratio.reshape(len(xi), -1, n_ray)[:, :, ::2], axis=(1, 2))
+                if w == 1.0:
+                    acc[pair] = acc[pair] + vals
+                elif w == -1.0:
+                    acc[pair] = acc[pair] - vals
+                else:
+                    acc[pair] = acc[pair] + w * vals
+                amp[pair] = np.maximum(amp[pair], mag)
+        bad = []
+        # b = 0 divides by the real xi column: complex division by s + 0j
+        # gives the same values
+        scale_lam = [1.0] + [hu ** b for b in range(1, max_beta + 1)]
+        abs_lam = [np.abs(s) for s in scale_lam]
+        for a, b in pairs:
+            scale_xi = hxi ** a
+            deriv = acc[a, b] / (scale_xi * scale_lam[b])
+            finite = np.isfinite(deriv)
+            if not np.all(finite):
+                i, j = np.argwhere(~finite)[0]
+                bad.append((i, a, b, j))
+                continue
+            # cancellation noise floor of the stencil; values below it are
+            # not distinguishable from zero and must not enter sup ratios
+            noise = tiny * amp[a, b] / (scale_xi * abs_lam[b])
+            size = np.abs(deriv)
+            ratio = size * (size > noise) / (bound_xi[a] * bound_lam[b])
+            env_fine[a, b][lo:lo + len(xi)] = np.max(ratio, axis=1)
+            env_base[a, b][lo:lo + len(xi)] = np.max(
+                ratio.reshape(len(xi), -1, n_ray)[:, :, ::2], axis=(1, 2))
         if bad:
             # the first sampled row with a non-finite derivative, then the
             # first pair and the first lam there

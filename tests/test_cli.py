@@ -196,6 +196,16 @@ def test_bad_operator_reference_exits_invalid(tmp_path):
     assert "incomplete" in manifest
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "heat", "resolvent", "zeta"])
+def test_config_without_operator_exits_invalid(tmp_path, sub):
+    cfg = write_cfg(tmp_path / "c.cfg", "t_min = 0.01\n")
+    code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
+    assert lines[1] == "status: incomplete: config names no operator"
+    assert "note: key=operator" in lines
+
+
 def test_index_run_assembles_integer(tmp_path):
     cfg = write_cfg(tmp_path / "i.cfg", """
 b_kind = symmetric

@@ -168,7 +168,7 @@ _REF_STENCILS = {
 
 
 def _ref_fd_derivative(fn, XI, LAM, DIR, a, b, d):
-    rel = max(1e-5, np.finfo(float).eps ** (1.0 / (a + b + 2)))
+    rel = symbols._FD_REL
     hxi = (rel * np.maximum(1.0, np.abs(XI)))[:, None]
     absxi = np.abs(XI)[:, None]
     hlam = rel * (1.0 + absxi + np.abs(LAM)[None, :] ** (1.0 / d)) ** d
@@ -258,6 +258,58 @@ def test_one_sweep_matches_two_sweep_reference(name):
     ref = _ref_seminorm_check(sym, alpha, beta, ppd)
     assert rep.rows == ref.rows and rep.passed == ref.passed
     assert rep.passed == (name != "fails" and name != "accept15-misdeclared")
+
+
+def _per_order_step_rows(sym, max_alpha, max_beta, pts_per_decade):
+    # the two-sweep reference at the steps of the per-order levels the one
+    # step replaced: eps^(1/(a+b+2)) for the rows of total order a + b
+    rows = {}
+    for s in range(max_alpha + max_beta + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symbols, "_FD_REL",
+                       max(1e-5, np.finfo(float).eps ** (1.0 / (s + 2))))
+            rep = _ref_seminorm_check(sym, min(max_alpha, s), min(max_beta, s),
+                                      pts_per_decade)
+        rows.update({(r.alpha, r.beta): r for r in rep.rows if r.alpha + r.beta == s})
+    return [rows[pair] for pair in sorted(rows)]
+
+
+# the rows ACCEPT-15 prints: the (2, 2) row's worst ratio, whose step the
+# one step is, and the misdeclared (0, 0) row's slope, which evaluates no
+# offset point
+_ACCEPT15_PRINTED = {"accept15": (2, 2), "accept15-misdeclared": (0, 0)}
+
+
+@pytest.mark.parametrize("name", ["accept15", "accept15-misdeclared", "laplace",
+                                  "parametrix", "fails"])
+def test_one_step_rows_stay_near_the_per_order_steps(name):
+    sym, alpha, beta, ppd = _pinned_cases()[name]
+    rep = seminorm_check(sym, alpha, beta, pts_per_decade=ppd)
+    ref = _per_order_step_rows(sym, alpha, beta, ppd)
+    assert [(r.alpha, r.beta) for r in rep.rows] == [(r.alpha, r.beta) for r in ref]
+    for got, want in zip(rep.rows, ref):
+        if (got.alpha, got.beta) == _ACCEPT15_PRINTED.get(name):
+            assert got == want
+        assert got.passed == want.passed
+        for field in ("worst_ratio", "refined_ratio", "growth_slope"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha, beta, points", [(2, 2, 9), (1, 1, 9), (0, 0, 1)])
+def test_symbol_is_evaluated_once_per_stencil_point_of_a_row_block(alpha, beta,
+                                                                   points):
+    q = laplace_symbol()
+    calls = []
+
+    def counted(xi, lam):
+        calls.append(1)
+        return q.fn(xi, lam)
+
+    ppd = 10
+    seminorm_check(ParamSymbol(counted, q.orders, sector=SEC), alpha, beta,
+                   pts_per_decade=ppd)
+    doubled_rows = 2 * (5 * 2 * ppd + 1) + 1
+    assert len(calls) == points * math.ceil(doubled_rows / symbols._ROW_BLOCK)
 
 
 @pytest.mark.parametrize("block", [1, 7, 32, 10 ** 6])
