@@ -299,13 +299,11 @@ def seminorm_check(sym, max_alpha, max_beta, *, pts_per_decade=40):
         hu = _FD_REL * scale ** d * u
         bound_xi = [(1.0 + absxi) ** (mu - p - a) for a in range(max_alpha + 1)]
         bound_lam = [scale ** (p - d * b) for b in range(max_beta + 1)]
-        xi_at = {}
+        xi_at = {o: xi[:, None] + o * hxi for o in (-1, 0, 1)}
         lam_at = {}
         acc = {}
         amp = {}
         for (oi, oj), uses in terms:
-            if oi not in xi_at:
-                xi_at[oi] = xi[:, None] + oi * hxi
             if oj not in lam_at:
                 # offset 0 keeps the (rows, lam) shape of the other offsets
                 lam_at[oj] = (LAM[None, :] - hu if oj < 0
