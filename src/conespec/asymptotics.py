@@ -5,12 +5,13 @@ A fitted expansion is a sum of terms c * t^gamma * (log t)^j with j in
 {0, 1, 2}.  Which (gamma, j) columns are admissible comes from three
 exponent families determined by the order data (mu, mu', beta, n, N):
 the interior family (k - mu' - n)/mu, the boundary-weight family
-(k - beta)/mu and the integer family, with log powers allowed only on
-the stated sub-lattices.  The fitter decides presence of a term by the
-residual inflation caused by removing its column (factor 10); designs
-with equilibrated condition number above 1e12 are refused; overlapping
-families are merged to a single column per (gamma, j), and no attribution
-of a coefficient to a particular family is attempted.
+(k - beta)/mu and the integer family, with the log powers of their
+extended union (``indexsets.extended_union``).  The fitter decides
+presence of a term by the residual inflation caused by removing its
+column (factor 10); designs with equilibrated condition number above
+1e12 are refused; overlapping families are merged to a single column per
+(gamma, j), and no attribution of a coefficient to a particular family
+is attempted.
 
 The quadrature oracles integrate to relative tolerance ``_QUAD_TOL`` =
 1e-11, below the 1e-5 fit residual and the 1e-6 to 1e-8 coefficient
@@ -37,6 +38,7 @@ detected probe flags a term outside the prediction.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -75,52 +77,38 @@ def _is_nonneg_int(x):
 def predict_terms(mu, mu_prime, beta, n, k_max, *, kind="heat", N=None):
     """Admissible (exponent, max log power) pairs for trace expansions.
 
+    Three exponent families enter: the interior family (k - mu' - n)/mu,
+    the boundary-weight family (k - beta)/mu and the integer family k.
     ``k_max`` indexes the depth of the interior family; the other two
     families are truncated at the same exponent reach, so k_max = 0
     yields the single leading term.  For kind="resolvent" the exponents
-    are the large-parameter powers (requires N); the log lattices are the
-    same in both pictures.
+    are the large-parameter powers (mu' + n - k)/mu - N, (beta - k)/mu - N
+    and -k - N (requires N).  The log powers are those of the extended
+    union of the three families, each taken with log power 0: an exponent
+    held by j of them carries log powers up to j - 1.  Ascending exponents
+    for heat, descending for the resolvent.
     """
     mu = float(mu)
     if kind == "resolvent" and N is None:
         raise ConfigurationError("resolvent prediction needs N")
-
-    def logpow_interior(k):
-        in_b = _is_nonneg_int(k - (mu_prime + n - beta)) or \
-            _is_nonneg_int((k - (mu_prime + n)) / mu)
-        j = k - (mu_prime + n)
-        in_c = _is_nonneg_int(j / mu) and _is_nonneg_int(j + beta)
-        return 2 if in_c else (1 if in_b else 0)
-
-    def logpow_weight(k):
-        return 1 if _is_nonneg_int((k - beta) / mu) else 0
-
-    merged = {}
-
-    def put(gamma, maxlog):
-        key = round(gamma, 9)
-        if key not in merged or merged[key][1] < maxlog:
-            merged[key] = (gamma, maxlog)
-
-    for k in range(0, int(k_max) + 1):
-        if kind == "heat":
-            put((k - mu_prime - n) / mu, logpow_interior(k))
-        else:
-            put((mu_prime + n - k) / mu - N, logpow_interior(k))
+    heat = kind == "heat"
     k2_max = int(math.floor(k_max - mu_prime - n + beta + 1e-9))
-    for k in range(0, k2_max + 1):
-        if kind == "heat":
-            put((k - beta) / mu, logpow_weight(k))
-        else:
-            put((beta - k) / mu - N, logpow_weight(k))
     k3_max = int(math.floor((k_max - mu_prime - n) / mu + 1e-9))
-    for k in range(0, k3_max + 1):
-        put(float(k) if kind == "heat" else -float(k) - N, 0)
-
-    out = sorted(merged.values(), key=lambda t: t[0])
-    if kind == "resolvent":
-        out = sorted(out, key=lambda t: -t[0])
-    return out
+    families = [
+        [(k - mu_prime - n) / mu if heat else (mu_prime + n - k) / mu - N
+         for k in range(int(k_max) + 1)],
+        [(k - beta) / mu if heat else (beta - k) / mu - N
+         for k in range(k2_max + 1)],
+        [float(k) if heat else -float(k) - N for k in range(k3_max + 1)]]
+    cut = max((g for family in families for g in family), default=0.0)
+    union = functools.reduce(extended_union, [
+        IndexSet([(g, 0) for g in family], cut) for family in families])
+    # the first family to hold an exponent gives its float
+    exponents = {}
+    for g in (g for family in families for g in family):
+        exponents.setdefault(round(g, 9), g)
+    return sorted(((g, union.max_logpow(g)) for g in exponents.values()),
+                  key=lambda t: t[0], reverse=not heat)
 
 
 def expand_columns(terms):

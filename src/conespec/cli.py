@@ -143,6 +143,15 @@ def _count(kv, key, default):
     return value
 
 
+def _text(data, path):
+    """The UTF-8 text of an input file's bytes."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        raise ConfigurationError("file is not UTF-8 text",
+                                 path=str(path)) from None
+
+
 def _operator_path(kv, config_path):
     if "operator" not in kv:
         raise ConfigurationError("config names no operator", key="operator")
@@ -155,7 +164,7 @@ def _operator_path(kv, config_path):
 def _operator(kv, runner, config_path):
     """The operator the config names, parsed from the text ``main`` read."""
     op_path = _operator_path(kv, config_path)
-    if not op_path.exists():
+    if not op_path.is_file():
         raise ConfigurationError("operator file not found", path=str(op_path))
     return parse_operator(op_path, runner.operator_text)
 
@@ -324,7 +333,7 @@ def run_index(kv, runner, args):
     H = indextools.lorentzian_perturbation(_f(kv, "h_c", 1.25),
                                            _f(kv, "h_b", 0.5),
                                            _f(kv, "h_weight", 1.0))
-    report = indextools.index_assemble(indextools.Factorization(B, H))
+    report = indextools.index_assemble(B, H)
     runner.write_csv("index_report.csv", report.to_csv_rows())
     oracle = indextools.argument_principle_count(H)
     runner.notes.append(f"argument principle count {oracle}")
@@ -429,19 +438,19 @@ def main(argv=None):
 
     # each input is read once, for its digest and its parse
     config_path = Path(args.config)
-    data = config_path.read_bytes() if config_path.exists() else None
+    data = config_path.read_bytes() if config_path.is_file() else None
     digest = "missing" if data is None else config_digest(data)
     runner = Runner(args.out, f"config={digest} seed={args.seed}")
     try:
         if data is None:
             raise ConfigurationError("config not found", path=str(config_path))
-        kv = parse_kv(data.decode(), config_path)
+        kv = parse_kv(_text(data, config_path), config_path)
         if "operator" in kv:
             op_path = _operator_path(kv, config_path)
             op_digest = "missing"
             if op_path.is_file():
                 op_data = op_path.read_bytes()
-                runner.operator_text = op_data.decode()
+                runner.operator_text = _text(op_data, op_path)
                 op_digest = config_digest(op_data)
             runner.provenance += f" operator={op_digest}"
         runner.provenance += f" conespec={__version__}"

@@ -57,7 +57,6 @@ class ConeOperator:
         on [0, 1]; its value at x = 0 is the conormal data.  Every mode's
         list has the same length deg + 1.
     x_dependent : False reads the rule at x = 0 only (frozen coefficients).
-    alpha : weight line of the intended realization.
 
     The rule is evaluated at x = 0 once per mode, one mode at a time, at
     construction: ``_table`` holds the conormal data, a read-only complex
@@ -68,7 +67,7 @@ class ConeOperator:
     # dimension of the cone (0, 1] x S^1: the radial variable and the circle
     n = 2
 
-    def __init__(self, mu, modes, coeffs, *, x_dependent=False, alpha=0.0,
+    def __init__(self, mu, modes, coeffs, *, x_dependent=False,
                  label="cone-operator"):
         if mu <= 0:
             raise ConfigurationError("weight order mu must be positive", mu=mu)
@@ -78,7 +77,6 @@ class ConeOperator:
             raise ConfigurationError("empty mode range", modes=modes)
         self._rule = coeffs
         self.is_frozen = not x_dependent
-        self.alpha = float(alpha)
         self.label = label
         self._table = self._indicial_table()
         self._tip = dict(zip(self.mode_list(), self._table))
@@ -144,19 +142,18 @@ class ConeOperator:
         """Rematerialize the same coefficient rule on a wider mode window."""
         cap = int(mode_cap)
         return ConeOperator(self.mu, (-cap, cap), self._rule,
-                            x_dependent=not self.is_frozen, alpha=self.alpha,
-                            label=self.label)
+                            x_dependent=not self.is_frozen, label=self.label)
 
 
-def laplace_type(a, mode_cap=8, alpha=1.0):
+def laplace_type(a, mode_cap=8):
     """Laplace type model on the circle: p_m(sigma) = sigma^2 + m^2 + a^2, mu = 2."""
     shift = a * a
     return ConeOperator(2.0, (-mode_cap, mode_cap),
-                        lambda m, x: [m * m + shift, 0.0, 1.0], alpha=alpha,
+                        lambda m, x: [m * m + shift, 0.0, 1.0],
                         label=f"laplace(a={a},n={ConeOperator.n})")
 
 
-def perturbed_laplace(a, mode_cap=8, alpha=1.0, strength=0.5):
+def perturbed_laplace(a, mode_cap=8, strength=0.5):
     """Laplace type model with a bounded zeroth order coefficient in x.
 
     The zero order coefficient becomes m^2 + a^2 + strength * x * cos(1.3 x);
@@ -168,7 +165,7 @@ def perturbed_laplace(a, mode_cap=8, alpha=1.0, strength=0.5):
         return [m * m + shift + strength * x * np.cos(1.3 * x), 0.0, 1.0]
 
     return ConeOperator(2.0, (-mode_cap, mode_cap), coeffs, x_dependent=True,
-                        alpha=alpha, label=f"laplace-perturbed(a={a})")
+                        label=f"laplace-perturbed(a={a})")
 
 
 # ---------------------------------------------------------------------------

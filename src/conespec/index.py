@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
 
 # fit_expansion is not called here: perfbench/tracer.py wraps it by this name
 from .asymptotics import adaptive_gk21, fit_expansion  # noqa: F401
 from .errors import ConfigurationError, NumericalError
+from .pencil import _dstebz
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +224,6 @@ def mckean_singer(B, t_list):
 
 
 @dataclass
-class Factorization:
-    """Elliptic factor with empty boundary spectrum plus a Mellin perturbation."""
-
-    B: object                 # matrix realization of the elliptic factor
-    H: MellinPerturbation
-
-
-@dataclass
 class IndexReport:
     omega: float
     eta: float
@@ -246,11 +238,13 @@ class IndexReport:
                  ";".join(f"{k}={v}" for k, v in sorted(self.flags.items())) or "-")]
 
 
-def index_assemble(fact: Factorization):
-    """Index = constant term of the factor's heat difference minus eta; the
-    difference is the same at every t (``mckean_singer``): read at t = 1."""
-    omega = float(mckean_singer(fact.B, [1.0])[0])
-    eta = eta_term(fact.H)
+def index_assemble(B, H):
+    """Index of the elliptic factor B (a matrix realization with empty
+    boundary spectrum) with the Mellin perturbation H: the constant term
+    of B's heat difference minus eta(H).  The difference is the same at
+    every t (``mckean_singer``): read at t = 1."""
+    omega = float(mckean_singer(B, [1.0])[0])
+    eta = eta_term(H)
     value = omega - eta
     dist = abs(value - round(value))
     flags = {"eta_integer_distance": f"{abs(eta - round(eta)):.2e}"}
@@ -340,22 +334,12 @@ def _kernel_census(d, e):
     n = len(d)
     if n == 1 or not (np.any(d) or np.any(e)):
         return 0, False
-    # dstebz range 2 takes the eigenvalues of index il..iu, range 1 those
-    # in (vl, vu]; tolerance 0 is LAPACK's default
-    top = max(abs(_dstebz(d, e, 2, 0.0, 0.0, k)[1][0]) for k in (1, n))
-    small, band = (_dstebz(d, e, 1, -t, t, 0)[0]
+    # the extreme eigenvalues by index, then two interval counts, all at
+    # LAPACK's default tolerance
+    top = max(abs(_dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0)[1][0]) for k in (1, n))
+    small, band = (_dstebz(d, e, 1, -t, t, 0, 0, 0.0)[0]
                    for t in (1e-8 * top, 1e-7 * top))
     return small, band > small
-
-
-def _dstebz(d, e, kind, vl, vu, k):
-    """(count, eigenvalues) of one dstebz call with il = iu = k; a
-    bisection that does not converge raises NumericalError."""
-    m, vals, _, _, info = dstebz(d, e, kind, vl, vu, k, k, 0.0, "E")
-    if info != 0:
-        raise NumericalError("LAPACK bisection did not converge",
-                             info=int(info))
-    return int(m), vals
 
 
 def invariance_red_to_sobolev(disc, eps_list):

@@ -18,7 +18,8 @@ coeff[1] or coeff[2].  Every number is checked at parse time: ``mu``
 and ``alpha`` must be finite, and each coefficient must evaluate to a
 finite value at x = 0 for every declared mode (and wherever it is
 evaluated later, such as the modes of a wider window); anything else is
-a ConfigurationError naming the key.
+a ConfigurationError naming the key.  ``alpha``, the weight line of the
+intended realization, is checked and not used.
 """
 
 import cmath
@@ -108,7 +109,8 @@ def parse_operator(path, text=None):
     except KeyError as exc:
         raise ConfigurationError("operator file missing a required key",
                                  file=str(path), key=str(exc)) from None
-    alpha = parse_value("alpha", kv.get("alpha", "0.0"))
+    # checked, not used: no realization reads the weight line yet
+    parse_value("alpha", kv.get("alpha", "0.0"))
     bc = kv.get("bc", "dirichlet").lower()
     if bc != "dirichlet":
         raise ConfigurationError("only dirichlet cuts are supported", bc=bc)
@@ -129,4 +131,4 @@ def parse_operator(path, text=None):
     return ConeOperator(mu, modes, values,
                         x_dependent=any(fn.uses_x
                                         for fn in coeff_exprs.values()),
-                        alpha=alpha, label=Path(path).stem)
+                        label=Path(path).stem)

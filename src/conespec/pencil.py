@@ -243,10 +243,20 @@ def _bisect(dt, et, count):
     """
     if len(dt) == 1:  # the wrapper takes no empty off-diagonal
         return dt.copy()
-    m, vals, _, _, info = dstebz(dt, et, 2, 0.0, 0.0, 1, count, _ABSTOL, "E")
+    m, vals = _dstebz(dt, et, 2, 0.0, 0.0, 1, count, _ABSTOL)
+    return vals[:m]
+
+
+def _dstebz(d, e, kind, vl, vu, il, iu, tol):
+    """(count, eigenvalues) of one LAPACK dstebz call on the symmetric
+    tridiagonal (d, e), entire matrix order: range ``kind`` 1 takes the
+    eigenvalues in (vl, vu], 2 those of index il..iu, to the absolute
+    tolerance ``tol`` (0 is LAPACK's default).  A bisection that does not
+    converge raises NumericalError."""
+    m, vals, _, _, info = dstebz(d, e, kind, vl, vu, il, iu, tol, "E")
     if info != 0:
         raise NumericalError("LAPACK bisection did not converge", info=int(info))
-    return vals[:m]
+    return int(m), vals
 
 
 def _lowest_eigenvalue(d, e, w):

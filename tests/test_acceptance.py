@@ -16,7 +16,7 @@ from conespec.asymptotics import (fit_expansion, fitted_leading_exponent,
 from conespec.coneop import (boundary_spectrum, discretize,
                              discretize_halfline, eigenvalues, laplace_type,
                              perturbed_laplace, resolvent_norm)
-from conespec.index import (Factorization, argument_principle_count, eta_term,
+from conespec.index import (argument_principle_count, eta_term,
                             index_assemble, invariance_red_to_const,
                             lorentzian_perturbation, mckean_singer)
 from conespec.oracles import (component_identity_check, index_algebra_agrees,
@@ -191,7 +191,7 @@ def test_accept_12_eta_term():
     rng = np.random.default_rng(5)
     S = rng.standard_normal((25, 25))
     S = S + S.T
-    rep = index_assemble(Factorization(S, H))
+    rep = index_assemble(S, H)
     ok = (abs(eta - 1.0) < 1e-6 and oracle == 1
           and rep.integer_distance < 1e-6)
     report(12, ok, "eta integral, argument principle oracle, index assembly",

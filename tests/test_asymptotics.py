@@ -1,5 +1,7 @@
 import cmath
 import math
+from collections import Counter
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -62,6 +64,57 @@ def test_predict_resolvent_mirror():
 def test_predict_resolvent_needs_N():
     with pytest.raises(ConfigurationError):
         predict_terms(2.0, 0.0, 0.0, 2, 4, kind="resolvent")
+
+
+def _exact_lattice(mu, mu_prime, beta, n, k_max, kind, N):
+    """(exponent, log power) of the three families in exact arithmetic: a
+    log power is one less than the number of families holding the
+    exponent."""
+    reach = k_max - mu_prime - n
+    heat = [[(k - mu_prime - n) / mu for k in range(k_max + 1)],
+            [(k - beta) / mu for k in range(math.floor(reach + beta) + 1)],
+            [F(k) for k in range(math.floor(reach / mu) + 1)]]
+    held = Counter(g if kind == "heat" else -g - N
+                   for family in heat for g in set(family))
+    return sorted(((g, c - 1) for g, c in held.items()),
+                  reverse=kind != "heat")
+
+
+@pytest.mark.parametrize("mu, mu_prime, beta, n, k_max", [
+    (F(2), F(0), F(0), 2, 6), (F(2), F(0), F(1), 2, 5),
+    (F(2), F(0), F(2), 2, 6), (F(3), F(1, 2), F(1, 2), 1, 8),
+    (F(3), F(1, 2), F(5, 2), 2, 8), (F(3, 2), F(1, 3), F(4, 3), 1, 7),
+    (F(4), F(1), F(1, 4), 3, 8), (F(1, 2), F(0), F(1, 2), 1, 4)])
+@pytest.mark.parametrize("kind, N", [("heat", None), ("resolvent", 1),
+                                     ("resolvent", 2)])
+def test_predicted_lattice_is_the_exact_union_of_three_families(
+        mu, mu_prime, beta, n, k_max, kind, N):
+    exact = _exact_lattice(mu, mu_prime, beta, n, k_max, kind, N)
+    got = predict_terms(float(mu), float(mu_prime), float(beta), n, k_max,
+                        kind=kind, N=N)
+    assert len(got) == len(exact)
+    assert max(c for _, c in exact) >= 1  # every case has a meeting
+    for (g, logpow), (g_exact, logpow_exact) in zip(got, exact):
+        assert abs(g - g_exact) <= 1e-12
+        assert logpow == logpow_exact
+
+
+@pytest.mark.parametrize("args, kw, terms", [
+    # the CLI heat call on the shipped operators
+    ((2, 0, 0, 2, 4), {},
+     [(-1.0, 0), (-0.5, 0), (0.0, 2), (0.5, 1), (1.0, 2)]),
+    # ACCEPT-05 and ACCEPT-06 on the x^-1 weight
+    ((2.0, 0.0, 1.0, 2, 3), {"kind": "heat"},
+     [(-1.0, 0), (-0.5, 1), (0.0, 2), (0.5, 1)]),
+    ((2.0, 0.0, 1.0, 2, 3), {"kind": "resolvent", "N": 2},
+     [(-1.0, 0), (-1.5, 1), (-2.0, 2), (-2.5, 1)])])
+def test_predicted_lattices_of_the_shipped_calls(args, kw, terms):
+    assert predict_terms(*args, **kw) == terms
+
+
+def test_predict_negative_depth_is_empty():
+    assert predict_terms(2.0, 0.0, 0.0, 2, -1) == []
+    assert predict_terms(2.0, 0.0, 0.0, 2, -1, kind="resolvent", N=2) == []
 
 
 # ---------------------------------------------------------------------------

