@@ -100,12 +100,13 @@ def predict_terms(mu, mu_prime, beta, n, k_max, *, kind="heat", N=None):
         [(k - beta) / mu if heat else (beta - k) / mu - N
          for k in range(k2_max + 1)],
         [float(k) if heat else -float(k) - N for k in range(k3_max + 1)]]
-    cut = max((g for family in families for g in family), default=0.0)
+    every = [g for family in families for g in family]
+    cut = max(every, default=0.0)
     union = functools.reduce(extended_union, [
         IndexSet([(g, 0) for g in family], cut) for family in families])
     # the first family to hold an exponent gives its float
     exponents = {}
-    for g in (g for family in families for g in family):
+    for g in every:
         exponents.setdefault(round(g, 9), g)
     return sorted(((g, union.max_logpow(g)) for g in exponents.values()),
                   key=lambda t: t[0], reverse=not heat)
